@@ -1,10 +1,11 @@
 """Patch-embedding compression and late-interaction retrieval toolkit."""
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .chunker import (  # noqa: E402
     ChunkerConfig,
-    MergeStep,
     cluster_hac,
     cluster_kmeans,
     compress,
@@ -40,41 +41,9 @@ from .types import (  # noqa: E402
     validate,
 )
 
-__all__ = [
-    "__version__",
-    "ChunkerConfig",
-    "MergeStep",
-    "cluster_hac",
-    "cluster_kmeans",
-    "compress",
-    "compress_many",
-    "fuse",
-    "pool",
-    "PosEncConfig",
-    "encode",
-    "encode_batch",
-    "ScoredHit",
-    "maxsim",
-    "retrieve",
-    "BuildMeta",
-    "CorpusIndex",
-    "IndexFormatError",
-    "ManifestError",
-    "ingest_dump",
-    "ingest_queries",
-    "read_index",
-    "write_embedding_dump",
-    "write_index",
-    "write_query_dump",
-    "ChunkAssignment",
-    "CompressedDocument",
-    "FusedFeatureSet",
-    "NormalizedCoords",
-    "PatchEmbeddingSet",
-    "PatchGrid",
-    "QueryEmbeddingSet",
-    "ValidationReport",
-    "grid_coords",
-    "patch_coords",
-    "validate",
+# Every name imported above, without the submodules the imports bind.
+__all__ = ["__version__"] + [
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

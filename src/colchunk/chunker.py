@@ -11,7 +11,6 @@ into the stored representation.
 
 from __future__ import annotations
 
-import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -30,7 +29,6 @@ from .types import (
 __all__ = [
     "METHODS",
     "ChunkerConfig",
-    "MergeStep",
     "fuse",
     "cluster_hac",
     "cluster_kmeans",
@@ -48,6 +46,11 @@ TIE_EPS = 1e-12
 
 DEGENERATE_NORM = 1e-12
 
+# Lloyd iterations stop after this many rounds, or earlier once no centroid
+# moves by ``KMEANS_TOL`` (L2) or more.
+KMEANS_MAX_ITER = 100
+KMEANS_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class ChunkerConfig:
@@ -55,8 +58,6 @@ class ChunkerConfig:
     omega: float = 0.2
     method: str = "hac_ward"
     seed: int = 0
-    kmeans_max_iter: int = 100
-    kmeans_tol: float = 1e-6
     normalize_semantic_before_fusion: bool = True
 
     def __post_init__(self):
@@ -66,33 +67,6 @@ class ChunkerConfig:
             raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.kmeans_max_iter < 1:
-            raise ValueError("kmeans_max_iter must be positive")
-        if self.kmeans_tol <= 0.0:
-            raise ValueError("kmeans_tol must be positive")
-
-
-@dataclass(frozen=True)
-class MergeStep:
-    """One agglomeration event, recorded scipy-style for diagnostics.
-
-    ``left`` and ``right`` are dendrogram node ids: original patches occupy
-    ids ``0 .. n-1`` and the t-th merge creates id ``n + t``. ``distance`` is
-    the Ward linkage distance, the square root of the minimized merge cost.
-    """
-
-    left: int
-    right: int
-    distance: float
-    new_size: int
-
-    def __post_init__(self):
-        if self.left < 0 or self.right < 0 or self.left == self.right:
-            raise ValueError("merge endpoints must be distinct non-negative ids")
-        if self.distance < 0.0 or not math.isfinite(self.distance):
-            raise ValueError(f"merge distance must be finite and non-negative, got {self.distance}")
-        if self.new_size < 2:
-            raise ValueError("a merge always produces a cluster of at least 2")
 
 
 def fuse(pset: PatchEmbeddingSet, cfg: ChunkerConfig, pe: PosEncConfig) -> FusedFeatureSet:
@@ -131,17 +105,14 @@ def _pairwise_sq(x: np.ndarray) -> np.ndarray:
 
 def _canonical_assignment(labels_raw: np.ndarray) -> ChunkAssignment:
     """Renumber arbitrary labels to 0..k-1 by ascending smallest member index."""
-    mapping: dict[int, int] = {}
-    labels = np.empty(labels_raw.shape[0], dtype=np.int64)
-    for j, lbl in enumerate(labels_raw.tolist()):
-        if lbl not in mapping:
-            mapping[lbl] = len(mapping)
-        labels[j] = mapping[lbl]
-    sizes = np.bincount(labels, minlength=len(mapping))
-    return ChunkAssignment(k=len(mapping), labels=labels, sizes=sizes)
+    _, first, inverse = np.unique(labels_raw, return_index=True, return_inverse=True)
+    rank = np.empty(first.shape[0], dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.shape[0])
+    labels = rank[inverse]
+    return ChunkAssignment(k=first.shape[0], labels=labels, sizes=np.bincount(labels))
 
 
-def cluster_hac(feats: FusedFeatureSet, k: int) -> tuple[ChunkAssignment, list[MergeStep]]:
+def cluster_hac(feats: FusedFeatureSet, k: int) -> tuple[ChunkAssignment, np.ndarray]:
     """Ward agglomeration of fused features down to ``k`` clusters.
 
     Runs the Lance-Williams recurrence on a dense squared-distance matrix
@@ -149,11 +120,15 @@ def cluster_hac(feats: FusedFeatureSet, k: int) -> tuple[ChunkAssignment, list[M
     smallest Ward merge cost is joined; costs within ``TIE_EPS`` of the
     minimum are tied and resolve by the smallest, then second-smallest,
     original member index of the pair. With ``n <= k`` each patch keeps its
-    own singleton chunk and the merge trace is empty.
+    own singleton chunk and no merge happens.
 
     Returns:
-        The canonical assignment and the merge trace in order. Trace
-        distances are non-decreasing (Ward linkage is monotone).
+        The canonical assignment and the linkage array ``Z``, a float64
+        ``(n - k, 4)`` array in scipy's convention: row ``t`` merges nodes
+        ``Z[t, 0] < Z[t, 1]`` at Ward distance ``Z[t, 2]`` (the square root
+        of the minimized merge cost) into a cluster of ``Z[t, 3]`` patches.
+        Patches are nodes ``0 .. n-1`` and row ``t`` creates node ``n + t``.
+        Distances are non-decreasing (Ward linkage is monotone).
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -164,7 +139,7 @@ def cluster_hac(feats: FusedFeatureSet, k: int) -> tuple[ChunkAssignment, list[M
     if n <= k:
         return (
             ChunkAssignment(k=n, labels=np.arange(n), sizes=np.ones(n, dtype=np.int64)),
-            [],
+            np.empty((0, 4)),
         )
 
     d2 = _pairwise_sq(x)
@@ -175,7 +150,7 @@ def cluster_hac(feats: FusedFeatureSet, k: int) -> tuple[ChunkAssignment, list[M
     members: list[list[int]] = [[j] for j in range(n)]
     row_val = d2.min(axis=1)
     row_idx = d2.argmin(axis=1)
-    merges: list[MergeStep] = []
+    merges: list[tuple] = []
 
     for step in range(n - k):
         cost = row_val[active].min()
@@ -194,14 +169,7 @@ def cluster_hac(feats: FusedFeatureSet, k: int) -> tuple[ChunkAssignment, list[M
         size_a = int(size[a])
         size_b = int(size[b])
         new_size = size_a + size_b
-        merges.append(
-            MergeStep(
-                left=int(min(dendro_id[a], dendro_id[b])),
-                right=int(max(dendro_id[a], dendro_id[b])),
-                distance=math.sqrt(d2_ab),
-                new_size=new_size,
-            )
-        )
+        merges.append((dendro_id[a], dendro_id[b], d2_ab, new_size))
 
         others = active.copy()
         others[a] = others[b] = False
@@ -210,6 +178,9 @@ def cluster_hac(feats: FusedFeatureSet, k: int) -> tuple[ChunkAssignment, list[M
         merged_row = (
             (size_a + sw) * d2[a, w] + (size_b + sw) * d2[b, w] - sw * d2_ab
         ) / (size_a + size_b + sw)
+        # Exact duplicates sit at a rounding-error distance, not 0, so the
+        # ``- sw * d2_ab`` term can push a merged entry below zero.
+        np.maximum(merged_row, 0.0, out=merged_row)
         d2[a, w] = merged_row
         d2[w, a] = merged_row
         active[b] = False
@@ -245,7 +216,10 @@ def cluster_hac(feats: FusedFeatureSet, k: int) -> tuple[ChunkAssignment, list[M
     for lbl, s in enumerate(slots):
         labels[members[s]] = lbl
         sizes[lbl] = size[s]
-    return ChunkAssignment(k=len(slots), labels=labels, sizes=sizes), merges
+    linkage = np.array(merges, dtype=np.float64)
+    linkage[:, :2].sort(axis=1)
+    np.sqrt(linkage[:, 2], out=linkage[:, 2])
+    return ChunkAssignment(k=len(slots), labels=labels, sizes=sizes), linkage
 
 
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -285,30 +259,24 @@ def _repair_empty(x, centers, labels, counts):
     return labels
 
 
-def cluster_kmeans(
-    feats: FusedFeatureSet,
-    k: int,
-    seed: int = 0,
-    max_iter: int = 100,
-    tol: float = 1e-6,
-) -> ChunkAssignment:
+def cluster_kmeans(feats: FusedFeatureSet, k: int, seed: int = 0) -> ChunkAssignment:
     """Lloyd iterations from a k-means++ seeding, the flat-clustering comparator.
 
-    Stops when the largest centroid movement (L2) drops below ``tol`` or
-    after ``max_iter`` rounds. Empty clusters are repaired by reassigning
-    the single point farthest from its own centroid. Requires ``k`` not to
-    exceed the number of points.
+    Stops when the largest centroid movement (L2) drops below ``KMEANS_TOL``
+    or after ``KMEANS_MAX_ITER`` rounds. Empty clusters are repaired by
+    reassigning the single point farthest from its own centroid. Requires
+    ``k`` not to exceed the number of points.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     x = feats.vectors
-    n = x.shape[0]
+    n, dim = x.shape
     if k > n:
         raise ValueError(f"k = {k} exceeds the {n} available points")
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(x, k, rng)
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         x2 = (x * x).sum(axis=1)[:, None]
         c2 = (centers * centers).sum(axis=1)[None, :]
         d2 = np.maximum(x2 + c2 - 2.0 * (x @ centers.T), 0.0)
@@ -316,12 +284,14 @@ def cluster_kmeans(
         counts = np.bincount(labels, minlength=k)
         if (counts == 0).any():
             labels = _repair_empty(x, centers, labels, counts)
-        new_centers = np.empty_like(centers)
-        for c in range(k):
-            new_centers[c] = x[labels == c].mean(axis=0)
+        # bincount adds each cluster's rows in index order, as a per-cluster
+        # mean would, so the centroids match that loop bit for bit.
+        flat = (labels[:, None] * dim + np.arange(dim)).ravel()
+        sums = np.bincount(flat, weights=x.ravel(), minlength=k * dim).reshape(k, dim)
+        new_centers = sums / counts[:, None]
         shift = float(np.linalg.norm(new_centers - centers, axis=1).max())
         centers = new_centers
-        if shift < tol:
+        if shift < KMEANS_TOL:
             break
     return _canonical_assignment(labels)
 
@@ -384,9 +354,7 @@ def compress(pset: PatchEmbeddingSet, cfg: ChunkerConfig, pe: PosEncConfig) -> C
     if cfg.method == "hac_ward":
         assignment, _ = cluster_hac(feats, k_eff)
     else:
-        assignment = cluster_kmeans(
-            feats, k_eff, seed=cfg.seed, max_iter=cfg.kmeans_max_iter, tol=cfg.kmeans_tol
-        )
+        assignment = cluster_kmeans(feats, k_eff, seed=cfg.seed)
     return pool(pset, assignment)
 
 

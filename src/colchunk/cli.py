@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 on data or runtime errors, 2 on usage errors
 (argparse's own convention). Worker-pool size comes from --threads, the
 COLCHUNK_THREADS environment variable, or the logical core count, in that
-order. Outputs are byte-identical across thread counts.
+order; a COLCHUNK_THREADS that is not a positive integer is an error. Outputs
+are byte-identical across thread counts.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .evaluation import (
     SyntheticSpec,
     evaluate_run,
     generate_synthetic,
-    ndcg_at_k,
     read_run,
     rows_to_csv,
     run_ablation,
@@ -70,14 +70,12 @@ def _unit_float(text: str) -> float:
 
 def _default_threads() -> int:
     env = os.environ.get("COLCHUNK_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-            if n >= 1:
-                return n
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        return _positive_int(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"COLCHUNK_THREADS: {exc}") from exc
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -170,11 +168,11 @@ def cmd_compress(args) -> int:
         seed=args.seed,
         normalize_semantic_before_fusion=not args.no_normalize_semantic,
     )
-    sets = list(ingest_dump(args.manifest))
+    manifest = load_manifest(args.manifest)
+    sets = list(ingest_dump(manifest))
     if not sets:
         print("error: the dump manifest lists no documents", file=sys.stderr)
         return 1
-    location = load_manifest(args.manifest).location
     pe = PosEncConfig(dim=sets[0].dim, base=args.posenc_base)
     docs = compress_many(sets, cfg, pe, threads=threads)
     meta = BuildMeta(
@@ -183,7 +181,7 @@ def cmd_compress(args) -> int:
         method=cfg.method,
         posenc_base=pe.base,
         tool_version=__version__,
-        embedding_location=location,
+        embedding_location=manifest.location,
     )
     index = CorpusIndex(dim=sets[0].dim, docs=tuple(docs), build_meta=meta)
     write_index(index, args.index)
@@ -232,8 +230,7 @@ def cmd_eval(args) -> int:
     if not run:
         print("error: the run file is empty", file=sys.stderr)
         return 1
-    per_query = {qid: ndcg_at_k(run[qid], qrels.judged(qid), args.k) for qid in sorted(run)}
-    mean = sum(per_query.values()) / len(per_query)
+    per_query, mean = evaluate_run({qid: run[qid] for qid in sorted(run)}, qrels, args.k)
     print(f"query_id,ndcg_at_{args.k}")
     for qid, value in per_query.items():
         print(f"{qid},{value:.6f}")

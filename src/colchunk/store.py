@@ -22,14 +22,18 @@ reproduces the file byte for byte.
 
 Embedding dumps are the ingestion side: a JSON manifest describing per-page
 raw vector files (flat float32 little-endian, row-major). Query dumps use
-the same shape minus the grid fields.
+the same shape minus the grid fields. The writers name each raw file after
+its doc or query id, so they reject ids that are not safe file names: the
+empty string, ``.``, ``..`` and any id containing ``/``, ``\\`` or NUL. The
+loader rejects entry paths that are absolute or have a ``..`` component.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -45,14 +49,11 @@ __all__ = [
     "CorpusIndex",
     "DumpEntry",
     "EmbeddingDumpManifest",
-    "QueryDumpEntry",
-    "QueryDumpManifest",
     "write_index",
     "read_index",
     "load_manifest",
     "ingest_dump",
     "write_embedding_dump",
-    "load_query_manifest",
     "ingest_queries",
     "write_query_dump",
 ]
@@ -81,14 +82,7 @@ class BuildMeta:
     embedding_location: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "omega": self.omega,
-            "k_target": self.k_target,
-            "method": self.method,
-            "posenc_base": self.posenc_base,
-            "tool_version": self.tool_version,
-            "embedding_location": self.embedding_location,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "BuildMeta":
@@ -130,9 +124,23 @@ class CorpusIndex:
 
 
 def write_index(index: CorpusIndex, path: str | Path) -> None:
-    """Serialize an index; see the module docstring for the exact layout."""
+    """Serialize an index; see the module docstring for the exact layout.
+
+    The bytes go to a sibling temporary file that replaces ``path`` only once
+    complete, so a failed write leaves any previous index intact.
+    """
     out = Path(path)
-    with out.open("wb") as fh:
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    try:
+        _write_records(index, tmp)
+        os.replace(tmp, out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_records(index: CorpusIndex, path: Path) -> None:
+    with path.open("wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<I", index.dim))
@@ -242,11 +250,12 @@ def read_index(path: str | Path) -> CorpusIndex:
 
 @dataclass(frozen=True)
 class DumpEntry:
-    doc_id: str
-    rows: int
-    cols: int
+    """One raw vector file: a page with its grid, or a query (``grid`` None)."""
+
+    id: str
     n_vectors: int
     path: str
+    grid: PatchGrid | None = None
 
 
 @dataclass(frozen=True)
@@ -259,199 +268,157 @@ class EmbeddingDumpManifest:
     root: Path = field(default_factory=Path)
 
 
-def load_manifest(path: str | Path) -> EmbeddingDumpManifest:
-    """Read and sanity-check a dump manifest.
+def _check_file_name(item_id: str, kind: str) -> None:
+    if item_id in ("", ".", "..") or any(c in item_id for c in "/\\\0"):
+        raise ValueError(f"{kind} id {item_id!r} is not a safe file name")
 
-    Duplicate doc_ids, inconsistent vector counts, and missing raw files are
-    all rejected here, before any vector data is read.
-    """
+
+def _load(path: str | Path, id_key: str) -> EmbeddingDumpManifest:
+    """Parse a page dump (``id_key`` "doc_id", grids required) or a query dump."""
+    kind = id_key.removesuffix("_id")
     p = Path(path)
     try:
         data = json.loads(p.read_text("utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        raise ManifestError(f"cannot parse manifest {p}: {exc}") from exc
+        raise ManifestError(f"cannot parse {kind} manifest {p}: {exc}") from exc
     try:
         dim = int(data["dim"])
         raw_entries = data["entries"]
     except (KeyError, TypeError, ValueError) as exc:
-        raise ManifestError(f"manifest {p} is missing dim or entries") from exc
+        raise ManifestError(f"{kind} manifest {p} is missing dim or entries") from exc
     if dim < 1:
-        raise ManifestError(f"manifest dim must be positive, got {dim}")
-    location = str(data.get("location", ""))
+        raise ManifestError(f"{kind} manifest dim must be positive, got {dim}")
     entries = []
     seen: set[str] = set()
     for i, e in enumerate(raw_entries):
         try:
-            entry = DumpEntry(
-                doc_id=str(e["doc_id"]),
-                rows=int(e["rows"]),
-                cols=int(e["cols"]),
-                n_vectors=int(e["n_vectors"]),
-                path=str(e["path"]),
-            )
+            item_id, n_vectors, rel = str(e[id_key]), int(e["n_vectors"]), str(e["path"])
+            rows_cols = (int(e["rows"]), int(e["cols"])) if id_key == "doc_id" else None
         except (KeyError, TypeError, ValueError) as exc:
-            raise ManifestError(f"manifest entry {i} is malformed: {exc}") from exc
-        if entry.doc_id in seen:
-            raise ManifestError(f"duplicate doc_id '{entry.doc_id}' in manifest")
-        seen.add(entry.doc_id)
-        if entry.rows < 1 or entry.cols < 1:
-            raise ManifestError(f"doc '{entry.doc_id}': grid must be at least 1x1")
-        if entry.n_vectors != entry.rows * entry.cols:
+            raise ManifestError(f"{kind} manifest entry {i} is malformed: {exc}") from exc
+        if item_id in seen:
+            raise ManifestError(f"duplicate {id_key} '{item_id}' in manifest")
+        seen.add(item_id)
+        try:
+            grid = PatchGrid(*rows_cols) if rows_cols else None
+        except ValueError as exc:
+            raise ManifestError(f"{kind} '{item_id}': {exc}") from exc
+        if grid and n_vectors != grid.n_patches:
             raise ManifestError(
-                f"doc '{entry.doc_id}': n_vectors {entry.n_vectors} != "
-                f"{entry.rows}x{entry.cols} grid"
+                f"{kind} '{item_id}': n_vectors {n_vectors} != {grid.rows}x{grid.cols} grid"
             )
-        entries.append(entry)
+        if n_vectors < 1:
+            raise ManifestError(f"{kind} '{item_id}': needs at least one vector")
+        if Path(rel).is_absolute() or ".." in Path(rel).parts:
+            raise ManifestError(f"{kind} '{item_id}': path {rel} leaves the manifest directory")
+        entries.append(DumpEntry(id=item_id, n_vectors=n_vectors, path=rel, grid=grid))
     root = p.parent
     for entry in entries:
         if not (root / entry.path).is_file():
-            raise ManifestError(f"doc '{entry.doc_id}': raw file {entry.path} not found")
-    return EmbeddingDumpManifest(dim=dim, entries=tuple(entries), location=location, root=root)
+            raise ManifestError(f"{kind} '{entry.id}': raw file {entry.path} not found")
+    return EmbeddingDumpManifest(
+        dim=dim, entries=tuple(entries), location=str(data.get("location", "")), root=root
+    )
 
 
-def _read_raw_vectors(path: Path, n_vectors: int, dim: int, owner: str) -> np.ndarray:
-    expected = n_vectors * dim * 4
+def load_manifest(path: str | Path) -> EmbeddingDumpManifest:
+    """Read and sanity-check a page dump manifest.
+
+    Duplicate doc_ids, inconsistent vector counts, unsafe paths and missing
+    raw files are all rejected here, before any vector data is read.
+    """
+    return _load(path, "doc_id")
+
+
+def _read_raw_vectors(manifest: EmbeddingDumpManifest, entry: DumpEntry) -> np.ndarray:
+    path = manifest.root / entry.path
+    expected = entry.n_vectors * manifest.dim * 4
     actual = path.stat().st_size
     if actual != expected:
+        kind = "doc" if entry.grid else "query"
         raise ManifestError(
-            f"doc '{owner}': raw file {path.name} holds {actual} bytes, "
-            f"expected {expected} ({n_vectors} x {dim} float32)"
+            f"{kind} '{entry.id}': raw file {path.name} holds {actual} bytes, "
+            f"expected {expected} ({entry.n_vectors} x {manifest.dim} float32)"
         )
     flat = np.fromfile(path, dtype="<f4")
-    return flat.astype(np.float64).reshape(n_vectors, dim)
+    return flat.astype(np.float64).reshape(entry.n_vectors, manifest.dim)
 
 
-def ingest_dump(manifest_path: str | Path):
-    """Yield validated PatchEmbeddingSets for each manifest entry, in order."""
-    manifest = load_manifest(manifest_path)
+def ingest_dump(manifest_path: str | Path | EmbeddingDumpManifest):
+    """Yield validated PatchEmbeddingSets for each manifest entry, in order.
+
+    Takes a manifest path, or a manifest already parsed by ``load_manifest``.
+    """
+    manifest = (
+        manifest_path
+        if isinstance(manifest_path, EmbeddingDumpManifest)
+        else load_manifest(manifest_path)
+    )
     for entry in manifest.entries:
-        vectors = _read_raw_vectors(
-            manifest.root / entry.path, entry.n_vectors, manifest.dim, entry.doc_id
-        )
         pset = PatchEmbeddingSet(
-            doc_id=entry.doc_id,
+            doc_id=entry.id,
             dim=manifest.dim,
-            grid=PatchGrid(rows=entry.rows, cols=entry.cols),
-            vectors=vectors,
+            grid=entry.grid,
+            vectors=_read_raw_vectors(manifest, entry),
         )
         report = validate(pset)
         if not report.ok:
             raise ManifestError(
-                f"doc '{entry.doc_id}' failed validation: " + "; ".join(report.violations)
+                f"doc '{entry.id}' failed validation: " + "; ".join(report.violations)
             )
         yield pset
 
 
-def write_embedding_dump(psets, out_dir: str | Path, location: str = "") -> Path:
-    """Write sets as raw float32 files plus a manifest; returns the manifest path."""
-    out = Path(out_dir)
-    vec_dir = out / "vectors"
-    vec_dir.mkdir(parents=True, exist_ok=True)
-    sets = list(psets)
-    if not sets:
-        raise ValueError("refusing to write an empty dump")
-    dim = sets[0].dim
-    entries = []
-    for pset in sets:
-        if pset.dim != dim:
-            raise ValueError(f"doc '{pset.doc_id}' has dim {pset.dim}, dump expects {dim}")
-        rel = f"vectors/{pset.doc_id}.f32"
-        pset.vectors.astype("<f4").tofile(out / rel)
-        entries.append(
-            {
-                "doc_id": pset.doc_id,
-                "rows": pset.grid.rows,
-                "cols": pset.grid.cols,
-                "n_vectors": pset.n_vectors,
-                "path": rel,
-            }
-        )
-    manifest = {"dim": dim, "location": location, "entries": entries}
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
-    return manifest_path
-
-
-@dataclass(frozen=True)
-class QueryDumpEntry:
-    query_id: str
-    n_vectors: int
-    path: str
-
-
-@dataclass(frozen=True)
-class QueryDumpManifest:
-    dim: int
-    entries: tuple[QueryDumpEntry, ...]
-    root: Path = field(default_factory=Path)
-
-
-def load_query_manifest(path: str | Path) -> QueryDumpManifest:
-    p = Path(path)
-    try:
-        data = json.loads(p.read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ManifestError(f"cannot parse query manifest {p}: {exc}") from exc
-    try:
-        dim = int(data["dim"])
-        raw_entries = data["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ManifestError(f"query manifest {p} is missing dim or entries") from exc
-    if dim < 1:
-        raise ManifestError(f"query manifest dim must be positive, got {dim}")
-    entries = []
-    seen: set[str] = set()
-    for i, e in enumerate(raw_entries):
-        try:
-            entry = QueryDumpEntry(
-                query_id=str(e["query_id"]),
-                n_vectors=int(e["n_vectors"]),
-                path=str(e["path"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ManifestError(f"query manifest entry {i} is malformed: {exc}") from exc
-        if entry.query_id in seen:
-            raise ManifestError(f"duplicate query_id '{entry.query_id}' in manifest")
-        seen.add(entry.query_id)
-        if entry.n_vectors < 1:
-            raise ManifestError(f"query '{entry.query_id}': needs at least one token")
-        entries.append(entry)
-    root = p.parent
-    for entry in entries:
-        if not (root / entry.path).is_file():
-            raise ManifestError(f"query '{entry.query_id}': raw file {entry.path} not found")
-    return QueryDumpManifest(dim=dim, entries=tuple(entries), root=root)
-
-
 def ingest_queries(manifest_path: str | Path):
     """Yield QueryEmbeddingSets for each query manifest entry, in order."""
-    manifest = load_query_manifest(manifest_path)
+    manifest = _load(manifest_path, "query_id")
     for entry in manifest.entries:
-        vectors = _read_raw_vectors(
-            manifest.root / entry.path, entry.n_vectors, manifest.dim, entry.query_id
-        )
+        vectors = _read_raw_vectors(manifest, entry)
         try:
-            yield QueryEmbeddingSet(query_id=entry.query_id, dim=manifest.dim, vectors=vectors)
+            yield QueryEmbeddingSet(query_id=entry.id, dim=manifest.dim, vectors=vectors)
         except ValueError as exc:
             raise ManifestError(str(exc)) from exc
 
 
-def write_query_dump(queries, out_dir: str | Path) -> Path:
+def _write_dump(
+    items, out_dir: str | Path, subdir: str, id_key: str, manifest_name: str, header: dict
+) -> Path:
+    """Write ``(id, dim, vectors, extra entry fields)`` items and their manifest.
+
+    ``header`` holds the manifest's top-level fields besides ``dim`` and
+    ``entries``. Every id is checked before the first byte is written.
+    """
+    kind = id_key.removesuffix("_id")
+    if not items:
+        raise ValueError(f"refusing to write an empty {kind} dump")
+    dim = items[0][1]
+    for item_id, item_dim, _, _ in items:
+        _check_file_name(item_id, kind)
+        if item_dim != dim:
+            raise ValueError(f"{kind} '{item_id}' has dim {item_dim}, dump expects {dim}")
     out = Path(out_dir)
-    vec_dir = out / "queries"
-    vec_dir.mkdir(parents=True, exist_ok=True)
-    qs = list(queries)
-    if not qs:
-        raise ValueError("refusing to write an empty query dump")
-    dim = qs[0].dim
+    (out / subdir).mkdir(parents=True, exist_ok=True)
     entries = []
-    for q in qs:
-        if q.dim != dim:
-            raise ValueError(f"query '{q.query_id}' has dim {q.dim}, dump expects {dim}")
-        rel = f"queries/{q.query_id}.f32"
-        q.vectors.astype("<f4").tofile(out / rel)
-        entries.append({"query_id": q.query_id, "n_vectors": q.n_tokens, "path": rel})
-    manifest = {"dim": dim, "entries": entries}
-    manifest_path = out / "queries.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
+    for item_id, _, vectors, extra in items:
+        rel = f"{subdir}/{item_id}.f32"
+        vectors.astype("<f4").tofile(out / rel)
+        entries.append({id_key: item_id, "n_vectors": vectors.shape[0], "path": rel, **extra})
+    manifest_path = out / manifest_name
+    body = json.dumps({"dim": dim, **header, "entries": entries}, indent=2, sort_keys=True)
+    manifest_path.write_text(body + "\n", "utf-8")
     return manifest_path
+
+
+def write_embedding_dump(psets, out_dir: str | Path, location: str = "") -> Path:
+    """Write sets as raw float32 files plus a manifest; returns the manifest path."""
+    items = [
+        (p.doc_id, p.dim, p.vectors, {"rows": p.grid.rows, "cols": p.grid.cols}) for p in psets
+    ]
+    header = {"location": location}
+    return _write_dump(items, out_dir, "vectors", "doc_id", "manifest.json", header)
+
+
+def write_query_dump(queries, out_dir: str | Path) -> Path:
+    """Write query token sets as raw float32 files plus ``queries.json``."""
+    items = [(q.query_id, q.dim, q.vectors, {}) for q in queries]
+    return _write_dump(items, out_dir, "queries", "query_id", "queries.json", {})

@@ -85,7 +85,7 @@ def test_c01_hac_oracle_equivalence():
         want_labels, want_dists = brute_force_ward(pts, k)
         if not np.array_equal(got.labels, want_labels):
             problems.append(f"trial {trial}: partition mismatch (n={n} dim={dim} k={k})")
-        got_dists = [step.distance for step in trace]
+        got_dists = trace[:, 2].tolist()
         if len(got_dists) != len(want_dists):
             problems.append(f"trial {trial}: trace length {len(got_dists)} != {len(want_dists)}")
         else:

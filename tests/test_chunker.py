@@ -5,7 +5,6 @@ import pytest
 
 from colchunk.chunker import (
     ChunkerConfig,
-    MergeStep,
     cluster_hac,
     cluster_kmeans,
     compress,
@@ -44,10 +43,6 @@ class TestConfig:
             ChunkerConfig(k=4, omega=1.5)
         with pytest.raises(ValueError):
             ChunkerConfig(k=4, method="spectral")
-        with pytest.raises(ValueError):
-            ChunkerConfig(k=4, kmeans_max_iter=0)
-        with pytest.raises(ValueError):
-            ChunkerConfig(k=4, kmeans_tol=0.0)
 
 
 class TestFuse:
@@ -116,54 +111,67 @@ class TestFuse:
             fuse(pset, ChunkerConfig(k=1), PosEncConfig(dim=8))
 
 
-class TestMergeStep:
-    def test_field_validation(self):
-        MergeStep(left=0, right=1, distance=0.0, new_size=2)
-        with pytest.raises(ValueError):
-            MergeStep(left=2, right=2, distance=1.0, new_size=2)
-        with pytest.raises(ValueError):
-            MergeStep(left=0, right=1, distance=-1.0, new_size=2)
-        with pytest.raises(ValueError):
-            MergeStep(left=0, right=1, distance=1.0, new_size=1)
+def check_linkage(z, n):
+    """Dendrogram invariants of a scipy-style linkage array over ``n`` leaves."""
+    assert z.dtype == np.float64 and z.shape[1] == 4
+    sizes = [1] * n
+    for t, (left, right, dist, size) in enumerate(z):
+        assert left == int(left) and right == int(right)
+        assert 0 <= left < right < n + t  # distinct ids of existing nodes
+        assert math.isfinite(dist) and dist >= 0.0
+        assert size >= 2 and size == sizes[int(left)] + sizes[int(right)]
+        sizes.append(int(size))
+
+
+def duplicate_points(rng):
+    """A handful of distinct points, each repeated many times."""
+    n = int(rng.integers(4, 25))
+    base = rng.normal(size=(rng.integers(1, 5), 4))
+    return base[rng.integers(0, len(base), size=n)]
 
 
 class TestClusterHac:
     def test_coincident_pairs(self):
         feats = feats_from([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0], [5.0, 5.0]])
-        asg, trace = cluster_hac(feats, 2)
+        asg, z = cluster_hac(feats, 2)
         assert asg.labels.tolist() == [0, 0, 1, 1]
         assert asg.sizes.tolist() == [2, 2]
-        assert [s.distance for s in trace] == [0.0, 0.0]
+        assert z[:, 2].tolist() == [0.0, 0.0]
         # dendrogram ids: leaves 0..3, first merge makes id 4
-        assert (trace[0].left, trace[0].right) == (0, 1)
-        assert (trace[1].left, trace[1].right) == (2, 3)
+        assert z[:, :2].tolist() == [[0, 1], [2, 3]]
+        assert z[:, 3].tolist() == [2, 2]
 
     def test_tie_break_prefers_smallest_indices(self):
         # three coincident points: (0,1) merges before (0,2) or (1,2)
         feats = feats_from([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [9.0, 9.0]])
-        asg, trace = cluster_hac(feats, 2)
+        asg, z = cluster_hac(feats, 2)
         assert asg.labels.tolist() == [0, 0, 0, 1]
-        assert (trace[0].left, trace[0].right) == (0, 1)
-        assert (trace[1].left, trace[1].right) == (2, 4)
+        assert z[:, :2].tolist() == [[0, 1], [2, 4]]
+
+    def test_linkage_invariants(self, rng):
+        for n, k in ((24, 1), (24, 7), (9, 8)):
+            _, z = cluster_hac(feats_from(rng.normal(size=(n, 3))), k)
+            assert len(z) == n - k
+            check_linkage(z, n)
 
     def test_passthrough_when_k_equals_n(self):
         feats = feats_from([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
-        asg, trace = cluster_hac(feats, 3)
+        asg, z = cluster_hac(feats, 3)
         assert asg.labels.tolist() == [0, 1, 2]
-        assert trace == []
+        assert z.shape == (0, 4)
 
     def test_single_cluster(self):
         feats = feats_from([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        asg, trace = cluster_hac(feats, 1)
+        asg, z = cluster_hac(feats, 1)
         assert asg.labels.tolist() == [0, 0, 0]
-        assert len(trace) == 2
+        assert len(z) == 2
 
     def test_passthrough_when_k_exceeds_n(self):
         feats = feats_from([[0.0, 0.0], [1.0, 0.0], [2.0, 2.0]])
-        asg, trace = cluster_hac(feats, 5)
+        asg, z = cluster_hac(feats, 5)
         assert asg.k == 3
         assert asg.labels.tolist() == [0, 1, 2]
-        assert trace == []
+        assert z.shape == (0, 4)
 
     def test_two_clear_blobs(self, rng):
         a = rng.normal(size=(10, 3)) * 0.05
@@ -178,28 +186,61 @@ class TestClusterHac:
             dim = int(rng.choice([2, 4, 8]))
             k = int(rng.integers(1, n + 1))
             pts = rng.normal(size=(n, dim))
-            asg, trace = cluster_hac(feats_from(pts), k)
+            asg, z = cluster_hac(feats_from(pts), k)
+            labels_o, dists_o = brute_force_ward(pts, k)
+            assert np.array_equal(asg.labels, labels_o)
+            np.testing.assert_allclose(z[:, 2], dists_o, rtol=1e-9, atol=0)
+
+    def test_matches_oracle_on_tie_heavy_instances(self, rng):
+        # Pure-position grids (omega=1) are full of exactly tied costs, and
+        # duplicated patches merge at rounding-error distances; both must
+        # follow the oracle's tie rule. Heights compare squared, since the
+        # square root magnifies rounding error near zero.
+        pe = PosEncConfig(dim=8)
+        cases = []
+        for _ in range(12):
+            pset = make_pset(rng, rows=int(rng.integers(1, 6)), cols=int(rng.integers(2, 6)))
+            cases.append(fuse(pset, ChunkerConfig(k=1, omega=1.0), pe).vectors)
+        cases += [duplicate_points(rng) for _ in range(40)]
+        for pts in cases:
+            n = pts.shape[0]
+            k = int(rng.integers(1, n + 1))
+            asg, z = cluster_hac(feats_from(pts), k)
             labels_o, dists_o = brute_force_ward(pts, k)
             assert np.array_equal(asg.labels, labels_o)
             np.testing.assert_allclose(
-                [s.distance for s in trace], dists_o, rtol=1e-9, atol=0
+                z[:, 2] ** 2, np.square(dists_o), rtol=1e-9, atol=1e-12
             )
+            check_linkage(z, n)
+
+    def test_duplicated_patches_do_not_crash(self):
+        # exact duplicates sit ~4e-16 apart; the Lance-Williams update used
+        # to push merged costs below zero and fail in the square root
+        r = np.random.default_rng(13)
+        pts = duplicate_points(r)
+        k = int(r.integers(1, len(pts) + 1))
+        pset = PatchEmbeddingSet(doc_id="dup", dim=4, grid=PatchGrid(rows=2, cols=11),
+                                 vectors=pts)
+        cfg = ChunkerConfig(k=k, omega=0.0, normalize_semantic_before_fusion=False)
+        doc = compress(pset, cfg, PosEncConfig(dim=4))
+        assert doc.k == k == 16
+        assert int(doc.chunk_sizes.sum()) == 22
 
     def test_merge_distances_never_decrease(self, rng):
         # Ward linkage is monotone: no inversions in the dendrogram
         for _ in range(5):
             pts = rng.normal(size=(24, 4))
-            _, trace = cluster_hac(feats_from(pts), 1)
-            d = [s.distance for s in trace]
+            _, z = cluster_hac(feats_from(pts), 1)
+            d = z[:, 2].tolist()
             for prev, nxt in zip(d, d[1:]):
                 assert nxt >= prev - 1e-12
 
     def test_deterministic(self, rng):
         pts = rng.normal(size=(20, 4))
-        a1, t1 = cluster_hac(feats_from(pts), 5)
-        a2, t2 = cluster_hac(feats_from(pts), 5)
+        a1, z1 = cluster_hac(feats_from(pts), 5)
+        a2, z2 = cluster_hac(feats_from(pts), 5)
         assert np.array_equal(a1.labels, a2.labels)
-        assert t1 == t2
+        assert np.array_equal(z1, z2)
 
     def test_labels_numbered_by_first_appearance(self, rng):
         pts = rng.normal(size=(12, 3))

@@ -9,9 +9,11 @@ import sys
 
 import pytest
 
+import numpy as np
+
 from colchunk.evaluation import SyntheticSpec, generate_synthetic
-from colchunk.store import read_index
-from colchunk.types import PatchGrid
+from colchunk.store import read_index, write_embedding_dump
+from colchunk.types import PatchEmbeddingSet, PatchGrid
 
 
 def run_cli(*argv, env=None):
@@ -81,6 +83,21 @@ class TestCompress:
         proc = run_cli("compress", str(manifest), str(tmp_path / "x.cchk"))
         assert proc.returncode == 1
         assert victim in proc.stderr
+
+    def test_duplicated_patches(self, tmp_path):
+        # exact duplicate patches once made Ward HAC fail in a square root;
+        # these survive the dump's float32 rounding and still hit that path
+        r = np.random.default_rng(130)
+        base = r.normal(size=(r.integers(1, 5), 4))
+        pts = base[r.integers(0, len(base), size=22)]
+        page = PatchEmbeddingSet(doc_id="dup", dim=4, grid=PatchGrid(rows=2, cols=11),
+                                 vectors=pts)
+        manifest = write_embedding_dump([page], tmp_path / "dump")
+        index = tmp_path / "dup.cchk"
+        proc = run_cli("compress", str(manifest), str(index), "--omega", "0",
+                       "--no-normalize-semantic", "--k", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert read_index(index).docs[0].chunk_sizes.tolist() == [22]
 
 
 @pytest.fixture(scope="module")
@@ -218,3 +235,16 @@ class TestTopLevel:
                        "--k", "4", env=env)
         assert proc.returncode == 0, proc.stderr
         assert index.exists()
+
+    @pytest.mark.parametrize("value", ["two", "0", "-3"])
+    def test_invalid_threads_env_is_data_error(self, dataset, tmp_path, value):
+        import os
+
+        env = dict(os.environ, COLCHUNK_THREADS=value)
+        index = tmp_path / "env.cchk"
+        proc = run_cli("compress", str(dataset.doc_manifest), str(index),
+                       "--k", "4", env=env)
+        assert proc.returncode == 1
+        assert "COLCHUNK_THREADS" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not index.exists()

@@ -112,6 +112,20 @@ class TestIndexRoundTrip:
         with pytest.raises(ValueError):
             write_index(index, tmp_path / "big.cchk")
 
+    def test_failed_write_keeps_previous_index(self, rng, tmp_path):
+        path = tmp_path / "t.cchk"
+        write_index(make_index(rng), path)
+        before = path.read_bytes()
+        good = make_index(rng, n_docs=1, dim=4).docs[0]
+        big = CompressedDocument(
+            doc_id="x" * 70000, k=1, dim=4, chunks=np.eye(1, 4), chunk_sizes=np.array([1])
+        )
+        with pytest.raises(ValueError):
+            write_index(CorpusIndex(dim=4, docs=(good, big), build_meta=make_meta()), path)
+        assert path.read_bytes() == before
+        assert len(read_index(path)) == 3
+        assert [f.name for f in tmp_path.iterdir()] == ["t.cchk"]
+
 
 class TestIndexCorruption:
     @pytest.fixture
@@ -245,6 +259,27 @@ class TestEmbeddingDump:
         manifest.write_text("{not json")
         with pytest.raises(ManifestError):
             load_manifest(manifest)
+
+    @pytest.mark.parametrize("bad_id", ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b"])
+    def test_unsafe_ids_rejected_before_writing(self, rng, tmp_path, bad_id):
+        psets = [make_pset(rng, doc_id="fine"), make_pset(rng, doc_id=bad_id)]
+        with pytest.raises(ValueError, match="safe file name"):
+            write_embedding_dump(psets, tmp_path / "dump")
+        queries = [QueryEmbeddingSet(query_id=bad_id, dim=8, vectors=rng.normal(size=(2, 8)))]
+        with pytest.raises(ValueError, match="safe file name"):
+            write_query_dump(queries, tmp_path / "dump")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad_path", ["/abs/x.f32", "../x.f32", "vectors/../../x.f32"])
+    def test_escaping_paths_rejected(self, tmp_path, bad_path):
+        for entry, load in (
+            ({"doc_id": "d", "rows": 1, "cols": 1, "n_vectors": 1}, load_manifest),
+            ({"query_id": "q", "n_vectors": 1}, lambda m: list(ingest_queries(m))),
+        ):
+            manifest = tmp_path / "manifest.json"
+            manifest.write_text(json.dumps({"dim": 8, "entries": [dict(entry, path=bad_path)]}))
+            with pytest.raises(ManifestError, match="leaves the manifest directory"):
+                load(manifest)
 
     def test_nonfinite_vectors_rejected_at_ingest(self, rng, tmp_path):
         psets = [make_pset(rng, doc_id="nan-doc")]
