@@ -17,8 +17,9 @@ it without scanning the document records:
     trailer        JSON, UTF-8, sorted keys
     trailer_len    u64
 
-Vectors are float32 on disk and float64 in memory. Writing what was read
-reproduces the file byte for byte.
+Vectors are float32 on disk. An index read from disk holds the stored
+float32 values in one ``(sum K, dim)`` matrix; scoring arithmetic is float64.
+Writing what was read reproduces the file byte for byte.
 
 Embedding dumps are the ingestion side: a JSON manifest describing per-page
 raw vector files (flat float32 little-endian, row-major). Query dumps use
@@ -38,7 +39,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .types import CompressedDocument, PatchEmbeddingSet, PatchGrid, QueryEmbeddingSet, validate
+from .types import (
+    CompressedDocument,
+    PatchEmbeddingSet,
+    PatchGrid,
+    QueryEmbeddingSet,
+    first_non_unit_row,
+    validate,
+)
 
 __all__ = [
     "MAGIC",
@@ -47,6 +55,7 @@ __all__ = [
     "ManifestError",
     "BuildMeta",
     "CorpusIndex",
+    "stack_documents",
     "DumpEntry",
     "EmbeddingDumpManifest",
     "write_index",
@@ -60,6 +69,8 @@ __all__ = [
 
 MAGIC = b"CCHK"
 FORMAT_VERSION = 1
+# Rows per block when checking chunk norms in float64.
+_CHECK_ROWS = 4096
 
 
 class IndexFormatError(Exception):
@@ -97,30 +108,89 @@ class BuildMeta:
             )
         except KeyError as exc:
             raise IndexFormatError(f"build metadata is missing field {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise IndexFormatError(f"malformed build metadata: {exc}") from exc
 
 
-@dataclass(frozen=True, eq=False)
+def stack_documents(docs, dim: int):
+    """Columns ``(ids, offsets, chunks, sizes)`` of compressed documents of one dim.
+
+    Document ``i`` owns rows ``offsets[i]:offsets[i + 1]`` of the float64
+    ``chunks`` matrix and of ``sizes``.
+    """
+    docs = tuple(docs)
+    for doc in docs:
+        if doc.dim != dim:
+            raise ValueError(f"doc '{doc.doc_id}' has dim {doc.dim}, index expects {dim}")
+    offsets = np.zeros(len(docs) + 1, dtype=np.int64)
+    np.cumsum([doc.k for doc in docs], out=offsets[1:])
+    if not docs:
+        return (), offsets, np.empty((0, dim)), np.empty(0, dtype=np.int64)
+    chunks = np.concatenate([doc.chunks for doc in docs])
+    sizes = np.concatenate([doc.chunk_sizes for doc in docs])
+    return tuple(doc.doc_id for doc in docs), offsets, chunks, sizes
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class CorpusIndex:
-    """An ordered collection of compressed documents sharing one dim."""
+    """An ordered corpus of compressed documents sharing one dim, held as columns.
+
+    ``ids`` are the doc ids in order. Document ``i`` owns rows
+    ``offsets[i]:offsets[i + 1]`` of ``chunks``, one ``(sum K, dim)`` matrix
+    of unit-norm chunk vectors, and of ``sizes``, the patches pooled into
+    each chunk. An index built from CompressedDocuments stacks their float64
+    chunks; ``read_index`` keeps the stored float32 values.
+    """
 
     dim: int
-    docs: tuple[CompressedDocument, ...]
+    ids: tuple[str, ...]
+    offsets: np.ndarray
+    chunks: np.ndarray
+    sizes: np.ndarray
     build_meta: BuildMeta
 
-    def __post_init__(self):
-        object.__setattr__(self, "docs", tuple(self.docs))
+    def __init__(self, dim: int, docs, build_meta: BuildMeta):
+        self._set(dim, *stack_documents(docs, dim), build_meta)
+
+    @classmethod
+    def from_columns(cls, dim, ids, offsets, chunks, sizes, build_meta) -> "CorpusIndex":
+        """Wrap columns as they are; the caller has checked the chunk invariants."""
+        index = cls.__new__(cls)
+        index._set(dim, ids, offsets, chunks, sizes, build_meta)
+        return index
+
+    def _set(self, dim, ids, offsets, chunks, sizes, build_meta) -> None:
         seen: set[str] = set()
-        for doc in self.docs:
-            if doc.dim != self.dim:
-                raise ValueError(
-                    f"doc '{doc.doc_id}' has dim {doc.dim}, index expects {self.dim}"
-                )
-            if doc.doc_id in seen:
-                raise ValueError(f"duplicate doc_id '{doc.doc_id}'")
-            seen.add(doc.doc_id)
+        for doc_id in ids:
+            if doc_id in seen:
+                raise ValueError(f"duplicate doc_id '{doc_id}'")
+            seen.add(doc_id)
+        for arr in (offsets, chunks, sizes):
+            arr.setflags(write=False)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "ids", tuple(ids))
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "chunks", chunks)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "build_meta", build_meta)
 
     def __len__(self) -> int:
-        return len(self.docs)
+        return len(self.ids)
+
+    @property
+    def docs(self) -> tuple[CompressedDocument, ...]:
+        """The documents as CompressedDocuments, built anew (float64) on each access."""
+        bounds = self.offsets.tolist()
+        return tuple(
+            CompressedDocument(
+                doc_id=doc_id,
+                k=hi - lo,
+                dim=self.dim,
+                chunks=self.chunks[lo:hi],
+                chunk_sizes=self.sizes[lo:hi],
+            )
+            for doc_id, lo, hi in zip(self.ids, bounds, bounds[1:])
+        )
 
 
 def write_index(index: CorpusIndex, path: str | Path) -> None:
@@ -140,20 +210,21 @@ def write_index(index: CorpusIndex, path: str | Path) -> None:
 
 
 def _write_records(index: CorpusIndex, path: Path) -> None:
+    bounds = index.offsets.tolist()
     with path.open("wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<I", index.dim))
-        fh.write(struct.pack("<Q", len(index.docs)))
-        for doc in index.docs:
-            id_bytes = doc.doc_id.encode("utf-8")
+        fh.write(struct.pack("<Q", len(index)))
+        for doc_id, lo, hi in zip(index.ids, bounds, bounds[1:]):
+            id_bytes = doc_id.encode("utf-8")
             if len(id_bytes) > 0xFFFF:
                 raise ValueError(f"doc_id of {len(id_bytes)} bytes exceeds the u16 length field")
             fh.write(struct.pack("<H", len(id_bytes)))
             fh.write(id_bytes)
-            fh.write(struct.pack("<I", doc.k))
-            fh.write(doc.chunk_sizes.astype("<u4").tobytes())
-            fh.write(doc.chunks.astype("<f4").tobytes())
+            fh.write(struct.pack("<I", hi - lo))
+            fh.write(index.sizes[lo:hi].astype("<u4").tobytes())
+            fh.write(index.chunks[lo:hi].astype("<f4").tobytes())
         trailer = json.dumps(
             index.build_meta.to_dict(), sort_keys=True, separators=(",", ":")
         ).encode("utf-8")
@@ -161,19 +232,21 @@ def _write_records(index: CorpusIndex, path: Path) -> None:
         fh.write(struct.pack("<Q", len(trailer)))
 
 
-class _Cursor:
-    """Bounds-checked sequential reads over the file image."""
+class _Reader:
+    """Bounds-checked sequential reads from an open index file."""
 
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
+    def __init__(self, fh):
+        self.fh = fh
 
     def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.buf):
+        piece = self.fh.read(n)
+        if len(piece) < n:
             raise IndexFormatError(f"truncated file: ran out of bytes reading {what}")
-        piece = self.buf[self.pos : self.pos + n]
-        self.pos += n
         return piece
+
+    def fill(self, out: np.ndarray, what: str) -> None:
+        if self.fh.readinto(out) < out.nbytes:
+            raise IndexFormatError(f"truncated file: ran out of bytes reading {what}")
 
     def u16(self, what: str) -> int:
         return struct.unpack("<H", self.take(2, what))[0]
@@ -186,66 +259,92 @@ class _Cursor:
 
 
 def read_index(path: str | Path) -> CorpusIndex:
-    """Parse an index file, upgrading vectors to float64.
+    """Parse an index file into columns holding the stored float32 chunks.
 
-    Raises IndexFormatError for anything malformed: wrong magic, unsupported
-    version, truncation, trailing garbage, undecodable metadata, or a
-    document that violates the compressed-document invariants.
+    Each record's sizes and vectors are read straight into preallocated
+    column arrays. Raises IndexFormatError for anything malformed: wrong
+    magic, unsupported version, truncation, trailing garbage, undecodable
+    metadata, duplicate doc ids, or a document that violates the
+    compressed-document invariants (K >= 1, every size >= 1, finite
+    unit-norm chunks).
     """
-    buf = Path(path).read_bytes()
-    cur = _Cursor(buf)
-    magic = cur.take(4, "magic")
-    if magic != MAGIC:
-        raise IndexFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    version = cur.u32("version")
-    if version != FORMAT_VERSION:
-        raise IndexFormatError(f"unsupported format version {version}")
-    dim = cur.u32("dim")
-    if dim < 1:
-        raise IndexFormatError(f"invalid dim {dim}")
-    doc_count = cur.u64("doc count")
-    docs = []
-    for i in range(doc_count):
-        id_len = cur.u16(f"doc {i} id length")
-        try:
-            doc_id = cur.take(id_len, f"doc {i} id").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise IndexFormatError(f"doc {i} id is not valid UTF-8") from exc
-        k = cur.u32(f"doc '{doc_id}' k")
-        if k < 1:
-            raise IndexFormatError(f"doc '{doc_id}' has invalid k = {k}")
-        sizes = np.frombuffer(cur.take(4 * k, f"doc '{doc_id}' chunk sizes"), dtype="<u4")
-        raw = cur.take(4 * k * dim, f"doc '{doc_id}' chunk vectors")
-        chunks = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(k, dim)
-        try:
-            docs.append(
-                CompressedDocument(
-                    doc_id=doc_id,
-                    k=k,
-                    dim=dim,
-                    chunks=chunks,
-                    chunk_sizes=sizes.astype(np.int64),
+    with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
+        cur = _Reader(fh)
+        magic = cur.take(4, "magic")
+        if magic != MAGIC:
+            raise IndexFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        version = cur.u32("version")
+        if version != FORMAT_VERSION:
+            raise IndexFormatError(f"unsupported format version {version}")
+        dim = cur.u32("dim")
+        if dim < 1:
+            raise IndexFormatError(f"invalid dim {dim}")
+        doc_count = cur.u64("doc count")
+        # Each chunk row costs 4 * (dim + 1) bytes of the file, which bounds
+        # the row count; pages of the unused tail are never touched.
+        capacity = max(file_size - 20, 0) // (4 * (dim + 1))
+        chunks = np.empty((capacity, dim), dtype="<f4")
+        sizes = np.empty(capacity, dtype="<u4")
+        ids: list[str] = []
+        offsets = [0]
+        for i in range(doc_count):
+            id_len = cur.u16(f"doc {i} id length")
+            try:
+                doc_id = cur.take(id_len, f"doc {i} id").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise IndexFormatError(f"doc {i} id is not valid UTF-8") from exc
+            k = cur.u32(f"doc '{doc_id}' k")
+            if k < 1:
+                raise IndexFormatError(f"doc '{doc_id}' has invalid k = {k}")
+            lo, hi = offsets[-1], offsets[-1] + k
+            if hi > capacity:
+                raise IndexFormatError(
+                    f"truncated file: ran out of bytes reading doc '{doc_id}' chunk vectors"
                 )
-            )
-        except ValueError as exc:
-            raise IndexFormatError(f"doc '{doc_id}' violates invariants: {exc}") from exc
-    remaining = len(buf) - cur.pos
-    if remaining < 8:
+            cur.fill(sizes[lo:hi], f"doc '{doc_id}' chunk sizes")
+            cur.fill(chunks[lo:hi], f"doc '{doc_id}' chunk vectors")
+            ids.append(doc_id)
+            offsets.append(hi)
+        tail = fh.read()
+    if len(tail) < 8:
         raise IndexFormatError("truncated file: missing trailer length")
-    trailer_len = struct.unpack("<Q", buf[-8:])[0]
-    if trailer_len != remaining - 8:
+    trailer_len = struct.unpack("<Q", tail[-8:])[0]
+    if trailer_len != len(tail) - 8:
         raise IndexFormatError(
-            f"trailer length {trailer_len} disagrees with the {remaining - 8} bytes present"
+            f"trailer length {trailer_len} disagrees with the {len(tail) - 8} bytes present"
         )
-    trailer = cur.take(trailer_len, "trailer")
     try:
-        meta = BuildMeta.from_dict(json.loads(trailer.decode("utf-8")))
+        meta = BuildMeta.from_dict(json.loads(tail[:-8].decode("utf-8")))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IndexFormatError(f"unreadable build metadata: {exc}") from exc
+    rows = offsets[-1]
+    offsets = np.array(offsets, dtype=np.int64)
+    chunks, sizes = chunks[:rows], sizes[:rows].astype(np.int64)
+    _check_chunks(ids, offsets, chunks, sizes)
     try:
-        return CorpusIndex(dim=dim, docs=tuple(docs), build_meta=meta)
+        return CorpusIndex.from_columns(dim, ids, offsets, chunks, sizes, meta)
     except ValueError as exc:
         raise IndexFormatError(str(exc)) from exc
+
+
+def _check_chunks(ids, offsets, chunks, sizes) -> None:
+    """Every size >= 1 and every chunk finite and unit norm, by float64 norms."""
+    bad = np.flatnonzero(sizes < 1)
+    if bad.size:
+        doc = int(np.searchsorted(offsets, bad[0], side="right")) - 1
+        raise IndexFormatError(
+            f"doc '{ids[doc]}' violates invariants: every chunk must cover at least one patch"
+        )
+    for start in range(0, len(chunks), _CHECK_ROWS):
+        found = first_non_unit_row(chunks[start : start + _CHECK_ROWS].astype(np.float64))
+        if found is not None:
+            row = start + found[0]
+            doc = int(np.searchsorted(offsets, row, side="right")) - 1
+            raise IndexFormatError(
+                f"doc '{ids[doc]}' violates invariants: chunk {row - offsets[doc]} "
+                f"is not unit norm (|norm - 1| = {found[1]:.3g})"
+            )
 
 
 @dataclass(frozen=True)
@@ -386,14 +485,19 @@ def _write_dump(
     """Write ``(id, dim, vectors, extra entry fields)`` items and their manifest.
 
     ``header`` holds the manifest's top-level fields besides ``dim`` and
-    ``entries``. Every id is checked before the first byte is written.
+    ``entries``. Every id is checked (a safe file name, not repeated) before
+    the first byte is written.
     """
     kind = id_key.removesuffix("_id")
     if not items:
         raise ValueError(f"refusing to write an empty {kind} dump")
     dim = items[0][1]
+    seen: set[str] = set()
     for item_id, item_dim, _, _ in items:
         _check_file_name(item_id, kind)
+        if item_id in seen:
+            raise ValueError(f"duplicate {id_key} '{item_id}' in the {kind} dump")
+        seen.add(item_id)
         if item_dim != dim:
             raise ValueError(f"{kind} '{item_id}' has dim {item_dim}, dump expects {dim}")
     out = Path(out_dir)

@@ -29,6 +29,16 @@ __all__ = [
 UNIT_NORM_TOL = 1e-6
 
 
+def first_non_unit_row(rows: np.ndarray) -> tuple[int, float] | None:
+    """Index and ``|norm - 1|`` of the first row off unit norm, or None.
+
+    A row holding NaN or inf counts as off unit norm.
+    """
+    off = np.abs(np.sqrt(np.einsum("ij,ij->i", rows, rows)) - 1.0)
+    bad = np.flatnonzero(~(off <= UNIT_NORM_TOL))
+    return (int(bad[0]), float(off[bad[0]])) if bad.size else None
+
+
 def _freeze_matrix(obj, name: str, value) -> np.ndarray:
     """Coerce a field to a read-only float64 matrix on a frozen dataclass."""
     arr = np.array(value, dtype=np.float64, copy=True)
@@ -227,11 +237,9 @@ class CompressedDocument:
             raise ValueError(f"expected chunks of shape ({self.k}, {self.dim}), got {chunks.shape}")
         if sizes.shape[0] != self.k or (sizes < 1).any():
             raise ValueError("every chunk must cover at least one patch")
-        norms = np.linalg.norm(chunks, axis=1)
-        off = np.abs(norms - 1.0)
-        if off.size and off.max() > UNIT_NORM_TOL:
-            bad = int(off.argmax())
-            raise ValueError(f"chunk {bad} is not unit norm (|norm - 1| = {off.max():.3g})")
+        bad = first_non_unit_row(chunks)
+        if bad is not None:
+            raise ValueError(f"chunk {bad[0]} is not unit norm (|norm - 1| = {bad[1]:.3g})")
 
     @property
     def n_source_vectors(self) -> int:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -13,3 +15,9 @@ def make_pset(rng, rows=4, cols=4, dim=8, doc_id="doc"):
     grid = PatchGrid(rows=rows, cols=cols)
     vectors = rng.normal(size=(grid.n_patches, dim))
     return PatchEmbeddingSet(doc_id=doc_id, dim=dim, grid=grid, vectors=vectors)
+
+
+def with_trailer(blob: bytes, trailer: bytes) -> bytes:
+    """An index file image with its metadata trailer replaced."""
+    old_len = struct.unpack("<Q", blob[-8:])[0]
+    return blob[: -8 - old_len] + trailer + struct.pack("<Q", len(trailer))

@@ -3,7 +3,8 @@
 Everything here is deliberately naive. The Ward agglomerator recomputes
 cluster centroids from the raw points at every step instead of carrying a
 Lance-Williams recurrence, the late-interaction scorer is a pure-Python
-double loop, and the nDCG helper follows the textbook formula directly.
+double loop, retrieval scores one document at a time, and the nDCG helper
+follows the textbook formula directly.
 These are the ground truth the fast paths are measured against; keep them
 obvious.
 """
@@ -84,6 +85,18 @@ def naive_maxsim(query_vectors, chunk_vectors) -> float:
             best = max(best, dot / (nq * norm(c)))
         total.append(best)
     return math.fsum(total)
+
+
+def naive_retrieve(query, docs, top_k):
+    """Score each document with ``maxsim`` in turn; ``(doc_id, score, rank)`` hits.
+
+    The exhaustive per-document loop, sorted by descending score then doc_id.
+    """
+    from colchunk.scorer import maxsim
+
+    scored = sorted(((doc.doc_id, maxsim(query, doc)) for doc in docs),
+                    key=lambda pair: (-pair[1], pair[0]))
+    return [(doc_id, score, rank) for rank, (doc_id, score) in enumerate(scored[:top_k], 1)]
 
 
 def naive_ndcg(ranking, judged, k) -> float:

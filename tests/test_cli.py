@@ -15,6 +15,8 @@ from colchunk.evaluation import SyntheticSpec, generate_synthetic
 from colchunk.store import read_index, write_embedding_dump
 from colchunk.types import PatchEmbeddingSet, PatchGrid
 
+from conftest import with_trailer
+
 
 def run_cli(*argv, env=None):
     return subprocess.run(
@@ -144,6 +146,15 @@ class TestQuery:
         proc = run_cli("query", str(bad), str(dataset.query_manifest))
         assert proc.returncode == 1
         assert "error:" in proc.stderr
+
+
+    def test_non_object_metadata_is_data_error(self, dataset, index_path, tmp_path):
+        bad = tmp_path / "list-trailer.cchk"
+        bad.write_bytes(with_trailer(index_path.read_bytes(), b"[]"))
+        proc = run_cli("query", str(bad), str(dataset.query_manifest))
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestEval:

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from colchunk import scorer
 from colchunk.scorer import ScoredHit, maxsim, retrieve
+from colchunk.store import BuildMeta, CorpusIndex, read_index, write_index
 from colchunk.types import CompressedDocument, QueryEmbeddingSet
 
-from oracles import naive_maxsim
+from oracles import naive_maxsim, naive_retrieve
 
 
 def make_doc(rng, doc_id="d", k=4, dim=8):
@@ -131,3 +133,75 @@ class TestRetrieve:
         hit = ScoredHit(doc_id="d", score=1.5, rank=1)
         with pytest.raises(AttributeError):
             hit.score = 2.0
+
+
+def unit_rows(x):
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def tie_corpus(rng, tokens, dim=16):
+    """A query and docs with ragged K (K=1 included), three copies of one doc
+    and a near-tie pair at the top.
+
+    "z-best" holds the unit query tokens rounded to float32. "a-next" is the
+    same with each token's largest component moved 1e-9 toward zero: less
+    than half a float32 step, so both round to the same float32 chunks and a
+    float32 ranking alone would put "a-next" first on doc_id, while its
+    exact score is lower by about tokens * 1e-9 * 0.25.
+    """
+    q = rng.normal(size=(tokens, dim))
+    best = unit_rows(q).astype(np.float32).astype(np.float64)
+    nudged = best.copy()
+    rows, cols = np.arange(tokens), np.abs(best).argmax(axis=1)
+    nudged[rows, cols] -= 1e-9 * np.sign(best[rows, cols])
+    parts = [(f"r{i:02d}", unit_rows(rng.normal(size=(1 if i % 7 == 0 else int(rng.integers(1, 13)), dim))))
+             for i in range(30)]
+    parts += [(name, parts[3][1]) for name in ("dup-b", "dup-a", "dup-c")]
+    parts += [("z-best", best), ("a-next", nudged)]
+    docs = [
+        CompressedDocument(doc_id=doc_id, k=len(chunks), dim=dim, chunks=chunks,
+                           chunk_sizes=np.arange(1, len(chunks) + 1))
+        for doc_id, chunks in parts
+    ]
+    return QueryEmbeddingSet(query_id="q", dim=dim, vectors=q), docs
+
+
+class TestRetrieveEquivalence:
+    """``retrieve`` returns the ids, score bits and ranks of the per-document loop."""
+
+    @pytest.mark.parametrize("block_rows", [7, scorer.BLOCK_ROWS])
+    @pytest.mark.parametrize("tokens", [1, 2, 3, 7, 16, 32, 64])
+    def test_matches_per_document_loop(self, rng, tmp_path, monkeypatch, tokens, block_rows):
+        monkeypatch.setattr(scorer, "BLOCK_ROWS", block_rows)
+        q, docs = tie_corpus(rng, tokens)
+        by_id = {d.doc_id: d for d in docs}
+        best, nudged = by_id["z-best"].chunks, by_id["a-next"].chunks
+        assert np.array_equal(best.astype(np.float32), nudged.astype(np.float32))
+        assert maxsim(q, by_id["z-best"]) > maxsim(q, by_id["a-next"])
+        dim = q.dim
+        meta = BuildMeta(omega=0.2, k_target=12, method="hac_ward", posenc_base=10000.0,
+                         tool_version="0.1.0")
+        memory = CorpusIndex(dim=dim, docs=docs, build_meta=meta)
+        write_index(memory, tmp_path / "t.cchk")
+        disk = read_index(tmp_path / "t.cchk")
+        n = len(docs)
+        for index, reference in ((docs, docs), (memory, docs), (disk, disk.docs)):
+            for top_k in (1, 2, 3, 10, n, n + 5):
+                got = [(h.doc_id, h.score.hex(), h.rank) for h in retrieve(q, index, top_k)]
+                want = [(d, s.hex(), r) for d, s, r in naive_retrieve(q, reference, top_k)]
+                assert got == want, (type(index).__name__, top_k)
+
+    @pytest.mark.parametrize("tokens", [1, 8, 64])
+    def test_any_candidate_pass_within_the_error_bound_is_exact(self, rng, monkeypatch, tokens):
+        # Every approximate score is off by the full float32 error bound, in
+        # the direction that pushes docs across the cut.
+        q, docs = tie_corpus(rng, tokens)
+        exact = np.array([maxsim(q, d) for d in docs])
+        bound = tokens * (q.dim + tokens + 2) * 2.0**-24
+        for top_k in (1, 2, 3):
+            kth = np.sort(exact)[-top_k]
+            adversarial = np.where(exact >= kth, exact - bound, exact + bound)
+            monkeypatch.setattr(scorer, "_approx_scores", lambda *_: adversarial)
+            got = [(h.doc_id, h.score, h.rank) for h in retrieve(q, docs, top_k)]
+            assert got == naive_retrieve(q, docs, top_k)
+        assert got[0][0] == "z-best"

@@ -21,7 +21,7 @@ from colchunk.store import (
 )
 from colchunk.types import CompressedDocument, PatchGrid, QueryEmbeddingSet
 
-from conftest import make_pset
+from conftest import make_pset, with_trailer
 
 
 def make_meta(**kw):
@@ -186,6 +186,55 @@ class TestIndexCorruption:
         with pytest.raises(IndexFormatError, match="invariants"):
             read_index(good_file)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_chunk_rejected(self, good_file, bad):
+        # the second float of the first doc's chunks (offsets as above)
+        raw = bytearray(good_file.read_bytes())
+        off = 20 + 2 + 4 + 4 + 16 + 4
+        raw[off : off + 4] = np.array([bad], dtype="<f4").tobytes()
+        good_file.write_bytes(bytes(raw))
+        with pytest.raises(IndexFormatError, match="invariants"):
+            read_index(good_file)
+
+    @pytest.mark.parametrize(
+        "trailer",
+        [b"[]", b"null", b'"text"', json.dumps(dict(make_meta().to_dict(), omega="high")).encode()],
+        ids=["list", "null", "string", "non-numeric-omega"],
+    )
+    def test_malformed_metadata(self, good_file, trailer):
+        good_file.write_bytes(with_trailer(good_file.read_bytes(), trailer))
+        with pytest.raises(IndexFormatError, match="metadata"):
+            read_index(good_file)
+
+    def test_every_truncation_and_byte_flip_is_typed(self, tmp_path):
+        # 2 docs, dim 4, K 2. 0x00C00000 is a tiny float whose top byte
+        # flipped reads NaN, so one flip plants a NaN in a chunk.
+        tiny = np.frombuffer(struct.pack("<I", 0x00C00000), dtype="<f4")[0]
+        chunks = np.array([[0.6, 0.8, tiny, 0.0], [0.0, 0.0, 1.0, 0.0]])
+        docs = tuple(
+            CompressedDocument(doc_id=f"d{i}", k=2, dim=4, chunks=chunks,
+                               chunk_sizes=np.array([1, 2]))
+            for i in range(2)
+        )
+        path = tmp_path / "small.cchk"
+        write_index(CorpusIndex(dim=4, docs=docs, build_meta=make_meta()), path)
+        blob = path.read_bytes()
+        variants = [blob[:n] for n in range(len(blob))]
+        variants += [blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1 :] for i in range(len(blob))]
+        loaded = 0
+        for variant in variants:
+            path.write_bytes(variant)
+            try:
+                index = read_index(path)
+            except IndexFormatError:
+                continue
+            loaded += 1
+            chunks64 = index.chunks.astype(np.float64)
+            assert np.isfinite(chunks64).all()
+            assert np.abs(np.linalg.norm(chunks64, axis=1) - 1.0).max() <= 1e-6
+            assert (index.sizes >= 1).all()
+        assert 0 < loaded < len(variants)
+
     def test_garbage_metadata(self, good_file):
         raw = bytearray(good_file.read_bytes())
         # trash the first trailer byte ('{' becomes '!')
@@ -267,6 +316,19 @@ class TestEmbeddingDump:
             write_embedding_dump(psets, tmp_path / "dump")
         queries = [QueryEmbeddingSet(query_id=bad_id, dim=8, vectors=rng.normal(size=(2, 8)))]
         with pytest.raises(ValueError, match="safe file name"):
+            write_query_dump(queries, tmp_path / "dump")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_duplicate_doc_ids_rejected_before_writing(self, rng, tmp_path):
+        psets = [make_pset(rng, doc_id="same"), make_pset(rng, doc_id="same")]
+        with pytest.raises(ValueError, match="duplicate doc_id 'same'"):
+            write_embedding_dump(psets, tmp_path / "dump")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_duplicate_query_ids_rejected_before_writing(self, rng, tmp_path):
+        queries = [QueryEmbeddingSet(query_id="same", dim=8, vectors=rng.normal(size=(2, 8)))
+                   for _ in range(2)]
+        with pytest.raises(ValueError, match="duplicate query_id 'same'"):
             write_query_dump(queries, tmp_path / "dump")
         assert list(tmp_path.iterdir()) == []
 

@@ -168,6 +168,16 @@ class TestCompressedDocument:
                 doc_id="d", k=3, dim=8, chunks=chunks, chunk_sizes=np.array([1, 1, 1])
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_chunks(self, rng, bad):
+        chunks = rng.normal(size=(2, 8))
+        chunks /= np.linalg.norm(chunks, axis=1, keepdims=True)
+        chunks[1, 3] = bad
+        with pytest.raises(ValueError, match="chunk 1 is not unit norm"):
+            CompressedDocument(
+                doc_id="d", k=2, dim=8, chunks=chunks, chunk_sizes=np.array([1, 1])
+            )
+
     def test_rejects_zero_size_chunk(self, rng):
         chunks = rng.normal(size=(2, 8))
         chunks /= np.linalg.norm(chunks, axis=1, keepdims=True)
