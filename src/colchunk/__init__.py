@@ -10,6 +10,7 @@ from .chunker import (  # noqa: E402
     cluster_kmeans,
     compress,
     compress_many,
+    cut_linkage,
     fuse,
     pool,
 )

@@ -2,9 +2,11 @@
 
 Exit codes: 0 on success, 1 on data or runtime errors, 2 on usage errors
 (argparse's own convention). Worker-pool size comes from --threads, the
-COLCHUNK_THREADS environment variable, or the logical core count, in that
-order; a COLCHUNK_THREADS that is not a positive integer is an error. Outputs
-are byte-identical across thread counts.
+COLCHUNK_THREADS environment variable, or 1, in that order; a
+COLCHUNK_THREADS that is not a positive integer is an error. The fallback is
+1 because the work is short numpy calls that hold the GIL, and a second
+thread made both compress and query slower on a 2-vCPU host. Outputs are
+byte-identical across thread counts.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ from .types import PatchGrid
 
 METHOD_ALIASES = {"hac": "hac_ward", "hac_ward": "hac_ward", "kmeans": "kmeans"}
 
+# ``eval`` names at most this many judged queries that the run leaves out.
+MISSING_SHOWN = 5
+
 
 def _positive_int(text: str) -> int:
     try:
@@ -71,7 +76,7 @@ def _unit_float(text: str) -> float:
 def _default_threads() -> int:
     env = os.environ.get("COLCHUNK_THREADS", "").strip()
     if not env:
-        return os.cpu_count() or 1
+        return 1
     try:
         return _positive_int(env)
     except argparse.ArgumentTypeError as exc:
@@ -235,6 +240,19 @@ def cmd_eval(args) -> int:
     for qid, value in per_query.items():
         print(f"{qid},{value:.6f}")
     print(f"all,{mean:.6f}")
+    missing = [
+        qid for qid in qrels.queries()
+        if qid not in run and any(grade > 0 for grade in qrels.judged(qid).values())
+    ]
+    if missing:
+        shown = ", ".join(missing[:MISSING_SHOWN])
+        if len(missing) > MISSING_SHOWN:
+            shown += ", ..."
+        print(
+            f"warning: {len(missing)} judged queries have no results in the run "
+            f"and are not scored: {shown}",
+            file=sys.stderr,
+        )
     return 0
 
 

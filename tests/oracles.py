@@ -4,7 +4,11 @@ Everything here is deliberately naive. The Ward agglomerator recomputes
 cluster centroids from the raw points at every step instead of carrying a
 Lance-Williams recurrence, the late-interaction scorer is a pure-Python
 double loop, retrieval scores one document at a time, and the nDCG helper
-follows the textbook formula directly.
+follows the textbook formula directly. ``reference_ward`` is the one
+exception: it keeps the first, straightforward Lance-Williams loop of
+``chunker.cluster_hac`` (per-slot member lists, gathered rows and a
+scattered column per merge), so the faster loop can be checked bit for bit
+against it.
 These are the ground truth the fast paths are measured against; keep them
 obvious.
 """
@@ -14,6 +18,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from colchunk.types import ChunkAssignment
 
 TIE_EPS = 1e-12
 
@@ -68,6 +74,107 @@ def brute_force_ward(points: np.ndarray, k: int):
     for new_id, ci in enumerate(order):
         labels[clusters[ci]] = new_id
     return labels, distances
+
+
+def _reference_pairwise_sq(x: np.ndarray) -> np.ndarray:
+    """Dense squared Euclidean distances with +inf on the diagonal."""
+    g = x @ x.T
+    g = (g + g.T) * 0.5
+    sq = np.diag(g).copy()
+    d2 = sq[:, None] + sq[None, :] - 2.0 * g
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, np.inf)
+    return d2
+
+
+def reference_ward(points, k: int):
+    """The original dense Lance-Williams Ward loop; ``(assignment, Z)``.
+
+    Same contract, tie rule and linkage convention as
+    ``chunker.cluster_hac`` (which must match it bitwise), for ``1 <= k < n``.
+    """
+    x = np.asarray(points, dtype=np.float64)
+    n = x.shape[0]
+    if not 1 <= k < n:
+        raise ValueError(f"k must lie in [1, {n - 1}], got {k}")
+    d2 = _reference_pairwise_sq(x)
+    active = np.ones(n, dtype=bool)
+    size = np.ones(n, dtype=np.int64)
+    min_member = np.arange(n)
+    dendro_id = np.arange(n)
+    members: list[list[int]] = [[j] for j in range(n)]
+    row_val = d2.min(axis=1)
+    row_idx = d2.argmin(axis=1)
+    merges: list[tuple] = []
+
+    for step in range(n - k):
+        cost = row_val[active].min()
+        limit = cost + TIE_EPS
+        # Every tied pair is visible from the row of its smaller-indexed
+        # member, so the winner anchors at the candidate row with the
+        # smallest member index and takes its smallest tied partner.
+        rows = np.flatnonzero(active & (row_val <= limit))
+        a = int(rows[np.argmin(min_member[rows])])
+        partners = np.flatnonzero(d2[a] <= limit)
+        b = int(partners[np.argmin(min_member[partners])])
+        if min_member[b] < min_member[a]:
+            a, b = b, a
+        d2_ab = float(d2[a, b])
+
+        size_a = int(size[a])
+        size_b = int(size[b])
+        new_size = size_a + size_b
+        merges.append((dendro_id[a], dendro_id[b], d2_ab, new_size))
+
+        others = active.copy()
+        others[a] = others[b] = False
+        w = np.flatnonzero(others)
+        sw = size[w].astype(np.float64)
+        merged_row = (
+            (size_a + sw) * d2[a, w] + (size_b + sw) * d2[b, w] - sw * d2_ab
+        ) / (size_a + size_b + sw)
+        # Exact duplicates sit at a rounding-error distance, not 0, so the
+        # ``- sw * d2_ab`` term can push a merged entry below zero.
+        np.maximum(merged_row, 0.0, out=merged_row)
+        d2[a, w] = merged_row
+        d2[w, a] = merged_row
+        active[b] = False
+        d2[b, :] = np.inf
+        d2[:, b] = np.inf
+        size[a] = new_size
+        dendro_id[a] = n + step
+        members[a].extend(members[b])
+        members[b] = []
+
+        row_val[b] = np.inf
+        if w.size:
+            row_val[a] = d2[a, w].min()
+            row_idx[a] = w[d2[a, w].argmin()]
+        else:
+            row_val[a] = np.inf
+        # Rows whose cached minimum pointed into the merged pair may have
+        # lost it (Ward distances can grow under the recurrence); rescan
+        # them, then absorb any improvements the new row brought.
+        stale = others & ((row_idx == a) | (row_idx == b))
+        stale_rows = np.flatnonzero(stale)
+        if stale_rows.size:
+            block = d2[stale_rows]
+            row_val[stale_rows] = block.min(axis=1)
+            row_idx[stale_rows] = block.argmin(axis=1)
+        improved = others & ~stale & (d2[:, a] < row_val)
+        row_val[improved] = d2[improved, a]
+        row_idx[improved] = a
+
+    slots = sorted(np.flatnonzero(active).tolist(), key=lambda s: min_member[s])
+    labels = np.empty(n, dtype=np.int64)
+    sizes = np.empty(len(slots), dtype=np.int64)
+    for lbl, s in enumerate(slots):
+        labels[members[s]] = lbl
+        sizes[lbl] = size[s]
+    linkage = np.array(merges, dtype=np.float64)
+    linkage[:, :2].sort(axis=1)
+    np.sqrt(linkage[:, 2], out=linkage[:, 2])
+    return ChunkAssignment(k=len(slots), labels=labels, sizes=sizes), linkage
 
 
 def naive_maxsim(query_vectors, chunk_vectors) -> float:

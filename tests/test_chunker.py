@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from colchunk import chunker
 from colchunk.chunker import (
     ChunkerConfig,
     cluster_hac,
     cluster_kmeans,
     compress,
     compress_many,
+    cut_linkage,
     fuse,
     pool,
 )
@@ -21,7 +23,7 @@ from colchunk.types import (
 )
 
 from conftest import make_pset
-from oracles import brute_force_ward
+from oracles import brute_force_ward, reference_ward
 
 
 def feats_from(points, omega=0.0):
@@ -250,6 +252,132 @@ class TestClusterHac:
             if lab not in seen:
                 seen.append(lab)
         assert seen == sorted(seen)
+
+
+def canonical_labels(labels):
+    """Renumber a partition by each cluster's smallest member index."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(first.shape[0], dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.shape[0])
+    return rank[inverse]
+
+
+def ward_inputs(rng, family, count):
+    """``count`` point sets of one family, of 2 to 79 points each."""
+    pe = PosEncConfig(dim=8)
+    cases = []
+    for _ in range(count):
+        if family == "gaussian":
+            n = int(rng.integers(2, 80))
+            cases.append(rng.normal(size=(n, int(rng.choice([2, 4, 8])))))
+        elif family == "grid":
+            # pure position (omega=1): exactly tied costs everywhere
+            pset = make_pset(rng, rows=int(rng.integers(1, 9)), cols=int(rng.integers(2, 9)))
+            cases.append(fuse(pset, ChunkerConfig(k=1, omega=1.0), pe).vectors)
+        else:
+            n = int(rng.integers(2, 80))
+            base = rng.normal(size=(int(rng.integers(1, 6)), 4))
+            cases.append(base[rng.integers(0, len(base), size=n)])
+    return cases
+
+
+def large_ward_inputs(rng):
+    """768-patch pages, where compaction fires several times."""
+    grid = make_pset(rng, rows=32, cols=24, dim=16)
+    base = rng.normal(size=(40, 16))
+    return [
+        rng.normal(size=(768, 16)),
+        fuse(grid, ChunkerConfig(k=1, omega=1.0), PosEncConfig(dim=16)).vectors,
+        base[rng.integers(0, len(base), size=768)],
+    ]
+
+
+def k_values(n):
+    return sorted({1, 2, n // 2, n - 1, n} - {0})
+
+
+class TestClusterHacReference:
+    """The gather-free loop against the original loop, bit for bit."""
+
+    def check_bitwise(self, pts):
+        n = pts.shape[0]
+        for k in k_values(n):
+            asg, z = cluster_hac(feats_from(pts), k)
+            if k == n:
+                assert asg.labels.tolist() == list(range(n)) and z.shape == (0, 4)
+                continue
+            asg_ref, z_ref = reference_ward(pts, k)
+            assert z.tobytes() == z_ref.tobytes(), (n, k)
+            assert np.array_equal(asg.labels, asg_ref.labels), (n, k)
+            assert np.array_equal(asg.sizes, asg_ref.sizes), (n, k)
+            assert asg.k == asg_ref.k == k
+
+    @pytest.mark.parametrize("family", ["gaussian", "grid", "duplicates"])
+    def test_bitwise_equal_to_reference(self, family):
+        rng = np.random.default_rng({"gaussian": 21, "grid": 22, "duplicates": 23}[family])
+        for pts in ward_inputs(rng, family, 110):
+            self.check_bitwise(pts)
+
+    def test_bitwise_equal_to_reference_on_full_pages(self):
+        for pts in large_ward_inputs(np.random.default_rng(24)):
+            self.check_bitwise(pts)
+
+    def test_cut_of_full_dendrogram_matches_each_k(self):
+        rng = np.random.default_rng(25)
+        cases = [c for family in ("gaussian", "grid", "duplicates")
+                 for c in ward_inputs(rng, family, 10)]
+        for pts in cases:
+            n = pts.shape[0]
+            _, z_full = cluster_hac(feats_from(pts), 1)
+            for k in k_values(n):
+                asg, z = cluster_hac(feats_from(pts), k)
+                cut = cut_linkage(z_full, n, k)
+                assert z.tobytes() == z_full[: n - k].tobytes()
+                assert cut.k == asg.k
+                assert np.array_equal(cut.labels, asg.labels)
+                assert np.array_equal(cut.sizes, asg.sizes)
+
+    def test_cut_rejects_impossible_k(self, rng):
+        _, z = cluster_hac(feats_from(rng.normal(size=(6, 2))), 3)
+        for k in (0, 2, 7):
+            with pytest.raises(ValueError):
+                cut_linkage(z, 6, k)
+
+    def test_matches_scipy_ward_on_tie_free_pages(self):
+        hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+        rng = np.random.default_rng(26)
+        for _ in range(20):
+            n = int(rng.integers(3, 160))
+            pts = rng.normal(size=(n, int(rng.choice([2, 8, 32]))))
+            z_ref = hierarchy.linkage(pts, method="ward")
+            for k in k_values(n):
+                asg, z = cluster_hac(feats_from(pts), k)
+                flat = hierarchy.fcluster(z_ref, k, criterion="maxclust")
+                assert np.array_equal(asg.labels, canonical_labels(flat)), (n, k)
+                np.testing.assert_allclose(z[:, 2], z_ref[: n - k, 2], rtol=1e-9, atol=0)
+
+
+class TestPageSizeBound:
+    def test_oversized_page_rejected_before_allocation(self, monkeypatch, rng):
+        monkeypatch.setattr(chunker, "MAX_HAC_PATCHES", 16)
+
+        def no_matrix(x):
+            raise AssertionError("distance matrix built for an oversized page")
+
+        monkeypatch.setattr(chunker, "_pairwise_sq", no_matrix)
+        with pytest.raises(ValueError) as err:
+            cluster_hac(feats_from(rng.normal(size=(17, 3))), 4)
+        message = str(err.value)
+        assert "17" in message and "MAX_HAC_PATCHES = 16" in message
+        assert str(17 * 17 * 8) in message
+
+    def test_pages_at_the_bound_or_without_merges_pass(self, monkeypatch, rng):
+        monkeypatch.setattr(chunker, "MAX_HAC_PATCHES", 16)
+        asg, z = cluster_hac(feats_from(rng.normal(size=(16, 3))), 4)
+        assert asg.k == 4 and z.shape == (12, 4)
+        # k >= n keeps every patch and needs no distance matrix
+        asg, _ = cluster_hac(feats_from(rng.normal(size=(17, 3))), 17)
+        assert asg.k == 17
 
 
 class TestClusterKmeans:

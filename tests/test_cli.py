@@ -173,6 +173,22 @@ class TestEval:
         assert lines[1] == "q1,1.000000"
         assert lines[2] == "q2,0.630930"
         assert lines[3] == "all,0.815465"
+        assert proc.stderr == ""  # every judged query is in the run
+
+    def test_reports_judged_queries_missing_from_run(self, tmp_path):
+        run = tmp_path / "run.txt"
+        run.write_text("q1 Q0 d1 1 0.9 t\nq1 Q0 d2 2 0.5 t\n")
+        qrels = tmp_path / "qrels.txt"
+        # q2..q7 have a relevant doc and no results; q0 is judged all-zero
+        lines = ["q1 0 d1 1", "q0 0 d1 0"]
+        lines += [f"q{i} 0 d{i} {1 + i % 2}" for i in range(2, 8)]
+        qrels.write_text("\n".join(lines) + "\n")
+        proc = run_cli("eval", str(run), str(qrels), "--k", "5")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["query_id,ndcg_at_5", "q1,1.000000", "all,1.000000"]
+        assert "6 judged queries" in proc.stderr
+        assert "q2, q3, q4, q5, q6, ..." in proc.stderr
+        assert "q0" not in proc.stderr and "q7" not in proc.stderr
 
     def test_missing_qrels(self, tmp_path):
         run = tmp_path / "run.txt"
@@ -246,6 +262,26 @@ class TestTopLevel:
                        "--k", "4", env=env)
         assert proc.returncode == 0, proc.stderr
         assert index.exists()
+
+    def test_threads_default_to_one(self, monkeypatch):
+        from colchunk import cli
+
+        monkeypatch.delenv("COLCHUNK_THREADS", raising=False)
+        assert cli._default_threads() == 1
+        monkeypatch.setenv("COLCHUNK_THREADS", "3")
+        assert cli._default_threads() == 3
+
+    def test_oversized_page_is_data_error(self, dataset, tmp_path, monkeypatch, capsys):
+        from colchunk import chunker, cli
+
+        # the dataset's pages hold 16 patches each
+        monkeypatch.setattr(chunker, "MAX_HAC_PATCHES", 15)
+        index = tmp_path / "big.cchk"
+        code = cli.main(["compress", str(dataset.doc_manifest), str(index), "--k", "4"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "MAX_HAC_PATCHES = 15" in err
+        assert not index.exists()
 
     @pytest.mark.parametrize("value", ["two", "0", "-3"])
     def test_invalid_threads_env_is_data_error(self, dataset, tmp_path, value):
