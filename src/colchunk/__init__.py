@@ -14,7 +14,7 @@ from .chunker import (  # noqa: E402
     fuse,
     pool,
 )
-from .posenc import PosEncConfig, encode, encode_batch  # noqa: E402
+from .posenc import PosEncConfig, encode_batch  # noqa: E402
 from .scorer import ScoredHit, maxsim, retrieve  # noqa: E402
 from .store import (  # noqa: E402
     BuildMeta,
@@ -32,14 +32,10 @@ from .types import (  # noqa: E402
     ChunkAssignment,
     CompressedDocument,
     FusedFeatureSet,
-    NormalizedCoords,
     PatchEmbeddingSet,
     PatchGrid,
     QueryEmbeddingSet,
-    ValidationReport,
     grid_coords,
-    patch_coords,
-    validate,
 )
 
 # Every name imported above, without the submodules the imports bind.

@@ -80,20 +80,14 @@ def fuse(pset: PatchEmbeddingSet, cfg: ChunkerConfig, pe: PosEncConfig) -> Fused
     """Blend semantics with the positional prior.
 
     Raises ValueError on a dim mismatch between the patch set and the
-    encoder, and on a zero-norm semantic vector when normalization is on
-    (the direction of a zero vector is undefined).
+    encoder. Normalizing needs no zero-norm check: a PatchEmbeddingSet
+    holds no zero vector.
     """
     if pe.dim != pset.dim:
         raise ValueError(f"positional encoder dim {pe.dim} != embedding dim {pset.dim}")
     v = pset.vectors
     if cfg.normalize_semantic_before_fusion:
-        norms = np.linalg.norm(v, axis=1, keepdims=True)
-        zero = np.flatnonzero(norms[:, 0] == 0.0)
-        if zero.size:
-            raise ValueError(
-                f"cannot normalize zero-norm semantic vector at index {int(zero[0])}"
-            )
-        v = v / norms
+        v = v / np.linalg.norm(v, axis=1, keepdims=True)
     p = encode_batch(pe, grid_coords(pset.grid))
     z = (1.0 - cfg.omega) * v + cfg.omega * p
     return FusedFeatureSet(dim=pset.dim, omega=cfg.omega, vectors=z)
@@ -351,6 +345,8 @@ def pool(pset: PatchEmbeddingSet, assignment: ChunkAssignment) -> CompressedDocu
     chunk whose centroid norm falls below ``DEGENERATE_NORM`` (antipodal
     members cancelling out) is replaced by the normalized embedding of its
     smallest-index member, reported as a RuntimeWarning rather than silently.
+    That member is nonzero, as every page vector is, but may itself be
+    shorter than ``DEGENERATE_NORM``; then pool raises ValueError.
     """
     if assignment.labels.shape[0] != pset.n_vectors:
         raise ValueError(

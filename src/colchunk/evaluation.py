@@ -385,8 +385,6 @@ def run_ablation(
     queries: Iterable[QueryEmbeddingSet],
     qrels: Qrels,
     sweep: SweepSpec,
-    pe: PosEncConfig | None = None,
-    normalize_semantic: bool = True,
     threads: int = 1,
     scratch_dir=None,
 ) -> list[AblationRow]:
@@ -394,24 +392,18 @@ def run_ablation(
 
     Emits a K=1 single-vector baseline row first (unless disabled), then the
     k sweep, the omega sweep, and the method comparison, each varying one
-    axis with the others at base values. Index sizes are measured on real
-    files written under ``scratch_dir``.
+    axis with the others at base values. Every row fuses normalized
+    semantics with the default encoder, ``PosEncConfig(dim)``. Index sizes
+    are measured on real files written under ``scratch_dir``.
     """
     doc_list = list(docs)
     query_list = list(queries)
     if not doc_list or not query_list:
         raise ValueError("ablation needs at least one document and one query")
-    if pe is None:
-        pe = PosEncConfig(dim=doc_list[0].dim)
+    pe = PosEncConfig(dim=doc_list[0].dim)
 
     def make_cfg(k: int, omega: float, method: str) -> ChunkerConfig:
-        return ChunkerConfig(
-            k=k,
-            omega=omega,
-            method=method,
-            seed=sweep.seed,
-            normalize_semantic_before_fusion=normalize_semantic,
-        )
+        return ChunkerConfig(k=k, omega=omega, method=method, seed=sweep.seed)
 
     configs: list[tuple[str, ChunkerConfig]] = []
     if sweep.include_baseline:

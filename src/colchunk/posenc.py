@@ -6,6 +6,9 @@ pairs over a geometric ladder of frequencies, the same construction used for
 of a pair share their argument, the raw vector always has norm
 sqrt(dim / 2); the encoder divides it out so encodings live on the unit
 sphere regardless of dim or base.
+
+``encode_batch`` is the only entry point: a single point is a one-row
+batch. Coordinates come from ``types.grid_coords``.
 """
 
 from __future__ import annotations
@@ -14,9 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import NormalizedCoords
-
-__all__ = ["PosEncConfig", "encode", "encode_batch"]
+__all__ = ["PosEncConfig", "encode_batch"]
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,8 @@ def encode_batch(cfg: PosEncConfig, coords: np.ndarray) -> np.ndarray:
 
     Args:
         cfg: Encoder parameters.
-        coords: Array of (x, y) pairs, each in [0, 1].
+        coords: Array of (x, y) pairs, each in [0, 1]; a value outside
+            raises ValueError.
 
     Returns:
         Read-only float64 array of unit-norm encodings.
@@ -50,7 +52,8 @@ def encode_batch(cfg: PosEncConfig, coords: np.ndarray) -> np.ndarray:
     pts = np.asarray(coords, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"coords must have shape (n, 2), got {pts.shape}")
-    if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
+    # Written so that a NaN coordinate fails the check too.
+    if pts.size and not (pts.min() >= 0.0 and pts.max() <= 1.0):
         raise ValueError("coordinates must lie in [0, 1]")
     half = cfg.dim // 2
     m = np.arange(half // 2, dtype=np.float64)
@@ -64,7 +67,3 @@ def encode_batch(cfg: PosEncConfig, coords: np.ndarray) -> np.ndarray:
     out.setflags(write=False)
     return out
 
-
-def encode(cfg: PosEncConfig, c: NormalizedCoords) -> np.ndarray:
-    """Encode a single point; see :func:`encode_batch`."""
-    return encode_batch(cfg, np.array([[c.x, c.y]]))[0]

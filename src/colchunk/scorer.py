@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .store import CorpusIndex, stack_documents
+from .store import CorpusIndex
 from .types import CompressedDocument, QueryEmbeddingSet
 
 __all__ = ["ScoredHit", "maxsim", "retrieve"]
@@ -93,25 +93,22 @@ def _approx_scores(q32: np.ndarray, chunks: np.ndarray, offsets: np.ndarray) -> 
     return scores
 
 
-def retrieve(query: QueryEmbeddingSet, index, top_k: int) -> list[ScoredHit]:
+def retrieve(query: QueryEmbeddingSet, index: CorpusIndex, top_k: int) -> list[ScoredHit]:
     """Score every document in the index and return the top ``top_k`` hits.
 
-    ``index`` may be a CorpusIndex or any sequence of compressed documents.
-    Ordering is deterministic: descending score, ties broken by ascending
-    doc_id. Ranks run from 1 to ``min(top_k, corpus size)``. Scores equal
-    ``maxsim`` bit for bit.
+    A list of compressed documents becomes an index through
+    ``CorpusIndex(dim=, docs=, build_meta=)``. Ordering is deterministic:
+    descending score, ties broken by ascending doc_id. Ranks run from 1 to
+    ``min(top_k, corpus size)``. Scores equal ``maxsim`` bit for bit.
     """
     if top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
-    if isinstance(index, CorpusIndex):
-        if index.dim != query.dim:
-            raise ValueError(
-                f"dimension mismatch: query '{query.query_id}' has dim {query.dim}, "
-                f"index has dim {index.dim}"
-            )
-        ids, offsets, chunks = index.ids, index.offsets, index.chunks
-    else:
-        ids, offsets, chunks, _ = stack_documents(index, query.dim)
+    if index.dim != query.dim:
+        raise ValueError(
+            f"dimension mismatch: query '{query.query_id}' has dim {query.dim}, "
+            f"index has dim {index.dim}"
+        )
+    ids, offsets, chunks = index.ids, index.offsets, index.chunks
     n = len(ids)
     if not n:
         raise ValueError("cannot retrieve from an empty index")

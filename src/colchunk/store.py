@@ -26,7 +26,13 @@ raw vector files (flat float32 little-endian, row-major). Query dumps use
 the same shape minus the grid fields. The writers name each raw file after
 its doc or query id, so they reject ids that are not safe file names: the
 empty string, ``.``, ``..`` and any id containing ``/``, ``\\`` or NUL. The
-loader rejects entry paths that are absolute or have a ``..`` component.
+loader rejects entry paths that are absolute or have a ``..`` component, and
+raises ManifestError for any malformed manifest, such as ``entries`` that is
+not a list or a count that JSON reads as infinity (``1e400``). Vectors that
+their type rejects (non-finite or zero-norm) raise ManifestError on ingest
+too.
+
+The in-memory index is always a ``CorpusIndex``, the form ``retrieve`` takes.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ from .types import (
     PatchGrid,
     QueryEmbeddingSet,
     first_non_unit_row,
-    validate,
 )
 
 __all__ = [
@@ -55,7 +60,6 @@ __all__ = [
     "ManifestError",
     "BuildMeta",
     "CorpusIndex",
-    "stack_documents",
     "DumpEntry",
     "EmbeddingDumpManifest",
     "write_index",
@@ -112,25 +116,6 @@ class BuildMeta:
             raise IndexFormatError(f"malformed build metadata: {exc}") from exc
 
 
-def stack_documents(docs, dim: int):
-    """Columns ``(ids, offsets, chunks, sizes)`` of compressed documents of one dim.
-
-    Document ``i`` owns rows ``offsets[i]:offsets[i + 1]`` of the float64
-    ``chunks`` matrix and of ``sizes``.
-    """
-    docs = tuple(docs)
-    for doc in docs:
-        if doc.dim != dim:
-            raise ValueError(f"doc '{doc.doc_id}' has dim {doc.dim}, index expects {dim}")
-    offsets = np.zeros(len(docs) + 1, dtype=np.int64)
-    np.cumsum([doc.k for doc in docs], out=offsets[1:])
-    if not docs:
-        return (), offsets, np.empty((0, dim)), np.empty(0, dtype=np.int64)
-    chunks = np.concatenate([doc.chunks for doc in docs])
-    sizes = np.concatenate([doc.chunk_sizes for doc in docs])
-    return tuple(doc.doc_id for doc in docs), offsets, chunks, sizes
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class CorpusIndex:
     """An ordered corpus of compressed documents sharing one dim, held as columns.
@@ -150,7 +135,18 @@ class CorpusIndex:
     build_meta: BuildMeta
 
     def __init__(self, dim: int, docs, build_meta: BuildMeta):
-        self._set(dim, *stack_documents(docs, dim), build_meta)
+        docs = tuple(docs)
+        for doc in docs:
+            if doc.dim != dim:
+                raise ValueError(f"doc '{doc.doc_id}' has dim {doc.dim}, index expects {dim}")
+        offsets = np.zeros(len(docs) + 1, dtype=np.int64)
+        np.cumsum([doc.k for doc in docs], out=offsets[1:])
+        if docs:
+            chunks = np.concatenate([doc.chunks for doc in docs])
+            sizes = np.concatenate([doc.chunk_sizes for doc in docs])
+        else:
+            chunks, sizes = np.empty((0, dim)), np.empty(0, dtype=np.int64)
+        self._set(dim, [doc.doc_id for doc in docs], offsets, chunks, sizes, build_meta)
 
     @classmethod
     def from_columns(cls, dim, ids, offsets, chunks, sizes, build_meta) -> "CorpusIndex":
@@ -383,17 +379,19 @@ def _load(path: str | Path, id_key: str) -> EmbeddingDumpManifest:
     try:
         dim = int(data["dim"])
         raw_entries = data["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ManifestError(f"{kind} manifest {p} is missing dim or entries") from exc
     if dim < 1:
         raise ManifestError(f"{kind} manifest dim must be positive, got {dim}")
+    if not isinstance(raw_entries, list):
+        raise ManifestError(f"{kind} manifest {p}: entries must be a list")
     entries = []
     seen: set[str] = set()
     for i, e in enumerate(raw_entries):
         try:
             item_id, n_vectors, rel = str(e[id_key]), int(e["n_vectors"]), str(e["path"])
             rows_cols = (int(e["rows"]), int(e["cols"])) if id_key == "doc_id" else None
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ManifestError(f"{kind} manifest entry {i} is malformed: {exc}") from exc
         if item_id in seen:
             raise ManifestError(f"duplicate {id_key} '{item_id}' in manifest")
@@ -444,9 +442,11 @@ def _read_raw_vectors(manifest: EmbeddingDumpManifest, entry: DumpEntry) -> np.n
 
 
 def ingest_dump(manifest_path: str | Path | EmbeddingDumpManifest):
-    """Yield validated PatchEmbeddingSets for each manifest entry, in order.
+    """Yield PatchEmbeddingSets for each manifest entry, in order.
 
     Takes a manifest path, or a manifest already parsed by ``load_manifest``.
+    A page that its type rejects (a non-finite or zero-norm vector) raises
+    ManifestError.
     """
     manifest = (
         manifest_path
@@ -454,17 +454,13 @@ def ingest_dump(manifest_path: str | Path | EmbeddingDumpManifest):
         else load_manifest(manifest_path)
     )
     for entry in manifest.entries:
-        pset = PatchEmbeddingSet(
-            doc_id=entry.id,
-            dim=manifest.dim,
-            grid=entry.grid,
-            vectors=_read_raw_vectors(manifest, entry),
-        )
-        report = validate(pset)
-        if not report.ok:
-            raise ManifestError(
-                f"doc '{entry.id}' failed validation: " + "; ".join(report.violations)
+        vectors = _read_raw_vectors(manifest, entry)
+        try:
+            pset = PatchEmbeddingSet(
+                doc_id=entry.id, dim=manifest.dim, grid=entry.grid, vectors=vectors
             )
+        except ValueError as exc:
+            raise ManifestError(str(exc)) from exc
         yield pset
 
 
@@ -474,9 +470,10 @@ def ingest_queries(manifest_path: str | Path):
     for entry in manifest.entries:
         vectors = _read_raw_vectors(manifest, entry)
         try:
-            yield QueryEmbeddingSet(query_id=entry.id, dim=manifest.dim, vectors=vectors)
+            query = QueryEmbeddingSet(query_id=entry.id, dim=manifest.dim, vectors=vectors)
         except ValueError as exc:
             raise ManifestError(str(exc)) from exc
+        yield query
 
 
 def _write_dump(

@@ -2,8 +2,10 @@
 
 Pages arrive as grids of patch embeddings in row-major order; queries as
 bags of token embeddings. Compression replaces each page by a small set of
-unit-norm chunk vectors. Arrays are float64 in memory and made read-only at
-construction so instances can be shared freely across worker threads.
+unit-norm chunk vectors. Every type checks its invariants at construction
+and raises ValueError on a violation, so an instance that exists is valid.
+Arrays are float64 in memory and made read-only at construction so
+instances can be shared freely across worker threads.
 """
 
 from __future__ import annotations
@@ -14,16 +16,12 @@ import numpy as np
 
 __all__ = [
     "PatchGrid",
-    "NormalizedCoords",
     "PatchEmbeddingSet",
     "FusedFeatureSet",
     "ChunkAssignment",
     "CompressedDocument",
     "QueryEmbeddingSet",
-    "ValidationReport",
-    "patch_coords",
     "grid_coords",
-    "validate",
 ]
 
 UNIT_NORM_TOL = 1e-6
@@ -47,6 +45,27 @@ def _freeze_matrix(obj, name: str, value) -> np.ndarray:
     arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
     return arr
+
+
+def _check_rows(owner: str, dim: int, rows: np.ndarray) -> None:
+    """Require ``dim`` finite components and a nonzero norm in every row.
+
+    The ValueError names ``owner`` and the first bad row.
+    """
+    if rows.shape[1] != dim:
+        raise ValueError(f"{owner}: expected {dim} components per vector, got {rows.shape[1]}")
+    # One pass clears the usual clean set: a NaN or inf component makes its
+    # row's sum of squares non-finite, and the sum is 0 exactly when the norm
+    # is (squares cannot cancel). A finite row can still overflow to inf.
+    sq = np.einsum("ij,ij->i", rows, rows)
+    if np.isfinite(sq).all() and sq.all():
+        return
+    finite = np.isfinite(rows).all(axis=1)
+    bad = np.flatnonzero(~finite | (sq == 0.0))
+    if bad.size:
+        j = int(bad[0])
+        problem = "a non-finite component" if not finite[j] else "zero norm"
+        raise ValueError(f"{owner}: vectors[{j}] has {problem}")
 
 
 def _freeze_ints(obj, name: str, value) -> np.ndarray:
@@ -74,33 +93,14 @@ class PatchGrid:
         return self.rows * self.cols
 
 
-@dataclass(frozen=True)
-class NormalizedCoords:
-    """A point in the unit square, x growing rightward and y downward."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.x <= 1.0 and 0.0 <= self.y <= 1.0):
-            raise ValueError(f"coordinates must lie in [0, 1]^2, got ({self.x}, {self.y})")
-
-
-def patch_coords(grid: PatchGrid, j: int) -> NormalizedCoords:
-    """Center of patch ``j`` in normalized page coordinates.
-
-    Row-major layout: ``row = j // cols``, ``col = j % cols``. Centers sit at
-    ``((col + 0.5) / cols, (row + 0.5) / rows)`` so they never touch the page
-    border and a 1x1 grid maps to (0.5, 0.5).
-    """
-    if not 0 <= j < grid.n_patches:
-        raise IndexError(f"patch index {j} out of range for {grid.rows}x{grid.cols} grid")
-    row, col = divmod(j, grid.cols)
-    return NormalizedCoords(x=(col + 0.5) / grid.cols, y=(row + 0.5) / grid.rows)
-
-
 def grid_coords(grid: PatchGrid) -> np.ndarray:
-    """All patch centers as an ``(n_patches, 2)`` array of (x, y), row-major."""
+    """All patch centers as an ``(n_patches, 2)`` array of (x, y), row-major.
+
+    Coordinates are normalized to the page, x growing rightward and y
+    downward. Patch ``j`` sits at ``row = j // cols``, ``col = j % cols``,
+    centered at ``((col + 0.5) / cols, (row + 0.5) / rows)``, so centers
+    never touch the page border and a 1x1 grid maps to (0.5, 0.5).
+    """
     cols = (np.arange(grid.cols) + 0.5) / grid.cols
     rows = (np.arange(grid.rows) + 0.5) / grid.rows
     xs = np.tile(cols, grid.rows)
@@ -112,9 +112,10 @@ def grid_coords(grid: PatchGrid) -> np.ndarray:
 class PatchEmbeddingSet:
     """Contextual patch vectors of one page plus the grid they came from.
 
-    Construction is deliberately lenient about content (only the array shape
-    is coerced); run :func:`validate` to obtain a violation report before
-    feeding a set into the compression pipeline.
+    Construction raises ValueError unless there is one vector per grid cell
+    and every vector has ``dim`` finite components and a nonzero norm: a
+    zero vector cannot be semantically normalized and poisons centroid
+    pooling.
     """
 
     doc_id: str
@@ -123,51 +124,15 @@ class PatchEmbeddingSet:
     vectors: np.ndarray
 
     def __post_init__(self):
-        _freeze_matrix(self, "vectors", self.vectors)
+        arr = _freeze_matrix(self, "vectors", self.vectors)
+        owner = f"doc '{self.doc_id}'"
+        if arr.shape[0] != self.grid.n_patches:
+            raise ValueError(f"{owner}: count mismatch: {arr.shape[0]} != {self.grid.n_patches}")
+        _check_rows(owner, self.dim, arr)
 
     @property
     def n_vectors(self) -> int:
         return self.vectors.shape[0]
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of validating a :class:`PatchEmbeddingSet`."""
-
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(pset: PatchEmbeddingSet) -> ValidationReport:
-    """Check a patch set against the pipeline's preconditions.
-
-    A clean report means every downstream operation (fusion, clustering,
-    pooling) accepts the set without error, which is why zero-norm vectors
-    are flagged here too: they cannot be semantically normalized and they
-    poison centroid pooling.
-    """
-    violations: list[str] = []
-    if pset.dim < 1:
-        violations.append(f"dim: must be positive, got {pset.dim}")
-    if pset.vectors.shape[1] != pset.dim and pset.dim >= 1:
-        violations.append(
-            f"vectors: expected {pset.dim} components per vector, got {pset.vectors.shape[1]}"
-        )
-    expected = pset.grid.n_patches
-    n = pset.vectors.shape[0]
-    if n != expected:
-        violations.append(f"count mismatch: {n} != {expected}")
-    finite_rows = np.isfinite(pset.vectors).all(axis=1)
-    for j in np.flatnonzero(~finite_rows):
-        violations.append(f"vectors[{j}]: non-finite component")
-    if pset.vectors.size:
-        norms = np.linalg.norm(pset.vectors, axis=1)
-        for j in np.flatnonzero(finite_rows & (norms == 0.0)):
-            violations.append(f"vectors[{j}]: zero norm")
-    return ValidationReport(violations=tuple(violations))
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,7 +213,10 @@ class CompressedDocument:
 
 @dataclass(frozen=True, eq=False)
 class QueryEmbeddingSet:
-    """Token embeddings of one query. Tokens must be finite and nonzero."""
+    """Token embeddings of one query. Tokens must be finite and nonzero.
+
+    Construction checks the tokens by the same rule as a page's vectors.
+    """
 
     query_id: str
     dim: int
@@ -258,12 +226,7 @@ class QueryEmbeddingSet:
         arr = _freeze_matrix(self, "vectors", self.vectors)
         if arr.shape[0] < 1:
             raise ValueError("a query needs at least one token vector")
-        if arr.shape[1] != self.dim:
-            raise ValueError(f"expected {self.dim} components per token, got {arr.shape[1]}")
-        if not np.isfinite(arr).all():
-            raise ValueError(f"query '{self.query_id}' has a non-finite token")
-        if (np.linalg.norm(arr, axis=1) == 0.0).any():
-            raise ValueError(f"query '{self.query_id}' has a zero-norm token")
+        _check_rows(f"query '{self.query_id}'", self.dim, arr)
 
     @property
     def n_tokens(self) -> int:

@@ -5,6 +5,16 @@ import pytest
 
 from colchunk.types import PatchEmbeddingSet, PatchGrid
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # The same examples on every run, with no wall-clock deadline and no
+    # example database, so tier-1 and CI results do not depend on history.
+    settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+    settings.load_profile("deterministic")
+
 
 @pytest.fixture
 def rng():

@@ -104,13 +104,11 @@ class TestFuse:
             fuse(make_pset(rng, dim=8), ChunkerConfig(k=2), PosEncConfig(dim=16))
 
     def test_zero_norm_semantic_rejected(self):
+        # the page type refuses a zero vector, so fuse never has to
         vectors = np.zeros((2, 8))
         vectors[1, 0] = 1.0
-        pset = PatchEmbeddingSet(
-            doc_id="d", dim=8, grid=PatchGrid(rows=1, cols=2), vectors=vectors
-        )
-        with pytest.raises(ValueError, match="0"):
-            fuse(pset, ChunkerConfig(k=1), PosEncConfig(dim=8))
+        with pytest.raises(ValueError, match=r"vectors\[0\] has zero norm"):
+            PatchEmbeddingSet(doc_id="d", dim=8, grid=PatchGrid(rows=1, cols=2), vectors=vectors)
 
 
 def check_linkage(z, n):
@@ -458,12 +456,13 @@ class TestPool:
         np.testing.assert_array_equal(doc.chunks[0], [1.0, 0.0])
 
     def test_zero_fallback_member_rejected(self):
-        vectors = np.array([[0.0, 0.0], [0.0, 0.0]])
+        # nonzero, so the page is valid, but too short to normalize safely
+        vectors = np.array([[1e-13, 0.0], [-1e-13, 0.0]])
         pset = PatchEmbeddingSet(
             doc_id="d", dim=2, grid=PatchGrid(rows=1, cols=2), vectors=vectors
         )
         asg = ChunkAssignment(k=1, labels=np.array([0, 0]), sizes=np.array([2]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="smallest member 0 is itself zero"):
             pool(pset, asg)
 
 

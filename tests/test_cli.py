@@ -34,6 +34,11 @@ def dataset(tmp_path_factory):
     return generate_synthetic(spec, root)
 
 
+# ``entries`` that is not a list; a count of 1e400, which JSON reads as infinity.
+HOSTILE_MANIFESTS = {"entries-null": '{"dim": 16, "entries": null}',
+                     "dim-inf": '{"dim": 1e400, "entries": []}'}
+
+
 class TestCompress:
     def test_happy_path(self, dataset, tmp_path):
         index = tmp_path / "out.cchk"
@@ -101,6 +106,37 @@ class TestCompress:
         assert proc.returncode == 0, proc.stderr
         assert read_index(index).docs[0].chunk_sizes.tolist() == [22]
 
+    @pytest.mark.parametrize("fault", ["nan", "zero-norm", "count-mismatch"])
+    def test_bad_page_dump_is_data_error(self, tmp_path, fault):
+        import json
+
+        page = PatchEmbeddingSet(doc_id="bad", dim=4, grid=PatchGrid(rows=2, cols=2),
+                                 vectors=np.random.default_rng(3).normal(size=(4, 4)))
+        manifest = write_embedding_dump([page], tmp_path / "dump")
+        raw = tmp_path / "dump" / "vectors" / "bad.f32"
+        data = np.fromfile(raw, dtype="<f4")
+        if fault == "nan":
+            data[6] = np.nan
+        elif fault == "zero-norm":
+            data[4:8] = 0.0
+        else:
+            body = json.loads(manifest.read_text())
+            body["entries"][0]["n_vectors"] = 3
+            manifest.write_text(json.dumps(body))
+        data.tofile(raw)
+        proc = run_cli("compress", str(manifest), str(tmp_path / "x.cchk"))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "bad" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("body", list(HOSTILE_MANIFESTS.values()), ids=list(HOSTILE_MANIFESTS))
+    def test_hostile_manifest_is_data_error(self, tmp_path, body):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(body)
+        proc = run_cli("compress", str(manifest), str(tmp_path / "x.cchk"))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
 
 @pytest.fixture(scope="module")
 def index_path(dataset, tmp_path_factory):
@@ -123,6 +159,14 @@ class TestQuery:
         assert fields[1] == "Q0"
         assert fields[3] == "1"
         assert fields[5] == "trial"
+
+    @pytest.mark.parametrize("body", list(HOSTILE_MANIFESTS.values()), ids=list(HOSTILE_MANIFESTS))
+    def test_hostile_query_manifest_is_data_error(self, index_path, tmp_path, body):
+        manifest = tmp_path / "queries.json"
+        manifest.write_text(body)
+        proc = run_cli("query", str(index_path), str(manifest))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
     def test_stdout_when_no_out(self, dataset, index_path):
         proc = run_cli("query", str(index_path), str(dataset.query_manifest),

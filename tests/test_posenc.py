@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from colchunk.posenc import PosEncConfig, encode, encode_batch
-from colchunk.types import NormalizedCoords, PatchGrid, grid_coords
+from colchunk.posenc import PosEncConfig, encode_batch
+from colchunk.types import PatchGrid, grid_coords
+
+
+def encode_point(cfg, x, y):
+    """The encoding of one point, as a one-row batch."""
+    return encode_batch(cfg, np.array([[x, y]]))[0]
 
 
 class TestConfig:
@@ -25,7 +30,7 @@ class TestKnownValues:
     def test_origin_pattern(self):
         # sin slots 0, cos slots 1/sqrt(D/2)
         for dim in (4, 8, 64):
-            enc = encode(PosEncConfig(dim=dim), NormalizedCoords(x=0.0, y=0.0))
+            enc = encode_point(PosEncConfig(dim=dim), 0.0, 0.0)
             expected_cos = 1.0 / math.sqrt(dim / 2)
             assert np.all(enc[0::2] == 0.0)
             np.testing.assert_allclose(enc[1::2], expected_cos, rtol=0, atol=1e-15)
@@ -34,7 +39,7 @@ class TestKnownValues:
         # dim=8: H=4, frequencies 10000^(0) and 10000^(-1/2) per axis,
         # evaluated by hand at x = y = 0.5, then divided by the exact
         # raw norm sqrt(dim/2) = 2
-        enc = encode(PosEncConfig(dim=8, base=10000.0), NormalizedCoords(x=0.5, y=0.5))
+        enc = encode_point(PosEncConfig(dim=8, base=10000.0), 0.5, 0.5)
         half = [
             math.sin(0.5),
             math.cos(0.5),
@@ -47,7 +52,7 @@ class TestKnownValues:
     def test_equal_coords_give_equal_halves(self):
         cfg = PosEncConfig(dim=16)
         for v in (0.0, 0.25, 1.0):
-            enc = encode(cfg, NormalizedCoords(x=v, y=v))
+            enc = encode_point(cfg, v, v)
             np.testing.assert_array_equal(enc[:8], enc[8:])
 
 
@@ -97,10 +102,12 @@ class TestInvariants:
         coords = grid_coords(PatchGrid(rows=3, cols=4))
         batch = encode_batch(cfg, coords)
         for j, (x, y) in enumerate(coords):
-            single = encode(cfg, NormalizedCoords(x=float(x), y=float(y)))
+            single = encode_point(cfg, x, y)
             np.testing.assert_array_equal(batch[j], single)
 
     def test_rejects_out_of_range_coords(self):
         cfg = PosEncConfig(dim=8)
-        with pytest.raises(ValueError):
-            encode_batch(cfg, np.array([[0.5, 1.5]]))
+        encode_batch(cfg, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        for bad in ([0.5, 1.5], [1.5, 0.5], [0.5, -0.1], [np.nan, 0.5]):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                encode_batch(cfg, np.array([[0.5, 0.5], bad]))

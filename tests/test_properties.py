@@ -1,0 +1,82 @@
+"""Property tests on random small pages, including duplicated patches and the
+tie-heavy pure-position grids of ``omega=1``.
+
+Hypothesis runs under the deterministic profile registered in conftest, so
+every run draws the same examples.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+from colchunk.chunker import ChunkerConfig, cluster_hac, compress, cut_linkage, fuse  # noqa: E402
+from colchunk.posenc import PosEncConfig  # noqa: E402
+from colchunk.types import PatchEmbeddingSet, PatchGrid, QueryEmbeddingSet  # noqa: E402
+
+OMEGAS = st.sampled_from([0.0, 0.2, 1.0]) | st.floats(0.0, 1.0)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def pages(draw):
+    """A page of up to 6x6 patches; half of them repeat a few distinct vectors."""
+    grid = PatchGrid(rows=draw(st.integers(1, 6)), cols=draw(st.integers(1, 6)))
+    dim = draw(st.sampled_from([4, 8]))
+    rng = np.random.default_rng(draw(SEEDS))
+    n = grid.n_patches
+    if draw(st.booleans()):
+        base = rng.normal(size=(draw(st.integers(1, n)), dim))
+        vectors = base[rng.integers(0, len(base), size=n)]
+    else:
+        vectors = rng.normal(size=(n, dim))
+    return PatchEmbeddingSet(doc_id="page", dim=dim, grid=grid, vectors=vectors)
+
+
+@given(page=pages(), k=st.integers(1, 40), omega=OMEGAS,
+       method=st.sampled_from(["hac_ward", "kmeans"]), normalize=st.booleans())
+def test_compress_keeps_min_k_n_unit_chunks_partitioning_the_page(page, k, omega, method,
+                                                                   normalize):
+    cfg = ChunkerConfig(k=k, omega=omega, method=method,
+                        normalize_semantic_before_fusion=normalize)
+    doc = compress(page, cfg, PosEncConfig(dim=page.dim))
+    n = page.n_vectors
+    assert doc.k == min(k, n)
+    assert (doc.chunk_sizes >= 1).all() and doc.chunk_sizes.sum() == n
+    np.testing.assert_allclose(np.linalg.norm(doc.chunks, axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@given(page=pages(), k=st.integers(1, 40), omega=OMEGAS)
+def test_cut_of_full_dendrogram_equals_direct_run(page, k, omega):
+    feats = fuse(page, ChunkerConfig(k=1, omega=omega), PosEncConfig(dim=page.dim))
+    n = page.n_vectors
+    direct, _ = cluster_hac(feats, k)
+    cut = cut_linkage(cluster_hac(feats, 1)[1], n, min(k, n))
+    assert cut.labels.tolist() == direct.labels.tolist()
+    assert cut.sizes.tolist() == direct.sizes.tolist()
+
+
+def make_page(vectors):
+    grid = PatchGrid(rows=1, cols=vectors.shape[0])
+    return PatchEmbeddingSet(doc_id="page", dim=vectors.shape[1], grid=grid, vectors=vectors)
+
+
+def make_query(vectors):
+    return QueryEmbeddingSet(query_id="query", dim=vectors.shape[1], vectors=vectors)
+
+
+@pytest.mark.parametrize("make", [make_page, make_query])
+@given(seed=SEEDS, n=st.integers(1, 12), dim=st.integers(1, 8),
+       fault=st.sampled_from([np.nan, np.inf, -np.inf, 0.0]), data=st.data())
+def test_nan_inf_or_zero_row_raises_naming_it(make, seed, n, dim, fault, data):
+    vectors = np.random.default_rng(seed).normal(size=(n, dim))
+    row = data.draw(st.integers(0, n - 1))
+    if fault == 0.0:
+        vectors[row] = 0.0
+    else:
+        vectors[row, data.draw(st.integers(0, dim - 1))] = fault
+    with pytest.raises(ValueError, match=re.escape(f"vectors[{row}] has")):
+        make(vectors)

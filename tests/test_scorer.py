@@ -11,6 +11,13 @@ from colchunk.types import CompressedDocument, QueryEmbeddingSet
 from oracles import naive_maxsim, naive_retrieve
 
 
+def index_of(docs, dim=None):
+    """A CorpusIndex over ``docs``, the one corpus form ``retrieve`` takes."""
+    meta = BuildMeta(omega=0.2, k_target=4, method="hac_ward", posenc_base=10000.0,
+                     tool_version="0.1.0")
+    return CorpusIndex(dim=dim or docs[0].dim, docs=docs, build_meta=meta)
+
+
 def make_doc(rng, doc_id="d", k=4, dim=8):
     chunks = rng.normal(size=(k, dim))
     chunks /= np.linalg.norm(chunks, axis=1, keepdims=True)
@@ -94,40 +101,41 @@ class TestRetrieve:
             for name in ("zeta", "alpha", "mid")
         ]
         q = QueryEmbeddingSet(query_id="q", dim=2, vectors=np.array([[1.0, 0.0]]))
-        hits = retrieve(q, docs, top_k=3)
+        hits = retrieve(q, index_of(docs), top_k=3)
         assert [h.doc_id for h in hits] == ["alpha", "mid", "zeta"]
         assert [h.rank for h in hits] == [1, 2, 3]
 
     def test_descending_scores(self, rng):
         docs = [make_doc(rng, doc_id=f"d{i}") for i in range(8)]
         q = QueryEmbeddingSet(query_id="q", dim=8, vectors=rng.normal(size=(3, 8)))
-        hits = retrieve(q, docs, top_k=8)
+        hits = retrieve(q, index_of(docs), top_k=8)
         scores = [h.score for h in hits]
         assert scores == sorted(scores, reverse=True)
 
     def test_truncation(self, rng):
         docs = [make_doc(rng, doc_id=f"d{i}") for i in range(10)]
         q = QueryEmbeddingSet(query_id="q", dim=8, vectors=rng.normal(size=(2, 8)))
-        assert len(retrieve(q, docs, top_k=4)) == 4
-        assert len(retrieve(q, docs, top_k=50)) == 10
+        index = index_of(docs)
+        assert len(retrieve(q, index, top_k=4)) == 4
+        assert len(retrieve(q, index, top_k=50)) == 10
 
     def test_scores_match_maxsim(self, rng):
         docs = [make_doc(rng, doc_id=f"d{i}") for i in range(5)]
         q = QueryEmbeddingSet(query_id="q", dim=8, vectors=rng.normal(size=(3, 8)))
         by_id = {d.doc_id: d for d in docs}
-        for hit in retrieve(q, docs, top_k=5):
+        for hit in retrieve(q, index_of(docs), top_k=5):
             assert hit.score == maxsim(q, by_id[hit.doc_id])
 
     def test_rejects_bad_top_k(self, rng):
         docs = [make_doc(rng)]
         q = QueryEmbeddingSet(query_id="q", dim=8, vectors=rng.normal(size=(2, 8)))
         with pytest.raises(ValueError):
-            retrieve(q, docs, top_k=0)
+            retrieve(q, index_of(docs), top_k=0)
 
     def test_rejects_empty_index(self, rng):
         q = QueryEmbeddingSet(query_id="q", dim=8, vectors=rng.normal(size=(2, 8)))
         with pytest.raises(ValueError):
-            retrieve(q, [], top_k=5)
+            retrieve(q, index_of([], dim=8), top_k=5)
 
     def test_hit_is_frozen_record(self):
         hit = ScoredHit(doc_id="d", score=1.5, rank=1)
@@ -178,14 +186,11 @@ class TestRetrieveEquivalence:
         best, nudged = by_id["z-best"].chunks, by_id["a-next"].chunks
         assert np.array_equal(best.astype(np.float32), nudged.astype(np.float32))
         assert maxsim(q, by_id["z-best"]) > maxsim(q, by_id["a-next"])
-        dim = q.dim
-        meta = BuildMeta(omega=0.2, k_target=12, method="hac_ward", posenc_base=10000.0,
-                         tool_version="0.1.0")
-        memory = CorpusIndex(dim=dim, docs=docs, build_meta=meta)
+        memory = index_of(docs)
         write_index(memory, tmp_path / "t.cchk")
         disk = read_index(tmp_path / "t.cchk")
         n = len(docs)
-        for index, reference in ((docs, docs), (memory, docs), (disk, disk.docs)):
+        for index, reference in ((memory, docs), (disk, disk.docs)):
             for top_k in (1, 2, 3, 10, n, n + 5):
                 got = [(h.doc_id, h.score.hex(), h.rank) for h in retrieve(q, index, top_k)]
                 want = [(d, s.hex(), r) for d, s, r in naive_retrieve(q, reference, top_k)]
@@ -202,6 +207,6 @@ class TestRetrieveEquivalence:
             kth = np.sort(exact)[-top_k]
             adversarial = np.where(exact >= kth, exact - bound, exact + bound)
             monkeypatch.setattr(scorer, "_approx_scores", lambda *_: adversarial)
-            got = [(h.doc_id, h.score, h.rank) for h in retrieve(q, docs, top_k)]
+            got = [(h.doc_id, h.score, h.rank) for h in retrieve(q, index_of(docs), top_k)]
             assert got == naive_retrieve(q, docs, top_k)
         assert got[0][0] == "z-best"

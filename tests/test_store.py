@@ -353,6 +353,53 @@ class TestEmbeddingDump:
         with pytest.raises(ManifestError, match="nan-doc"):
             list(ingest_dump(manifest))
 
+    def test_zero_norm_vector_rejected_at_ingest(self, rng, tmp_path):
+        manifest = write_embedding_dump([make_pset(rng, doc_id="zero-doc")], tmp_path)
+        raw_path = tmp_path / "vectors" / "zero-doc.f32"
+        data = np.frombuffer(raw_path.read_bytes(), dtype="<f4").copy()
+        data[8:16] = 0.0
+        raw_path.write_bytes(data.tobytes())
+        with pytest.raises(ManifestError, match=r"doc 'zero-doc': vectors\[1\] has zero norm"):
+            list(ingest_dump(manifest))
+
+
+PAGE_ENTRY = {"doc_id": "d", "rows": 2, "cols": 2, "n_vectors": 4, "path": "d.f32"}
+QUERY_ENTRY = {"query_id": "q", "n_vectors": 4, "path": "q.f32"}
+# Valid JSON of the wrong shape: ``entries`` that is not a list, or a count
+# of 1e400, which JSON reads as infinity and int() refuses.
+HOSTILE = {
+    "entries-int": {"entries": 5},
+    "entries-null": {"entries": None},
+    "entries-object": {"entries": {"doc_id": "d"}},
+    "dim-inf": {"dim": "1e400"},
+    "n_vectors-inf": {"n_vectors": "1e400"},
+    "rows-inf": {"rows": "1e400"},
+    "cols-inf": {"cols": "1e400"},
+}
+
+
+def hostile_manifest(entry: dict, case: str) -> str:
+    change = HOSTILE[case]
+    top = {"dim": 8, "entries": [dict(entry, **{k: v for k, v in change.items() if k in entry})]}
+    top.update({k: v for k, v in change.items() if k in top})
+    return json.dumps(top).replace('"1e400"', "1e400")
+
+
+class TestHostileManifest:
+    @pytest.mark.parametrize("case", HOSTILE)
+    def test_page_manifest_raises_manifest_error(self, tmp_path, case):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(hostile_manifest(PAGE_ENTRY, case))
+        with pytest.raises(ManifestError):
+            load_manifest(manifest)
+
+    @pytest.mark.parametrize("case", [c for c in HOSTILE if c not in ("rows-inf", "cols-inf")])
+    def test_query_manifest_raises_manifest_error(self, tmp_path, case):
+        manifest = tmp_path / "queries.json"
+        manifest.write_text(hostile_manifest(QUERY_ENTRY, case))
+        with pytest.raises(ManifestError):
+            list(ingest_queries(manifest))
+
 
 class TestQueryDump:
     def test_roundtrip(self, rng, tmp_path):

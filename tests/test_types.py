@@ -5,13 +5,10 @@ from colchunk.types import (
     ChunkAssignment,
     CompressedDocument,
     FusedFeatureSet,
-    NormalizedCoords,
     PatchEmbeddingSet,
     PatchGrid,
     QueryEmbeddingSet,
     grid_coords,
-    patch_coords,
-    validate,
 )
 
 from conftest import make_pset
@@ -28,35 +25,32 @@ class TestPatchGrid:
 
 
 class TestPatchCoords:
-    # centers: x = (col + 0.5) / cols, y = (row + 0.5) / rows
+    # rows of grid_coords; centers: x = (col + 0.5) / cols, y = (row + 0.5) / rows
     def test_single_cell_center(self):
-        c = patch_coords(PatchGrid(rows=1, cols=1), 0)
-        assert (c.x, c.y) == (0.5, 0.5)
+        assert grid_coords(PatchGrid(rows=1, cols=1)).tolist() == [[0.5, 0.5]]
 
     def test_last_cell_of_2x2(self):
-        c = patch_coords(PatchGrid(rows=2, cols=2), 3)
-        assert (c.x, c.y) == (0.75, 0.75)
+        assert grid_coords(PatchGrid(rows=2, cols=2))[3].tolist() == [0.75, 0.75]
 
     def test_row_major_order(self):
         # j=5 in a 4x2 grid sits at row 2, col 1
-        c = patch_coords(PatchGrid(rows=4, cols=2), 5)
-        assert (c.x, c.y) == (0.75, 0.625)
+        assert grid_coords(PatchGrid(rows=4, cols=2))[5].tolist() == [0.75, 0.625]
 
     def test_out_of_range_index(self):
-        grid = PatchGrid(rows=2, cols=2)
+        # one row per patch, so patch 4 of a 2x2 grid has no row
+        table = grid_coords(PatchGrid(rows=2, cols=2))
+        assert table.shape == (4, 2)
         with pytest.raises(IndexError):
-            patch_coords(grid, 4)
-        with pytest.raises(IndexError):
-            patch_coords(grid, -1)
+            table[4]
 
     def test_grid_coords_matches_scalar(self):
         grid = PatchGrid(rows=3, cols=5)
         table = grid_coords(grid)
         assert table.shape == (15, 2)
         for j in range(grid.n_patches):
-            c = patch_coords(grid, j)
-            assert table[j, 0] == c.x
-            assert table[j, 1] == c.y
+            row, col = divmod(j, grid.cols)
+            assert table[j, 0] == (col + 0.5) / grid.cols
+            assert table[j, 1] == (row + 0.5) / grid.rows
 
     def test_coords_stay_inside_unit_square(self):
         table = grid_coords(PatchGrid(rows=7, cols=3))
@@ -64,57 +58,58 @@ class TestPatchCoords:
         assert table.max() < 1.0
 
 
-class TestNormalizedCoords:
-    def test_range_check(self):
-        NormalizedCoords(x=0.0, y=1.0)
-        with pytest.raises(ValueError):
-            NormalizedCoords(x=1.5, y=0.5)
-        with pytest.raises(ValueError):
-            NormalizedCoords(x=0.5, y=-0.1)
+def page(vectors, rows=2, cols=2, dim=8):
+    return PatchEmbeddingSet(doc_id="d", dim=dim, grid=PatchGrid(rows=rows, cols=cols),
+                             vectors=vectors)
 
 
 class TestValidate:
+    """A PatchEmbeddingSet validates at construction and raises on a violation."""
+
     def test_clean_set_passes(self, rng):
-        report = validate(make_pset(rng))
-        assert report.ok
-        assert report.violations == ()
+        vecs = rng.normal(size=(4, 8))
+        np.testing.assert_array_equal(page(vecs).vectors, vecs)
 
     def test_count_mismatch_message(self, rng):
-        pset = PatchEmbeddingSet(
-            doc_id="d",
-            dim=8,
-            grid=PatchGrid(rows=2, cols=2),
-            vectors=rng.normal(size=(3, 8)),
-        )
-        report = validate(pset)
-        assert not report.ok
-        assert any("count mismatch: 3 != 4" in v for v in report.violations)
+        with pytest.raises(ValueError, match=r"doc 'd': count mismatch: 3 != 4"):
+            page(rng.normal(size=(3, 8)))
 
     def test_nonfinite_component_flagged(self, rng):
-        vecs = rng.normal(size=(4, 8))
-        vecs[2, 5] = np.nan
-        pset = PatchEmbeddingSet(
-            doc_id="d", dim=8, grid=PatchGrid(rows=2, cols=2), vectors=vecs
-        )
-        report = validate(pset)
-        assert any("vectors[2]" in v and "non-finite" in v for v in report.violations)
+        for bad in (np.nan, np.inf, -np.inf):
+            vecs = rng.normal(size=(4, 8))
+            vecs[2, 5] = bad
+            with pytest.raises(ValueError, match=r"vectors\[2\] has a non-finite component"):
+                page(vecs)
 
     def test_zero_norm_vector_flagged(self, rng):
         vecs = rng.normal(size=(4, 8))
         vecs[1] = 0.0
-        pset = PatchEmbeddingSet(
-            doc_id="d", dim=8, grid=PatchGrid(rows=2, cols=2), vectors=vecs
-        )
-        report = validate(pset)
-        assert any("vectors[1]" in v and "zero norm" in v for v in report.violations)
+        with pytest.raises(ValueError, match=r"vectors\[1\] has zero norm"):
+            page(vecs)
+        # squares that underflow give a zero np.linalg.norm, which fuse
+        # would divide by, so such a row counts as zero too
+        vecs[1] = 1e-170
+        assert np.linalg.norm(vecs[1]) == 0.0
+        with pytest.raises(ValueError, match=r"vectors\[1\] has zero norm"):
+            page(vecs)
 
     def test_wrong_width_flagged(self, rng):
-        pset = PatchEmbeddingSet(
-            doc_id="d", dim=8, grid=PatchGrid(rows=2, cols=2),
-            vectors=rng.normal(size=(4, 6)),
-        )
-        report = validate(pset)
-        assert not report.ok
+        with pytest.raises(ValueError, match="expected 8 components per vector, got 6"):
+            page(rng.normal(size=(4, 6)))
+
+    def test_first_bad_row_is_named(self, rng):
+        vecs = rng.normal(size=(4, 8))
+        vecs[3, 0] = np.nan
+        vecs[1] = 0.0
+        with pytest.raises(ValueError, match=r"vectors\[1\] has zero norm"):
+            page(vecs)
+
+    def test_tiny_and_huge_finite_vectors_pass(self, rng):
+        # 1e200 squared overflows to inf, which must not read as non-finite
+        vecs = rng.normal(size=(4, 8))
+        vecs[0] = 1e-150
+        vecs[2] = 1e200
+        page(vecs)
 
 
 class TestFusedFeatureSet:
@@ -191,8 +186,18 @@ class TestQueryEmbeddingSet:
     def test_rejects_zero_norm_token(self, rng):
         vecs = rng.normal(size=(3, 8))
         vecs[1] = 0.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"query 'q': vectors\[1\] has zero norm"):
             QueryEmbeddingSet(query_id="q", dim=8, vectors=vecs)
+
+    def test_rejects_nonfinite_token_and_wrong_width(self, rng):
+        vecs = rng.normal(size=(3, 8))
+        vecs[2, 0] = np.inf
+        with pytest.raises(ValueError, match=r"vectors\[2\] has a non-finite component"):
+            QueryEmbeddingSet(query_id="q", dim=8, vectors=vecs)
+        with pytest.raises(ValueError, match="expected 8 components"):
+            QueryEmbeddingSet(query_id="q", dim=8, vectors=rng.normal(size=(3, 6)))
+        with pytest.raises(ValueError, match="at least one token"):
+            QueryEmbeddingSet(query_id="q", dim=8, vectors=np.empty((0, 8)))
 
     def test_token_count(self, rng):
         q = QueryEmbeddingSet(query_id="q", dim=8, vectors=rng.normal(size=(5, 8)))
