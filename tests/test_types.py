@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from colchunk.posenc import PosEncConfig, encode_batch
 from colchunk.types import (
     ChunkAssignment,
     CompressedDocument,
@@ -56,6 +57,17 @@ class TestPatchCoords:
         table = grid_coords(PatchGrid(rows=7, cols=3))
         assert table.min() > 0.0
         assert table.max() < 1.0
+
+
+class TestNormalizedCoords:
+    # normalized coordinates are (n, 2) arrays; encode_batch holds the range check
+    def test_range_check(self):
+        cfg = PosEncConfig(dim=8)
+        encode_batch(cfg, np.array([[0.0, 1.0]]))
+        with pytest.raises(ValueError):
+            encode_batch(cfg, np.array([[1.5, 0.5]]))
+        with pytest.raises(ValueError):
+            encode_batch(cfg, np.array([[0.5, -0.1]]))
 
 
 def page(vectors, rows=2, cols=2, dim=8):
