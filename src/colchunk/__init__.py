@@ -9,6 +9,7 @@ from .chunker import (  # noqa: E402
     cluster_hac,
     cluster_kmeans,
     compress,
+    compress_ks,
     compress_many,
     cut_linkage,
     fuse,

@@ -6,14 +6,16 @@ grid cell, ``z_j = (1 - omega) * v_j + omega * p_j``. Ward agglomeration
 (or the k-means comparator) partitions the fused features into k chunks.
 Pooling then averages the ORIGINAL semantic vectors of each chunk and
 renormalizes, so the positional prior steers the partition but never leaks
-into the stored representation.
+into the stored representation. Ward's greedy merge order does not depend on
+k, so one dendrogram per page, cut at each k, serves a whole sweep over k.
 """
 
 from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -26,6 +28,8 @@ from .types import (
     grid_coords,
 )
 
+T = TypeVar("T")
+
 __all__ = [
     "METHODS",
     "ChunkerConfig",
@@ -34,7 +38,9 @@ __all__ = [
     "cut_linkage",
     "cluster_kmeans",
     "pool",
+    "compress_ks",
     "compress",
+    "map_pages",
     "compress_many",
 ]
 
@@ -353,30 +359,31 @@ def pool(pset: PatchEmbeddingSet, assignment: ChunkAssignment) -> CompressedDocu
             f"assignment covers {assignment.labels.shape[0]} patches, set has {pset.n_vectors}"
         )
     v = pset.vectors
-    k = assignment.k
-    sums = np.zeros((k, pset.dim), dtype=np.float64)
-    np.add.at(sums, assignment.labels, v)
+    k, dim = assignment.k, pset.dim
+    labels = assignment.labels
+    # bincount adds each chunk's rows in index order, as ``np.add.at`` does,
+    # so the sums are the same bit for bit.
+    flat = (labels[:, None] * dim + np.arange(dim)).ravel()
+    sums = np.bincount(flat, weights=v.ravel(), minlength=k * dim).reshape(k, dim)
     means = sums / assignment.sizes[:, None]
     norms = np.linalg.norm(means, axis=1)
-    chunks = np.empty_like(means)
-    for c in range(k):
-        if norms[c] < DEGENERATE_NORM:
-            j = int(np.flatnonzero(assignment.labels == c)[0])
-            fallback_norm = float(np.linalg.norm(v[j]))
-            if fallback_norm < DEGENERATE_NORM:
-                raise ValueError(
-                    f"chunk {c} of '{pset.doc_id}' degenerated to a zero centroid and its "
-                    f"smallest member {j} is itself zero"
-                )
-            warnings.warn(
-                f"chunk {c} of '{pset.doc_id}' has a degenerate centroid; "
-                f"substituting normalized member {j}",
-                RuntimeWarning,
-                stacklevel=2,
+    degenerate = norms < DEGENERATE_NORM
+    chunks = means / np.where(degenerate, 1.0, norms)[:, None]
+    for c in np.flatnonzero(degenerate):
+        j = int(np.flatnonzero(labels == c)[0])
+        fallback_norm = float(np.linalg.norm(v[j]))
+        if fallback_norm < DEGENERATE_NORM:
+            raise ValueError(
+                f"chunk {c} of '{pset.doc_id}' degenerated to a zero centroid and its "
+                f"smallest member {j} is itself zero"
             )
-            chunks[c] = v[j] / fallback_norm
-        else:
-            chunks[c] = means[c] / norms[c]
+        warnings.warn(
+            f"chunk {c} of '{pset.doc_id}' has a degenerate centroid; "
+            f"substituting normalized member {j}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        chunks[c] = v[j] / fallback_norm
     return CompressedDocument(
         doc_id=pset.doc_id,
         k=k,
@@ -386,29 +393,40 @@ def pool(pset: PatchEmbeddingSet, assignment: ChunkAssignment) -> CompressedDocu
     )
 
 
-def compress(pset: PatchEmbeddingSet, cfg: ChunkerConfig, pe: PosEncConfig) -> CompressedDocument:
-    """Full per-page pipeline: fuse, cluster, pool.
-
-    The effective chunk count is ``min(cfg.k, n_vectors)``; compression
-    never expands a page. Pure function of its inputs, safe to run for many
-    pages concurrently.
-    """
-    k_eff = min(cfg.k, pset.n_vectors)
-    feats = fuse(pset, cfg, pe)
-    if cfg.method == "hac_ward":
-        assignment, _ = cluster_hac(feats, k_eff)
-    else:
-        assignment = cluster_kmeans(feats, k_eff, seed=cfg.seed)
-    return pool(pset, assignment)
-
-
-def compress_many(
-    psets,
-    cfg: ChunkerConfig,
-    pe: PosEncConfig,
-    threads: int = 1,
+def compress_ks(
+    pset: PatchEmbeddingSet, cfgs: Sequence[ChunkerConfig], pe: PosEncConfig
 ) -> list[CompressedDocument]:
-    """Compress a corpus, optionally across a thread pool.
+    """Compress one page once per configuration; the configurations differ only in k.
+
+    The per-page pipeline: fuse, cluster, pool. The page is fused once. Ward
+    builds one dendrogram at the smallest effective k and cuts it at every
+    k; its greedy merge order does not depend on k, so each result equals
+    that configuration's own ``cluster_hac`` run bit for bit. k-means
+    clusters each k from its own seeding. The effective chunk count is
+    ``min(cfg.k, n_vectors)``; compression never expands a page. Pure
+    function of its inputs, safe to run for many pages concurrently.
+    """
+    if not cfgs:
+        raise ValueError("compress_ks needs at least one configuration")
+    shared = replace(cfgs[0], k=1)
+    if any(replace(cfg, k=1) != shared for cfg in cfgs):
+        raise ValueError("configurations passed to compress_ks may differ only in k")
+    n = pset.n_vectors
+    ks = [min(cfg.k, n) for cfg in cfgs]
+    feats = fuse(pset, shared, pe)
+    if shared.method == "hac_ward":
+        _, z = cluster_hac(feats, min(ks))
+        return [pool(pset, cut_linkage(z, n, k)) for k in ks]
+    return [pool(pset, cluster_kmeans(feats, k, seed=shared.seed)) for k in ks]
+
+
+def compress(pset: PatchEmbeddingSet, cfg: ChunkerConfig, pe: PosEncConfig) -> CompressedDocument:
+    """Compress one page under one configuration: ``compress_ks`` at a single k."""
+    return compress_ks(pset, (cfg,), pe)[0]
+
+
+def map_pages(fn: Callable[[PatchEmbeddingSet], T], psets, threads: int = 1) -> list[T]:
+    """Apply a per-page function to every page, optionally across a thread pool.
 
     Output order follows input order whatever the thread count, so results
     are identical to a sequential run. The default is one thread: Ward's
@@ -418,6 +436,16 @@ def compress_many(
     """
     sets = list(psets)
     if threads <= 1 or len(sets) <= 1:
-        return [compress(s, cfg, pe) for s in sets]
+        return [fn(s) for s in sets]
     with ThreadPoolExecutor(max_workers=threads) as pool_:
-        return list(pool_.map(lambda s: compress(s, cfg, pe), sets))
+        return list(pool_.map(fn, sets))
+
+
+def compress_many(
+    psets,
+    cfg: ChunkerConfig,
+    pe: PosEncConfig,
+    threads: int = 1,
+) -> list[CompressedDocument]:
+    """Compress a corpus page by page through ``map_pages``, in input order."""
+    return map_pages(lambda s: compress(s, cfg, pe), psets, threads)

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .chunker import ChunkerConfig, compress_many
+from .chunker import ChunkerConfig, compress_ks, map_pages
 from .posenc import PosEncConfig
 from .scorer import retrieve
 from .store import (
@@ -27,7 +27,7 @@ from .store import (
     write_index,
     write_query_dump,
 )
-from .types import PatchEmbeddingSet, PatchGrid, QueryEmbeddingSet
+from .types import CompressedDocument, PatchEmbeddingSet, PatchGrid, QueryEmbeddingSet
 
 __all__ = [
     "EvalInputError",
@@ -82,7 +82,11 @@ class Qrels:
 
     @classmethod
     def from_file(cls, path) -> "Qrels":
-        """Parse TREC qrels lines: ``query_id 0 doc_id grade``."""
+        """Parse TREC qrels lines: ``query_id 0 doc_id grade``.
+
+        A (query, doc) pair may repeat only with the same grade; a second,
+        different grade raises EvalInputError naming its line.
+        """
         qrels = cls()
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -94,10 +98,16 @@ class Qrels:
                         f"qrels line {lineno}: expected 4 fields, got {len(parts)}"
                     )
                 qid, _, did, grade = parts
+                earlier = qrels._grades.get(qid, {}).get(did)
                 try:
                     qrels.add(qid, did, int(grade))
                 except ValueError as exc:
                     raise EvalInputError(f"qrels line {lineno}: {exc}") from exc
+                if earlier is not None and earlier != qrels.grade(qid, did):
+                    raise EvalInputError(
+                        f"qrels line {lineno}: grade {grade} for query {qid} doc {did} "
+                        f"conflicts with grade {earlier} on an earlier line"
+                    )
         return qrels
 
     def to_file(self, path) -> None:
@@ -150,8 +160,13 @@ def write_run(hits_by_query: Mapping[str, Sequence], fh, run_tag: str = "colchun
 
 
 def read_run(path) -> dict[str, list[str]]:
-    """Parse a TREC run file back into per-query rankings ordered by rank."""
-    raw: dict[str, list[tuple[int, str]]] = {}
+    """Parse a TREC run file back into per-query rankings ordered by rank.
+
+    A query may list each doc once and use each rank once; a repeat raises
+    EvalInputError naming its line, since a doc counted twice inflates nDCG.
+    """
+    raw: dict[str, dict[int, str]] = {}
+    listed: set[tuple[str, str]] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -165,8 +180,14 @@ def read_run(path) -> dict[str, list[str]]:
                 float(score)
             except ValueError as exc:
                 raise EvalInputError(f"run line {lineno}: {exc}") from exc
-            raw.setdefault(qid, []).append((rank_i, did))
-    return {qid: [did for _, did in sorted(pairs)] for qid, pairs in raw.items()}
+            ranking = raw.setdefault(qid, {})
+            if (qid, did) in listed:
+                raise EvalInputError(f"run line {lineno}: query {qid} lists doc {did} again")
+            if rank_i in ranking:
+                raise EvalInputError(f"run line {lineno}: query {qid} uses rank {rank_i} again")
+            listed.add((qid, did))
+            ranking[rank_i] = did
+    return {qid: [ranking[r] for r in sorted(ranking)] for qid, ranking in raw.items()}
 
 
 @dataclass(frozen=True)
@@ -344,16 +365,19 @@ CSV_COLUMNS = (
 
 def _measure_config(
     config_id: str,
-    docs: list[PatchEmbeddingSet],
+    compressed: list[CompressedDocument],
     queries: list[QueryEmbeddingSet],
     qrels: Qrels,
     cfg: ChunkerConfig,
     pe: PosEncConfig,
-    threads: int,
     scratch: Path,
+    compress_ms: float,
 ) -> AblationRow:
+    """Index, retrieve and score one configuration's compressed pages.
+
+    The row's ``wall_ms`` is ``compress_ms`` plus the time spent here.
+    """
     start = time.perf_counter()
-    compressed = compress_many(docs, cfg, pe, threads=threads)
     meta = BuildMeta(
         omega=cfg.omega,
         k_target=cfg.k,
@@ -362,12 +386,12 @@ def _measure_config(
         tool_version=_tool_version,
         embedding_location="synthetic",
     )
-    index = CorpusIndex(dim=docs[0].dim, docs=tuple(compressed), build_meta=meta)
+    index = CorpusIndex(dim=compressed[0].dim, docs=tuple(compressed), build_meta=meta)
     index_path = scratch / f"{config_id}.cchk"
     write_index(index, index_path)
     run = {q.query_id: [h.doc_id for h in retrieve(q, index, top_k=5)] for q in queries}
     _, mean = evaluate_run(run, qrels, k=5)
-    wall_ms = (time.perf_counter() - start) * 1000.0
+    wall_ms = compress_ms + (time.perf_counter() - start) * 1000.0
     return AblationRow(
         config_id=config_id,
         method=cfg.method,
@@ -395,6 +419,12 @@ def run_ablation(
     axis with the others at base values. Every row fuses normalized
     semantics with the default encoder, ``PosEncConfig(dim)``. Index sizes
     are measured on real files written under ``scratch_dir``.
+
+    Configurations sharing (omega, method) are compressed together, page by
+    page with ``compress_ks``: one fusion and, for Ward, one dendrogram per
+    page serve every k of the group. The group's compression time is charged
+    to its first row's ``wall_ms``; every other row times only its own
+    indexing, retrieval and scoring.
     """
     doc_list = list(docs)
     query_list = list(queries)
@@ -417,16 +447,25 @@ def run_ablation(
     if not configs:
         raise ValueError("sweep selects no configurations")
 
-    rows = []
+    groups: dict[tuple[float, str], list[int]] = {}
+    for i, (_, cfg) in enumerate(configs):
+        groups.setdefault((cfg.omega, cfg.method), []).append(i)
+    rows: dict[int, AblationRow] = {}
     with tempfile.TemporaryDirectory(dir=scratch_dir) as tmp:
         scratch = Path(tmp)
-        for config_id, cfg in configs:
-            rows.append(
-                _measure_config(
-                    config_id, doc_list, query_list, qrels, cfg, pe, threads, scratch
+        for members in groups.values():
+            cfgs = [configs[i][1] for i in members]
+            start = time.perf_counter()
+            per_page = map_pages(lambda s: compress_ks(s, cfgs, pe), doc_list, threads)
+            compress_ms = (time.perf_counter() - start) * 1000.0
+            for j, i in enumerate(members):
+                config_id, cfg = configs[i]
+                compressed = [page[j] for page in per_page]
+                rows[i] = _measure_config(
+                    config_id, compressed, query_list, qrels, cfg, pe, scratch,
+                    compress_ms if j == 0 else 0.0,
                 )
-            )
-    return rows
+    return [rows[i] for i in range(len(configs))]
 
 
 def rows_to_csv(rows: Sequence[AblationRow], fh) -> None:

@@ -368,6 +368,15 @@ def _check_file_name(item_id: str, kind: str) -> None:
         raise ValueError(f"{kind} id {item_id!r} is not a safe file name")
 
 
+def _count(value, where: str, field: str) -> int:
+    """A manifest count: a JSON integer of at least 1, never a bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ManifestError(
+            f"{where}: {field} must be a JSON integer of at least 1, got {value!r:.40}"
+        )
+    return value
+
+
 def _load(path: str | Path, id_key: str) -> EmbeddingDumpManifest:
     """Parse a page dump (``id_key`` "doc_id", grids required) or a query dump."""
     kind = id_key.removesuffix("_id")
@@ -377,35 +386,32 @@ def _load(path: str | Path, id_key: str) -> EmbeddingDumpManifest:
     except (OSError, json.JSONDecodeError) as exc:
         raise ManifestError(f"cannot parse {kind} manifest {p}: {exc}") from exc
     try:
-        dim = int(data["dim"])
-        raw_entries = data["entries"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        dim, raw_entries = data["dim"], data["entries"]
+    except (KeyError, TypeError) as exc:
         raise ManifestError(f"{kind} manifest {p} is missing dim or entries") from exc
-    if dim < 1:
-        raise ManifestError(f"{kind} manifest dim must be positive, got {dim}")
+    dim = _count(dim, f"{kind} manifest {p}", "dim")
     if not isinstance(raw_entries, list):
         raise ManifestError(f"{kind} manifest {p}: entries must be a list")
     entries = []
     seen: set[str] = set()
     for i, e in enumerate(raw_entries):
         try:
-            item_id, n_vectors, rel = str(e[id_key]), int(e["n_vectors"]), str(e["path"])
-            rows_cols = (int(e["rows"]), int(e["cols"])) if id_key == "doc_id" else None
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            item_id, n_vectors, rel = str(e[id_key]), e["n_vectors"], str(e["path"])
+            rows_cols = (e["rows"], e["cols"]) if id_key == "doc_id" else None
+        except (KeyError, TypeError) as exc:
             raise ManifestError(f"{kind} manifest entry {i} is malformed: {exc}") from exc
+        where = f"{kind} manifest entry {i}"
+        n_vectors = _count(n_vectors, where, "n_vectors")
+        if rows_cols:
+            rows_cols = (_count(rows_cols[0], where, "rows"), _count(rows_cols[1], where, "cols"))
         if item_id in seen:
             raise ManifestError(f"duplicate {id_key} '{item_id}' in manifest")
         seen.add(item_id)
-        try:
-            grid = PatchGrid(*rows_cols) if rows_cols else None
-        except ValueError as exc:
-            raise ManifestError(f"{kind} '{item_id}': {exc}") from exc
+        grid = PatchGrid(*rows_cols) if rows_cols else None
         if grid and n_vectors != grid.n_patches:
             raise ManifestError(
                 f"{kind} '{item_id}': n_vectors {n_vectors} != {grid.rows}x{grid.cols} grid"
             )
-        if n_vectors < 1:
-            raise ManifestError(f"{kind} '{item_id}': needs at least one vector")
         if Path(rel).is_absolute() or ".." in Path(rel).parts:
             raise ManifestError(f"{kind} '{item_id}': path {rel} leaves the manifest directory")
         entries.append(DumpEntry(id=item_id, n_vectors=n_vectors, path=rel, grid=grid))

@@ -8,7 +8,8 @@ follows the textbook formula directly. ``reference_ward`` is the one
 exception: it keeps the first, straightforward Lance-Williams loop of
 ``chunker.cluster_hac`` (per-slot member lists, gathered rows and a
 scattered column per merge), so the faster loop can be checked bit for bit
-against it.
+against it. ``reference_pool`` likewise keeps the first ``chunker.pool``
+(``np.add.at`` and a per-chunk loop) for a bitwise check.
 These are the ground truth the fast paths are measured against; keep them
 obvious.
 """
@@ -16,12 +17,14 @@ obvious.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
-from colchunk.types import ChunkAssignment
+from colchunk.types import ChunkAssignment, CompressedDocument
 
 TIE_EPS = 1e-12
+DEGENERATE_NORM = 1e-12
 
 
 def brute_force_ward(points: np.ndarray, k: int):
@@ -175,6 +178,50 @@ def reference_ward(points, k: int):
     linkage[:, :2].sort(axis=1)
     np.sqrt(linkage[:, 2], out=linkage[:, 2])
     return ChunkAssignment(k=len(slots), labels=labels, sizes=sizes), linkage
+
+
+def reference_pool(pset, assignment) -> CompressedDocument:
+    """The original ``chunker.pool``: scattered sums and a per-chunk loop.
+
+    Same contract as ``chunker.pool`` (which must match it bitwise),
+    including the degenerate-centroid warning and the zero-member error.
+    """
+    if assignment.labels.shape[0] != pset.n_vectors:
+        raise ValueError(
+            f"assignment covers {assignment.labels.shape[0]} patches, set has {pset.n_vectors}"
+        )
+    v = pset.vectors
+    k = assignment.k
+    sums = np.zeros((k, pset.dim), dtype=np.float64)
+    np.add.at(sums, assignment.labels, v)
+    means = sums / assignment.sizes[:, None]
+    norms = np.linalg.norm(means, axis=1)
+    chunks = np.empty_like(means)
+    for c in range(k):
+        if norms[c] < DEGENERATE_NORM:
+            j = int(np.flatnonzero(assignment.labels == c)[0])
+            fallback_norm = float(np.linalg.norm(v[j]))
+            if fallback_norm < DEGENERATE_NORM:
+                raise ValueError(
+                    f"chunk {c} of '{pset.doc_id}' degenerated to a zero centroid and its "
+                    f"smallest member {j} is itself zero"
+                )
+            warnings.warn(
+                f"chunk {c} of '{pset.doc_id}' has a degenerate centroid; "
+                f"substituting normalized member {j}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            chunks[c] = v[j] / fallback_norm
+        else:
+            chunks[c] = means[c] / norms[c]
+    return CompressedDocument(
+        doc_id=pset.doc_id,
+        k=k,
+        dim=pset.dim,
+        chunks=chunks,
+        chunk_sizes=assignment.sizes,
+    )
 
 
 def naive_maxsim(query_vectors, chunk_vectors) -> float:

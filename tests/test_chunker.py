@@ -9,6 +9,7 @@ from colchunk.chunker import (
     cluster_hac,
     cluster_kmeans,
     compress,
+    compress_ks,
     compress_many,
     cut_linkage,
     fuse,
@@ -23,7 +24,7 @@ from colchunk.types import (
 )
 
 from conftest import make_pset
-from oracles import brute_force_ward, reference_ward
+from oracles import brute_force_ward, reference_pool, reference_ward
 
 
 def feats_from(points, omega=0.0):
@@ -464,6 +465,84 @@ class TestPool:
         asg = ChunkAssignment(k=1, labels=np.array([0, 0]), sizes=np.array([2]))
         with pytest.raises(ValueError, match="smallest member 0 is itself zero"):
             pool(pset, asg)
+
+
+def assert_same_doc(got, want):
+    assert got.doc_id == want.doc_id and got.k == want.k
+    assert got.chunks.tobytes() == want.chunks.tobytes()
+    assert np.array_equal(got.chunk_sizes, want.chunk_sizes)
+
+
+class TestPoolReference:
+    """The bincount pool against the original scattered loop, bit for bit."""
+
+    @pytest.mark.parametrize("rows,cols", [(16, 16), (32, 24)])
+    def test_bitwise_equal_to_reference(self, rows, cols):
+        rng = np.random.default_rng(rows * cols)
+        pset = make_pset(rng, rows=rows, cols=cols, dim=32)
+        n = pset.n_vectors
+        _, z = cluster_hac(fuse(pset, ChunkerConfig(k=1), PosEncConfig(dim=32)), 1)
+        for k in (1, 4, 40, 64, 200, n):
+            asg = cut_linkage(z, n, k)
+            assert_same_doc(pool(pset, asg), reference_pool(pset, asg))
+
+    def test_degenerate_chunks_match_reference_and_warn_once_each(self):
+        # chunks 0 and 2 hold antipodal pairs, chunk 1 a plain vector
+        vectors = np.array([[1.0, 2.0], [0.5, 0.5], [-1.0, -2.0], [0.0, 3.0], [0.0, -3.0]])
+        pset = PatchEmbeddingSet(
+            doc_id="d", dim=2, grid=PatchGrid(rows=1, cols=5), vectors=vectors
+        )
+        asg = ChunkAssignment(k=3, labels=np.array([0, 1, 0, 2, 2]), sizes=np.array([2, 1, 2]))
+        with pytest.warns(RuntimeWarning) as got_warnings:
+            got = pool(pset, asg)
+        with pytest.warns(RuntimeWarning) as ref_warnings:
+            want = reference_pool(pset, asg)
+        assert_same_doc(got, want)
+        assert [str(w.message) for w in got_warnings] == [
+            str(w.message) for w in ref_warnings
+        ] == [
+            "chunk 0 of 'd' has a degenerate centroid; substituting normalized member 0",
+            "chunk 2 of 'd' has a degenerate centroid; substituting normalized member 3",
+        ]
+
+
+class TestCompressKs:
+    """One fusion and one dendrogram per page serve every k."""
+
+    @pytest.mark.parametrize("method", ["hac_ward", "kmeans"])
+    @pytest.mark.parametrize("omega", [0.0, 0.2, 1.0])
+    def test_equals_one_compress_per_k(self, rng, method, omega):
+        pset = make_pset(rng, rows=6, cols=5, dim=8)
+        pe = PosEncConfig(dim=8)
+        cfgs = [ChunkerConfig(k=k, omega=omega, method=method, seed=3)
+                for k in (7, 1, 30, 7, 45, 2)]
+        for got, cfg in zip(compress_ks(pset, cfgs, pe), cfgs):
+            assert_same_doc(got, compress(pset, cfg, pe))
+
+    def test_clusters_once_at_the_smallest_k(self, rng, monkeypatch):
+        calls = []
+        real = chunker.cluster_hac
+
+        def counting(feats, k):
+            calls.append(k)
+            return real(feats, k)
+
+        monkeypatch.setattr(chunker, "cluster_hac", counting)
+        pset = make_pset(rng, rows=4, cols=4)
+        cfgs = [ChunkerConfig(k=k) for k in (9, 3, 40)]
+        docs = compress_ks(pset, cfgs, PosEncConfig(dim=8))
+        assert calls == [3]
+        assert [doc.k for doc in docs] == [9, 3, 16]
+
+    def test_rejects_configurations_that_differ_beyond_k(self, rng):
+        pset = make_pset(rng)
+        pe = PosEncConfig(dim=8)
+        with pytest.raises(ValueError, match="differ only in k"):
+            compress_ks(pset, [ChunkerConfig(k=2), ChunkerConfig(k=3, omega=0.5)], pe)
+        with pytest.raises(ValueError, match="differ only in k"):
+            compress_ks(pset, [ChunkerConfig(k=2), ChunkerConfig(k=2, method="kmeans")], pe)
+        with pytest.raises(ValueError, match="at least one"):
+            compress_ks(pset, [], pe)
 
 
 class TestCompress:

@@ -234,6 +234,28 @@ class TestEval:
         assert "q2, q3, q4, q5, q6, ..." in proc.stderr
         assert "q0" not in proc.stderr and "q7" not in proc.stderr
 
+    def test_repeated_run_pair_is_an_error(self, tmp_path):
+        # Counted twice, d1 would score nDCG@5 = 1.630930.
+        run = tmp_path / "run.txt"
+        run.write_text("q1 Q0 d1 1 0.9 t\nq1 Q0 d1 2 0.5 t\n")
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("q1 0 d1 1\n")
+        proc = run_cli("eval", str(run), str(qrels), "--k", "5")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "error:" in proc.stderr and "run line 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_conflicting_qrels_grade_is_an_error(self, tmp_path):
+        run = tmp_path / "run.txt"
+        run.write_text("q1 Q0 d1 1 0.9 t\n")
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("q1 0 d1 1\nq1 0 d1 0\n")
+        proc = run_cli("eval", str(run), str(qrels), "--k", "5")
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr and "qrels line 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_qrels(self, tmp_path):
         run = tmp_path / "run.txt"
         run.write_text("q1 Q0 d1 1 0.9 t\n")

@@ -1,9 +1,12 @@
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from colchunk import __version__, chunker, evaluation
+from colchunk.chunker import ChunkerConfig, compress_many
 from colchunk.evaluation import (
     EvalInputError,
     Qrels,
@@ -19,8 +22,9 @@ from colchunk.evaluation import (
     run_ablation,
     write_run,
 )
-from colchunk.scorer import ScoredHit
-from colchunk.store import ingest_dump, ingest_queries
+from colchunk.posenc import PosEncConfig
+from colchunk.scorer import ScoredHit, retrieve
+from colchunk.store import BuildMeta, CorpusIndex, ingest_dump, ingest_queries
 from colchunk.types import PatchGrid
 
 from oracles import naive_maxsim, naive_ndcg
@@ -60,6 +64,19 @@ class TestQrels:
         path.write_text("q1 0 d1 high\n")
         with pytest.raises(EvalInputError, match="line 1"):
             Qrels.from_file(path)
+
+    def test_conflicting_grade_names_second_line(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_text("q1 0 d1 1\nq2 0 d1 0\nq1 0 d1 0\n")
+        with pytest.raises(EvalInputError, match="line 3: grade 0 for query q1 doc d1"):
+            Qrels.from_file(path)
+
+    def test_identical_repeated_line_accepted(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_text("q1 0 d1 2\nq1 0 d1 2\n")
+        qrels = Qrels.from_file(path)
+        assert qrels.judged("q1") == {"d1": 2}
+        assert len(qrels) == 1
 
 
 class TestNdcg:
@@ -162,6 +179,19 @@ class TestRunFiles:
         path = tmp_path / "run.txt"
         path.write_text("q1 Q0 dA 1 0.9 t\nbroken line\n")
         with pytest.raises(EvalInputError, match="line 2"):
+            read_run(path)
+
+    def test_repeated_doc_rejected(self, tmp_path):
+        # Read as a ranking, d1 at ranks 1 and 2 scores nDCG@5 above 1.
+        path = tmp_path / "run.txt"
+        path.write_text("q1 Q0 d1 1 0.9 t\nq2 Q0 d1 1 0.9 t\nq1 Q0 d1 2 0.8 t\n")
+        with pytest.raises(EvalInputError, match="line 3: query q1 lists doc d1 again"):
+            read_run(path)
+
+    def test_repeated_rank_rejected(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text("q1 Q0 d1 1 0.9 t\nq2 Q0 d2 1 0.9 t\nq1 Q0 d2 1 0.8 t\n")
+        with pytest.raises(EvalInputError, match="line 3: query q1 uses rank 1 again"):
             read_run(path)
 
 
@@ -336,6 +366,66 @@ class TestRunAblation:
         assert first[2] == "1"
         float(first[4])
         float(first[7])
+
+    def test_one_dendrogram_per_page_and_hac_omega(self, tiny_corpus, monkeypatch):
+        docs, queries, qrels = tiny_corpus
+        calls = []
+        real = chunker.cluster_hac
+
+        def counting(feats, k):
+            calls.append((feats.omega, k))
+            return real(feats, k)
+
+        monkeypatch.setattr(chunker, "cluster_hac", counting)
+        sweep = SweepSpec(k_values=(2, 4, 8), omega_values=(0.0, 0.2, 0.5, 1.0),
+                          methods=("kmeans", "hac_ward"), base_k=4, base_omega=0.2, seed=2)
+        rows = run_ablation(docs, queries, qrels, sweep)
+        hac_omegas = {r.omega for r in rows if r.method == "hac_ward"}
+        assert len(rows) == 10 and hac_omegas == {0.0, 0.2, 0.5, 1.0}
+        assert len(calls) == len(docs) * len(hac_omegas)
+        # the base-omega dendrogram is built once, at the baseline's k = 1
+        assert sorted(set(calls)) == [(0.0, 4), (0.2, 1), (0.5, 4), (1.0, 4)]
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("sweep", [
+        # omega = 1 clusters on the grid alone, so Ward meets many exact ties
+        SweepSpec(k_values=(2, 3, 5, 16), omega_values=(1.0, 0.0), methods=("kmeans",),
+                  base_k=5, base_omega=1.0, seed=2),
+        # k_values repeat base_k, and 40 exceeds the 16 patches of a page
+        SweepSpec(k_values=(4, 40, 4), omega_values=(0.2, 0.5), methods=("hac_ward", "kmeans"),
+                  base_k=4, base_omega=0.2, seed=2),
+    ], ids=["tie-heavy", "repeats-and-clamps"])
+    def test_rows_match_per_config_compress_many(self, tiny_corpus, tmp_path, monkeypatch,
+                                                 sweep, threads):
+        docs, queries, qrels = tiny_corpus
+        written = {}
+        real_write = evaluation.write_index
+
+        def spy(index, path):
+            written[Path(path).stem] = index
+            real_write(index, path)
+
+        monkeypatch.setattr(evaluation, "write_index", spy)
+        rows = run_ablation(docs, queries, qrels, sweep, threads=threads)
+        assert set(written) == {r.config_id for r in rows}
+        pe = PosEncConfig(dim=docs[0].dim)
+        for row in rows:
+            index = written[row.config_id]
+            cfg = ChunkerConfig(k=row.k, omega=row.omega, method=row.method, seed=sweep.seed)
+            meta = BuildMeta(omega=cfg.omega, k_target=cfg.k, method=cfg.method,
+                             posenc_base=pe.base, tool_version=__version__,
+                             embedding_location="synthetic")
+            ref = CorpusIndex(dim=pe.dim, docs=compress_many(docs, cfg, pe, threads=threads),
+                              build_meta=meta)
+            assert index.chunks.tobytes() == ref.chunks.tobytes(), row.config_id
+            assert np.array_equal(index.sizes, ref.sizes)
+            assert np.array_equal(index.offsets, ref.offsets)
+            ref_path = tmp_path / f"{row.config_id}.cchk"
+            real_write(ref, ref_path)
+            run = {q.query_id: [h.doc_id for h in retrieve(q, ref, top_k=5)] for q in queries}
+            assert row.mean_ndcg_at_5 == evaluate_run(run, qrels, k=5)[1]
+            assert row.vectors_per_doc == float(np.mean(np.diff(ref.offsets)))
+            assert row.index_bytes == ref_path.stat().st_size
 
     def test_threads_do_not_change_results(self, tiny_corpus):
         docs, queries, qrels = tiny_corpus

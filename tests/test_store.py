@@ -401,6 +401,28 @@ class TestHostileManifest:
             list(ingest_queries(manifest))
 
 
+class TestManifestIntegers:
+    """Counts must be JSON integers of at least 1: never truncated or converted."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_vectors", 2.5), ("dim", "4"), ("rows", 2.9), ("cols", True),
+        ("n_vectors", 4.0), ("dim", 0), ("rows", -2), ("cols", "2"), ("dim", None),
+    ])
+    def test_page_manifest_rejects_non_integer_count(self, tmp_path, field, value):
+        top = {"dim": 4, "entries": [dict(PAGE_ENTRY)]}
+        (top if field == "dim" else top["entries"][0])[field] = value
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(top))
+        with pytest.raises(ManifestError, match=f"{field} must be a JSON integer of at least 1"):
+            load_manifest(manifest)
+
+    def test_query_manifest_rejects_fractional_count(self, tmp_path):
+        manifest = tmp_path / "queries.json"
+        manifest.write_text(json.dumps({"dim": 4, "entries": [dict(QUERY_ENTRY, n_vectors=2.5)]}))
+        with pytest.raises(ManifestError, match="n_vectors must be a JSON integer"):
+            list(ingest_queries(manifest))
+
+
 class TestQueryDump:
     def test_roundtrip(self, rng, tmp_path):
         queries = [
