@@ -16,7 +16,7 @@ from .chunker import (  # noqa: E402
     pool,
 )
 from .posenc import PosEncConfig, encode_batch  # noqa: E402
-from .scorer import ScoredHit, maxsim, retrieve  # noqa: E402
+from .scorer import ScoredHit, maxsim, retrieve, retrieve_many  # noqa: E402
 from .store import (  # noqa: E402
     BuildMeta,
     CorpusIndex,

@@ -5,8 +5,10 @@ Exit codes: 0 on success, 1 on data or runtime errors, 2 on usage errors
 COLCHUNK_THREADS environment variable, or 1, in that order; a
 COLCHUNK_THREADS that is not a positive integer is an error. The fallback is
 1 because the work is short numpy calls that hold the GIL, and a second
-thread made both compress and query slower on a 2-vCPU host. Outputs are
-byte-identical across thread counts.
+thread made compress slower on a 2-vCPU host. ``query`` uses no pool: it
+scores all its queries in stacked candidate passes (``retrieve_many``), but
+still accepts and validates both settings. Outputs are byte-identical across
+thread counts.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import argparse
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -33,7 +34,7 @@ from .evaluation import (
     write_run,
 )
 from .posenc import PosEncConfig
-from .scorer import retrieve
+from .scorer import retrieve_many
 from .store import (
     BuildMeta,
     CorpusIndex,
@@ -205,21 +206,14 @@ def cmd_compress(args) -> int:
 
 
 def cmd_query(args) -> int:
-    threads = args.threads or _default_threads()
+    if args.threads is None:
+        _default_threads()  # validated, though one candidate pass serves every query
     index = read_index(args.index)
     queries = list(ingest_queries(args.queries))
     if not queries:
         print("error: the query manifest lists no queries", file=sys.stderr)
         return 1
-
-    def run_one(q):
-        return retrieve(q, index, top_k=args.top_k)
-
-    if threads > 1 and len(queries) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_hits = list(pool.map(run_one, queries))
-    else:
-        all_hits = [run_one(q) for q in queries]
+    all_hits = retrieve_many(queries, index, top_k=args.top_k)
     hits_by_query = {q.query_id: hits for q, hits in zip(queries, all_hits)}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .chunker import ChunkerConfig, compress_ks, map_pages
 from .posenc import PosEncConfig
-from .scorer import retrieve
+from .scorer import retrieve_many
 from .store import (
     BuildMeta,
     CorpusIndex,
@@ -54,13 +54,28 @@ class EvalInputError(Exception):
     """A qrels or run file could not be parsed."""
 
 
+def _fields(path):
+    """``(line number, whitespace-split fields)`` of each non-blank line of a
+    UTF-8 text file; a file that is not UTF-8 raises EvalInputError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                parts = line.split()
+                if parts:
+                    yield lineno, parts
+    except UnicodeDecodeError as exc:
+        raise EvalInputError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 class Qrels:
     """Graded relevance judgments keyed by (query_id, doc_id)."""
 
     def __init__(self, grades: Mapping[str, Mapping[str, int]] | None = None):
-        self._grades: dict[str, dict[str, int]] = {
-            qid: dict(docs) for qid, docs in (grades or {}).items()
-        }
+        self._grades: dict[str, dict[str, int]] = {}
+        for qid, docs in (grades or {}).items():
+            self._grades[qid] = {}
+            for did, grade in docs.items():
+                self.add(qid, did, grade)
 
     def add(self, query_id: str, doc_id: str, grade: int) -> None:
         if grade < 0:
@@ -88,26 +103,20 @@ class Qrels:
         different grade raises EvalInputError naming its line.
         """
         qrels = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                parts = line.split()
-                if len(parts) != 4:
-                    raise EvalInputError(
-                        f"qrels line {lineno}: expected 4 fields, got {len(parts)}"
-                    )
-                qid, _, did, grade = parts
-                earlier = qrels._grades.get(qid, {}).get(did)
-                try:
-                    qrels.add(qid, did, int(grade))
-                except ValueError as exc:
-                    raise EvalInputError(f"qrels line {lineno}: {exc}") from exc
-                if earlier is not None and earlier != qrels.grade(qid, did):
-                    raise EvalInputError(
-                        f"qrels line {lineno}: grade {grade} for query {qid} doc {did} "
-                        f"conflicts with grade {earlier} on an earlier line"
-                    )
+        for lineno, parts in _fields(path):
+            if len(parts) != 4:
+                raise EvalInputError(f"qrels line {lineno}: expected 4 fields, got {len(parts)}")
+            qid, _, did, grade = parts
+            earlier = qrels._grades.get(qid, {}).get(did)
+            try:
+                qrels.add(qid, did, int(grade))
+            except ValueError as exc:
+                raise EvalInputError(f"qrels line {lineno}: {exc}") from exc
+            if earlier is not None and earlier != qrels.grade(qid, did):
+                raise EvalInputError(
+                    f"qrels line {lineno}: grade {grade} for query {qid} doc {did} "
+                    f"conflicts with grade {earlier} on an earlier line"
+                )
         return qrels
 
     def to_file(self, path) -> None:
@@ -167,26 +176,22 @@ def read_run(path) -> dict[str, list[str]]:
     """
     raw: dict[str, dict[int, str]] = {}
     listed: set[tuple[str, str]] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise EvalInputError(f"run line {lineno}: expected 6 fields, got {len(parts)}")
-            qid, _, did, rank, score, _ = parts
-            try:
-                rank_i = int(rank)
-                float(score)
-            except ValueError as exc:
-                raise EvalInputError(f"run line {lineno}: {exc}") from exc
-            ranking = raw.setdefault(qid, {})
-            if (qid, did) in listed:
-                raise EvalInputError(f"run line {lineno}: query {qid} lists doc {did} again")
-            if rank_i in ranking:
-                raise EvalInputError(f"run line {lineno}: query {qid} uses rank {rank_i} again")
-            listed.add((qid, did))
-            ranking[rank_i] = did
+    for lineno, parts in _fields(path):
+        if len(parts) != 6:
+            raise EvalInputError(f"run line {lineno}: expected 6 fields, got {len(parts)}")
+        qid, _, did, rank, score, _ = parts
+        try:
+            rank_i = int(rank)
+            float(score)
+        except ValueError as exc:
+            raise EvalInputError(f"run line {lineno}: {exc}") from exc
+        ranking = raw.setdefault(qid, {})
+        if (qid, did) in listed:
+            raise EvalInputError(f"run line {lineno}: query {qid} lists doc {did} again")
+        if rank_i in ranking:
+            raise EvalInputError(f"run line {lineno}: query {qid} uses rank {rank_i} again")
+        listed.add((qid, did))
+        ranking[rank_i] = did
     return {qid: [ranking[r] for r in sorted(ranking)] for qid, ranking in raw.items()}
 
 
@@ -389,7 +394,10 @@ def _measure_config(
     index = CorpusIndex(dim=compressed[0].dim, docs=tuple(compressed), build_meta=meta)
     index_path = scratch / f"{config_id}.cchk"
     write_index(index, index_path)
-    run = {q.query_id: [h.doc_id for h in retrieve(q, index, top_k=5)] for q in queries}
+    run = {
+        q.query_id: [h.doc_id for h in hits]
+        for q, hits in zip(queries, retrieve_many(queries, index, top_k=5))
+    }
     _, mean = evaluate_run(run, qrels, k=5)
     wall_ms = compress_ms + (time.perf_counter() - start) * 1000.0
     return AblationRow(

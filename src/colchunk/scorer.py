@@ -5,42 +5,57 @@ against any of the document's chunk vectors. Chunks are stored unit-norm, so
 only the query side needs normalizing and the inner loop is one matrix
 product.
 
-``retrieve`` ranks a whole corpus in two stages and returns exactly what
-scoring every document with ``maxsim`` would:
+``retrieve_many`` ranks a whole corpus for a batch of queries in two stages
+and returns, for each query, exactly what scoring every document with
+``maxsim`` would; ``retrieve`` is its one-query case.
 
-1. A candidate pass scores blocks of whole documents, at most ``BLOCK_ROWS``
-   chunk rows each, with one float32 matrix product per block, a max over
-   each document's rows (``np.maximum.reduceat`` over the offsets) and a sum
-   over tokens. It keeps every document whose approximate score is at least
-   the k-th best approximate score minus
+1. A candidate pass stacks the unit tokens of up to ``MAX_PASS_TOKENS``
+   query tokens (whole queries only; a longer query is a pass of its own)
+   into one float32 matrix. It scores blocks of whole documents, at most
+   ``BLOCK_ROWS`` chunk rows each, with one float32 matrix product per
+   block, a max over each document's rows (``np.maximum.reduceat`` over the
+   document offsets) and a float64 sum over each query's tokens
+   (``np.add.reduceat`` over the token offsets). Each query keeps every
+   document whose approximate score is at least its own k-th best
+   approximate score minus its own
 
        slack = 4 * T * (dim + T + 2) * eps32      (T query tokens)
 
    For unit vectors, rounding both sides to float32, the dim-term float32
    dot products and a T-term float32 sum over tokens move a score by at most
-   ``T * (dim + T + 2) * 2**-24``; the sum here is float64, which only
-   tightens that. A document whose exact score reaches the k-th best exact
-   score is therefore within twice the bound of the k-th best approximate
-   one, and the slack is 8 times the bound.
+   ``T * (dim + T + 2) * 2**-24``, in any summation order; the sum here is
+   float64, which only tightens that. A document whose exact score reaches
+   the k-th best exact score is therefore within twice the bound of the k-th
+   best approximate one, and the slack is 8 times the bound. So the result
+   does not depend on how a pass orders its float32 arithmetic, nor on
+   which queries share it.
 2. Each candidate is rescored with the float64 kernel ``maxsim`` uses, on its
    chunk rows upcast to float64, and the candidates are sorted by descending
    score, ties broken by ascending doc_id.
+
+Memory of a pass: the similarity block is at most ``MAX_PASS_TOKENS x
+BLOCK_ROWS`` float32 (16 MiB), and the approximate scores hold one float64
+per (query in the pass, document).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .store import CorpusIndex
 from .types import CompressedDocument, QueryEmbeddingSet
 
-__all__ = ["ScoredHit", "maxsim", "retrieve"]
+__all__ = ["ScoredHit", "maxsim", "retrieve", "retrieve_many"]
 
 # Chunk rows per float32 block of the candidate pass (whole documents only;
 # a document longer than this is a block of its own).
 BLOCK_ROWS = 4096
+# Query tokens stacked into one candidate pass (whole queries only; a query
+# longer than this is a pass of its own).
+MAX_PASS_TOKENS = 1024
 _EPS32 = float(np.finfo(np.float32).eps)
 
 
@@ -77,56 +92,98 @@ def maxsim(query: QueryEmbeddingSet, doc: CompressedDocument) -> float:
     return _late_interaction(_unit_tokens(query), doc.chunks)
 
 
-def _approx_scores(q32: np.ndarray, chunks: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Float32 late-interaction scores of every document, block by block."""
+def _runs(offsets: np.ndarray, cap: int):
+    """``(start, stop)`` runs of whole items, item ``i`` owning rows
+    ``offsets[i]:offsets[i + 1]``, each run spanning at most ``cap`` rows
+    unless it is a single item longer than that."""
     n = len(offsets) - 1
-    scores = np.empty(n)
     start = 0
     while start < n:
-        fits = int(np.searchsorted(offsets, offsets[start] + BLOCK_ROWS, side="right")) - 1
+        fits = int(np.searchsorted(offsets, offsets[start] + cap, side="right")) - 1
         stop = max(fits, start + 1)
+        yield start, stop
+        start = stop
+
+
+def _approx_scores(
+    q32: np.ndarray, token_offsets: np.ndarray, chunks: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """Float32 late-interaction scores of every document, block by block.
+
+    ``q32`` stacks the unit tokens of several queries, query ``j`` owning
+    rows ``token_offsets[j]:token_offsets[j + 1]``. Row ``j`` of the
+    ``(queries, docs)`` result holds query ``j``'s scores, summed in float64.
+    """
+    scores = np.empty((len(token_offsets) - 1, len(offsets) - 1))
+    for start, stop in _runs(offsets, BLOCK_ROWS):
         lo, hi = offsets[start], offsets[stop]
         sims = q32 @ chunks[lo:hi].astype(np.float32, copy=False).T
         best = np.maximum.reduceat(sims, offsets[start:stop] - lo, axis=1)
-        scores[start:stop] = best.sum(axis=0, dtype=np.float64)
-        start = stop
+        scores[:, start:stop] = np.add.reduceat(best, token_offsets[:-1], axis=0,
+                                                dtype=np.float64)
     return scores
+
+
+def retrieve_many(
+    queries: Sequence[QueryEmbeddingSet], index: CorpusIndex, top_k: int
+) -> list[list[ScoredHit]]:
+    """Score every document in the index for each query; the top ``top_k`` hits of each.
+
+    Returns one hit list per query, in the order given; an empty batch
+    gives ``[]``. Each list is what ``retrieve`` returns for that query
+    alone: descending score, ties broken by ascending doc_id, ranks from 1
+    to ``min(top_k, corpus size)``, scores equal to ``maxsim`` bit for bit.
+    """
+    if top_k < 1:
+        raise ValueError(f"top_k must be at least 1, got {top_k}")
+    for query in queries:
+        if query.dim != index.dim:
+            raise ValueError(
+                f"dimension mismatch: query '{query.query_id}' has dim {query.dim}, "
+                f"index has dim {index.dim}"
+            )
+    ids, offsets, chunks = index.ids, index.offsets, index.chunks
+    n = len(ids)
+    if not n:
+        raise ValueError("cannot retrieve from an empty index")
+    bounds = offsets.tolist()
+
+    def ranked(q: np.ndarray, candidates) -> list[ScoredHit]:
+        scored = [
+            (ids[i], _late_interaction(q, chunks[bounds[i] : bounds[i + 1]].astype(np.float64)))
+            for i in candidates
+        ]
+        scored.sort(key=lambda pair: (-pair[1], pair[0]))
+        return [
+            ScoredHit(doc_id=doc_id, score=score, rank=position + 1)
+            for position, (doc_id, score) in enumerate(scored[:top_k])
+        ]
+
+    units = [_unit_tokens(query) for query in queries]
+    if top_k >= n:
+        return [ranked(q, range(n)) for q in units]
+    token_offsets = np.cumsum([0] + [len(q) for q in units])
+    hits = []
+    for start, stop in _runs(token_offsets, MAX_PASS_TOKENS):
+        batch = units[start:stop]
+        pass_offsets = token_offsets[start : stop + 1] - token_offsets[start]
+        q32 = np.concatenate(batch, dtype=np.float32)
+        approx = _approx_scores(q32, pass_offsets, chunks, offsets)
+        kth = np.partition(approx, n - top_k, axis=1)[:, n - top_k]
+        tokens = np.diff(pass_offsets)
+        slack = 4 * tokens * (index.dim + tokens + 2) * _EPS32
+        cuts = kth - slack
+        hits += [ranked(q, np.flatnonzero(row >= cut)) for q, row, cut in zip(batch, approx, cuts)]
+    return hits
 
 
 def retrieve(query: QueryEmbeddingSet, index: CorpusIndex, top_k: int) -> list[ScoredHit]:
     """Score every document in the index and return the top ``top_k`` hits.
 
-    A list of compressed documents becomes an index through
-    ``CorpusIndex(dim=, docs=, build_meta=)``. Ordering is deterministic:
-    descending score, ties broken by ascending doc_id. Ranks run from 1 to
-    ``min(top_k, corpus size)``. Scores equal ``maxsim`` bit for bit.
+    The one-query case of ``retrieve_many``. A list of compressed documents
+    becomes an index through ``CorpusIndex(dim=, docs=, build_meta=)``.
+    Ordering is deterministic: descending score, ties broken by ascending
+    doc_id. Ranks run from 1 to ``min(top_k, corpus size)``. Scores equal
+    ``maxsim`` bit for bit.
     """
-    if top_k < 1:
-        raise ValueError(f"top_k must be at least 1, got {top_k}")
-    if index.dim != query.dim:
-        raise ValueError(
-            f"dimension mismatch: query '{query.query_id}' has dim {query.dim}, "
-            f"index has dim {index.dim}"
-        )
-    ids, offsets, chunks = index.ids, index.offsets, index.chunks
-    n = len(ids)
-    if not n:
-        raise ValueError("cannot retrieve from an empty index")
-    q = _unit_tokens(query)
-    candidates = range(n)
-    if top_k < n:
-        approx = _approx_scores(q.astype(np.float32), chunks, offsets)
-        kth = np.partition(approx, n - top_k)[n - top_k]
-        tokens, dim = q.shape
-        slack = 4 * tokens * (dim + tokens + 2) * _EPS32
-        candidates = np.flatnonzero(approx >= kth - slack)
-    bounds = offsets.tolist()
-    scored = [
-        (ids[i], _late_interaction(q, chunks[bounds[i] : bounds[i + 1]].astype(np.float64)))
-        for i in candidates
-    ]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return [
-        ScoredHit(doc_id=doc_id, score=score, rank=position + 1)
-        for position, (doc_id, score) in enumerate(scored[:top_k])
-    ]
+    return retrieve_many([query], index, top_k)[0]

@@ -417,7 +417,11 @@ def _load(path: str | Path, id_key: str) -> EmbeddingDumpManifest:
         entries.append(DumpEntry(id=item_id, n_vectors=n_vectors, path=rel, grid=grid))
     root = p.parent
     for entry in entries:
-        if not (root / entry.path).is_file():
+        try:
+            found = (root / entry.path).is_file()
+        except OSError:  # a path the file system refuses, such as a name too long
+            found = False
+        if not found:
             raise ManifestError(f"{kind} '{entry.id}': raw file {entry.path} not found")
     return EmbeddingDumpManifest(
         dim=dim, entries=tuple(entries), location=str(data.get("location", "")), root=root

@@ -256,6 +256,16 @@ class TestEval:
         assert "error:" in proc.stderr and "qrels line 2" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_non_utf8_run_is_an_error(self, tmp_path):
+        run = tmp_path / "run.txt"
+        run.write_bytes(b"\xff\xfeq1 Q0 d1 1 0.9 t\n")
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("q1 0 d1 1\n")
+        proc = run_cli("eval", str(run), str(qrels))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "run.txt is not UTF-8" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_qrels(self, tmp_path):
         run = tmp_path / "run.txt"
         run.write_text("q1 Q0 d1 1 0.9 t\n")

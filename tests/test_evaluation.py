@@ -42,6 +42,12 @@ class TestQrels:
         with pytest.raises(ValueError):
             Qrels().add("q", "d", -1)
 
+    def test_constructor_rejects_negative_grade(self):
+        # A grade of -1 would give ndcg_at_k(["d1", "d2"], ...) = -1.0.
+        with pytest.raises(ValueError, match="non-negative"):
+            Qrels({"q1": {"d1": -1, "d2": 1}})
+        assert Qrels({"q1": {"d1": 0, "d2": 1}}).judged("q1") == {"d1": 0, "d2": 1}
+
     def test_file_roundtrip(self, tmp_path):
         qrels = Qrels()
         qrels.add("q2", "d7", 1)
@@ -149,6 +155,14 @@ class TestEvaluateRun:
         assert abs(mean - sum(naive) / len(naive)) <= 1e-12
         for qid in run:
             assert abs(per_query[qid] - naive_ndcg(run[qid], qrels.judged(qid), 5)) <= 1e-12
+
+
+@pytest.mark.parametrize("reader", [read_run, Qrels.from_file])
+def test_non_utf8_file_is_eval_input_error_naming_it(tmp_path, reader):
+    path = tmp_path / "judged.txt"
+    path.write_bytes(b"\xff\xfeq1 0 d1 1\n")
+    with pytest.raises(EvalInputError, match="judged.txt is not UTF-8"):
+        reader(path)
 
 
 class TestRunFiles:

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from colchunk import scorer
-from colchunk.scorer import ScoredHit, maxsim, retrieve
+from colchunk.scorer import ScoredHit, maxsim, retrieve, retrieve_many
 from colchunk.store import BuildMeta, CorpusIndex, read_index, write_index
 from colchunk.types import CompressedDocument, QueryEmbeddingSet
 
@@ -174,8 +175,24 @@ def tie_corpus(rng, tokens, dim=16):
     return QueryEmbeddingSet(query_id="q", dim=dim, vectors=q), docs
 
 
+TOKEN_COUNTS = (1, 2, 3, 7, 16, 32, 64)
+
+
+def tie_batch(rng):
+    """Queries of each T in TOKEN_COUNTS over one corpus: every query brings
+    its ``tie_corpus`` docs, ids suffixed with its T, so each has its own
+    near-tie pair at the top."""
+    queries, docs = [], []
+    for tokens in TOKEN_COUNTS:
+        q, own = tie_corpus(rng, tokens)
+        queries.append(replace(q, query_id=f"q{tokens}"))
+        docs += [replace(d, doc_id=f"{d.doc_id}-{tokens}") for d in own]
+    return queries, docs
+
+
 class TestRetrieveEquivalence:
-    """``retrieve`` returns the ids, score bits and ranks of the per-document loop."""
+    """``retrieve`` and ``retrieve_many`` return the ids, score bits and ranks of the
+    per-document loop."""
 
     @pytest.mark.parametrize("block_rows", [7, scorer.BLOCK_ROWS])
     @pytest.mark.parametrize("tokens", [1, 2, 3, 7, 16, 32, 64])
@@ -206,7 +223,74 @@ class TestRetrieveEquivalence:
         for top_k in (1, 2, 3):
             kth = np.sort(exact)[-top_k]
             adversarial = np.where(exact >= kth, exact - bound, exact + bound)
-            monkeypatch.setattr(scorer, "_approx_scores", lambda *_: adversarial)
+            monkeypatch.setattr(scorer, "_approx_scores", lambda *_: adversarial[None])
             got = [(h.doc_id, h.score, h.rank) for h in retrieve(q, index_of(docs), top_k)]
             assert got == naive_retrieve(q, docs, top_k)
         assert got[0][0] == "z-best"
+
+    @pytest.mark.parametrize("max_pass_tokens", [40, scorer.MAX_PASS_TOKENS])
+    @pytest.mark.parametrize("block_rows", [7, scorer.BLOCK_ROWS])
+    def test_batch_matches_per_document_loop(self, rng, tmp_path, monkeypatch, block_rows,
+                                             max_pass_tokens):
+        monkeypatch.setattr(scorer, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(scorer, "MAX_PASS_TOKENS", max_pass_tokens)
+        passes = []
+        approx_scores = scorer._approx_scores
+
+        def spy(q32, token_offsets, chunks, offsets):
+            passes.append(np.diff(token_offsets).tolist())
+            return approx_scores(q32, token_offsets, chunks, offsets)
+
+        monkeypatch.setattr(scorer, "_approx_scores", spy)
+        queries, docs = tie_batch(rng)
+        memory = index_of(docs)
+        write_index(memory, tmp_path / "t.cchk")
+        disk = read_index(tmp_path / "t.cchk")
+        n = len(docs)
+        for index, reference in ((memory, docs), (disk, disk.docs)):
+            full = [[(d, s.hex(), r) for d, s, r in naive_retrieve(q, reference, n)]
+                    for q in queries]
+            for top_k in (*range(1, 13), n // 2, n - 1, n, n + 1, n + 5):
+                passes.clear()
+                got = [[(h.doc_id, h.score.hex(), h.rank) for h in hits]
+                       for hits in retrieve_many(queries, index, top_k)]
+                assert got == [ranking[:top_k] for ranking in full], (type(index).__name__, top_k)
+                if top_k < n and max_pass_tokens == 40:
+                    # 1+2+3+7+16 tokens fit under 40; 32 does not join them, 64 exceeds it
+                    assert passes == [[1, 2, 3, 7, 16], [32], [64]]
+                elif top_k < n:
+                    assert passes == [list(TOKEN_COUNTS)]
+                else:
+                    assert passes == []
+
+    def test_any_batch_candidate_pass_within_each_querys_bound_is_exact(self, rng, monkeypatch):
+        # Each query's approximate scores are off by its own full float32
+        # error bound, which grows with T, in the direction that pushes docs
+        # across its cut: a slack shared across the batch would lose the
+        # long queries' true top docs.
+        queries, docs = tie_batch(rng)
+        index = index_of(docs)
+        exact = np.array([[maxsim(q, d) for d in docs] for q in queries])
+        bounds = np.array([[t * (q.dim + t + 2) * 2.0**-24] for q, t in
+                           zip(queries, TOKEN_COUNTS)])
+        for top_k in (1, 2, 3):
+            kth = np.sort(exact, axis=1)[:, [-top_k]]
+            adversarial = np.where(exact >= kth, exact - bounds, exact + bounds)
+            rows = dict(zip(TOKEN_COUNTS, adversarial))
+            monkeypatch.setattr(scorer, "_approx_scores",
+                                lambda _q32, token_offsets, *_: np.array(
+                                    [rows[t] for t in np.diff(token_offsets)]))
+            got = [[(h.doc_id, h.score, h.rank) for h in hits]
+                   for hits in retrieve_many(queries, index, top_k)]
+            assert got == [naive_retrieve(q, docs, top_k) for q in queries]
+        assert [hits[0][0] for hits in got] == [f"z-best-{t}" for t in TOKEN_COUNTS]
+
+    def test_empty_batch_returns_empty_list(self, rng):
+        assert retrieve_many([], index_of([make_doc(rng)]), top_k=3) == []
+
+    def test_batch_dim_mismatch_names_the_query(self, rng):
+        index = index_of([make_doc(rng, dim=8)])
+        ok = QueryEmbeddingSet(query_id="fine", dim=8, vectors=rng.normal(size=(2, 8)))
+        bad = QueryEmbeddingSet(query_id="q-wide", dim=4, vectors=rng.normal(size=(2, 4)))
+        with pytest.raises(ValueError, match="q-wide"):
+            retrieve_many([ok, bad], index, top_k=1)
