@@ -13,9 +13,8 @@ k, so one dendrogram per page, cut at each k, serves a whole sweep over k.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
@@ -28,8 +27,6 @@ from .types import (
     grid_coords,
 )
 
-T = TypeVar("T")
-
 __all__ = [
     "METHODS",
     "ChunkerConfig",
@@ -40,7 +37,6 @@ __all__ = [
     "pool",
     "compress_ks",
     "compress",
-    "map_pages",
     "compress_many",
 ]
 
@@ -404,7 +400,7 @@ def compress_ks(
     that configuration's own ``cluster_hac`` run bit for bit. k-means
     clusters each k from its own seeding. The effective chunk count is
     ``min(cfg.k, n_vectors)``; compression never expands a page. Pure
-    function of its inputs, safe to run for many pages concurrently.
+    function of its inputs.
     """
     if not cfgs:
         raise ValueError("compress_ks needs at least one configuration")
@@ -425,27 +421,6 @@ def compress(pset: PatchEmbeddingSet, cfg: ChunkerConfig, pe: PosEncConfig) -> C
     return compress_ks(pset, (cfg,), pe)[0]
 
 
-def map_pages(fn: Callable[[PatchEmbeddingSet], T], psets, threads: int = 1) -> list[T]:
-    """Apply a per-page function to every page, optionally across a thread pool.
-
-    Output order follows input order whatever the thread count, so results
-    are identical to a sequential run. The default is one thread: Ward's
-    loop is short numpy calls that hold the GIL, so threads mostly queue for
-    it (8 pages of 32x24 took 338 ms on 1 thread and 369 ms on 2 on a 2-vCPU
-    host), and each extra page in flight holds its own distance matrix.
-    """
-    sets = list(psets)
-    if threads <= 1 or len(sets) <= 1:
-        return [fn(s) for s in sets]
-    with ThreadPoolExecutor(max_workers=threads) as pool_:
-        return list(pool_.map(fn, sets))
-
-
-def compress_many(
-    psets,
-    cfg: ChunkerConfig,
-    pe: PosEncConfig,
-    threads: int = 1,
-) -> list[CompressedDocument]:
-    """Compress a corpus page by page through ``map_pages``, in input order."""
-    return map_pages(lambda s: compress(s, cfg, pe), psets, threads)
+def compress_many(psets, cfg: ChunkerConfig, pe: PosEncConfig) -> list[CompressedDocument]:
+    """Compress a corpus page by page, in input order."""
+    return [compress(s, cfg, pe) for s in psets]

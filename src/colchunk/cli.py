@@ -1,20 +1,16 @@
 """Command-line interface: compress, query, eval, bench.
 
 Exit codes: 0 on success, 1 on data or runtime errors, 2 on usage errors
-(argparse's own convention). Worker-pool size comes from --threads, the
-COLCHUNK_THREADS environment variable, or 1, in that order; a
-COLCHUNK_THREADS that is not a positive integer is an error. The fallback is
-1 because the work is short numpy calls that hold the GIL, and a second
-thread made compress slower on a 2-vCPU host. ``query`` uses no pool: it
-scores all its queries in stacked candidate passes (``retrieve_many``), but
-still accepts and validates both settings. Outputs are byte-identical across
-thread counts.
+(argparse's own convention). Every command runs on one thread: the work is
+short numpy calls that hold the GIL, and more threads made compress slower
+on a 2-vCPU host. ``compress``, ``query`` and ``bench`` still accept
+``--threads N`` (a positive integer) so existing scripts keep working, and
+ignore it.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -53,6 +49,8 @@ METHOD_ALIASES = {"hac": "hac_ward", "hac_ward": "hac_ward", "kmeans": "kmeans"}
 # ``eval`` names at most this many judged queries that the run leaves out.
 MISSING_SHOWN = 5
 
+THREADS_HELP = "accepted for compatibility and has no effect: everything runs on one thread"
+
 
 def _positive_int(text: str) -> int:
     try:
@@ -72,16 +70,6 @@ def _unit_float(text: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"omega must lie in [0, 1], got {value}")
     return value
-
-
-def _default_threads() -> int:
-    env = os.environ.get("COLCHUNK_THREADS", "").strip()
-    if not env:
-        return 1
-    try:
-        return _positive_int(env)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"COLCHUNK_THREADS: {exc}") from exc
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -127,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fuse raw semantic vectors instead of unit-normalized ones",
     )
     p_compress.add_argument("--seed", type=int, default=0, help="k-means seed")
-    p_compress.add_argument("--threads", type=_positive_int, default=None)
+    p_compress.add_argument("--threads", type=_positive_int, help=THREADS_HELP)
 
     p_query = sub.add_parser("query", help="run queries against an index")
     p_query.add_argument("index", help="index file")
@@ -135,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--top-k", type=_positive_int, default=10)
     p_query.add_argument("--out", default=None, help="run file path (default: stdout)")
     p_query.add_argument("--run-tag", default="colchunk")
-    p_query.add_argument("--threads", type=_positive_int, default=None)
+    p_query.add_argument("--threads", type=_positive_int, help=THREADS_HELP)
 
     p_eval = sub.add_parser("eval", help="score a run file against qrels")
     p_eval.add_argument("run", help="TREC run file")
@@ -160,13 +148,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--no-baseline", action="store_true", help="skip the K=1 row")
     p_bench.add_argument("--workdir", default=None, help="keep generated dumps here")
     p_bench.add_argument("--out", default=None, help="CSV path (default: stdout)")
-    p_bench.add_argument("--threads", type=_positive_int, default=None)
+    p_bench.add_argument("--threads", type=_positive_int, help=THREADS_HELP)
 
     return parser
 
 
 def cmd_compress(args) -> int:
-    threads = args.threads or _default_threads()
     cfg = ChunkerConfig(
         k=args.k,
         omega=args.omega,
@@ -180,7 +167,7 @@ def cmd_compress(args) -> int:
         print("error: the dump manifest lists no documents", file=sys.stderr)
         return 1
     pe = PosEncConfig(dim=sets[0].dim, base=args.posenc_base)
-    docs = compress_many(sets, cfg, pe, threads=threads)
+    docs = compress_many(sets, cfg, pe)
     meta = BuildMeta(
         omega=cfg.omega,
         k_target=cfg.k,
@@ -206,8 +193,6 @@ def cmd_compress(args) -> int:
 
 
 def cmd_query(args) -> int:
-    if args.threads is None:
-        _default_threads()  # validated, though one candidate pass serves every query
     index = read_index(args.index)
     queries = list(ingest_queries(args.queries))
     if not queries:
@@ -251,7 +236,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    threads = args.threads or _default_threads()
     spec = SyntheticSpec(
         num_docs=args.num_docs,
         num_queries=args.num_queries,
@@ -277,7 +261,7 @@ def cmd_bench(args) -> int:
         docs = list(ingest_dump(dataset.doc_manifest))
         queries = list(ingest_queries(dataset.query_manifest))
         qrels = Qrels.from_file(dataset.qrels_path)
-        rows = run_ablation(docs, queries, qrels, sweep, threads=threads)
+        rows = run_ablation(docs, queries, qrels, sweep)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             rows_to_csv(rows, fh)

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .chunker import ChunkerConfig, compress_ks, map_pages
+from .chunker import ChunkerConfig, compress_ks
 from .posenc import PosEncConfig
 from .scorer import retrieve_many
 from .store import (
@@ -417,7 +417,6 @@ def run_ablation(
     queries: Iterable[QueryEmbeddingSet],
     qrels: Qrels,
     sweep: SweepSpec,
-    threads: int = 1,
     scratch_dir=None,
 ) -> list[AblationRow]:
     """Compress, index, retrieve, and score one row per swept configuration.
@@ -464,7 +463,7 @@ def run_ablation(
         for members in groups.values():
             cfgs = [configs[i][1] for i in members]
             start = time.perf_counter()
-            per_page = map_pages(lambda s: compress_ks(s, cfgs, pe), doc_list, threads)
+            per_page = [compress_ks(s, cfgs, pe) for s in doc_list]
             compress_ms = (time.perf_counter() - start) * 1000.0
             for j, i in enumerate(members):
                 config_id, cfg = configs[i]

@@ -23,14 +23,16 @@ Writing what was read reproduces the file byte for byte.
 
 Embedding dumps are the ingestion side: a JSON manifest describing per-page
 raw vector files (flat float32 little-endian, row-major). Query dumps use
-the same shape minus the grid fields. The writers name each raw file after
-its doc or query id, so they reject ids that are not safe file names: the
-empty string, ``.``, ``..`` and any id containing ``/``, ``\\`` or NUL. The
-loader rejects entry paths that are absolute or have a ``..`` component, and
-raises ManifestError for any malformed manifest, such as ``entries`` that is
-not a list or a count that JSON reads as infinity (``1e400``). Vectors that
-their type rejects (non-finite or zero-norm) raise ManifestError on ingest
-too.
+the same shape minus the grid fields. Ids, paths and ``location`` are JSON
+strings, and an id is non-empty and holds no whitespace, since run and qrels
+lines are whitespace-separated fields; the loader and the writers share that
+rule. The writers name each raw file after its doc or query id, so they also
+reject ids that are not safe file names: ``.``, ``..`` and any id containing
+``/``, ``\\`` or NUL. The loader rejects entry paths that are absolute or
+have a ``..`` component, and raises ManifestError for any malformed
+manifest, such as one that is not UTF-8, ``entries`` that is not a list or a
+count that JSON reads as infinity (``1e400``). Vectors that their type
+rejects (non-finite or zero-norm) raise ManifestError on ingest too.
 
 The in-memory index is always a ``CorpusIndex``, the form ``retrieve`` takes.
 """
@@ -312,7 +314,7 @@ def read_index(path: str | Path) -> CorpusIndex:
         )
     try:
         meta = BuildMeta.from_dict(json.loads(tail[:-8].decode("utf-8")))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
         raise IndexFormatError(f"unreadable build metadata: {exc}") from exc
     rows = offsets[-1]
     offsets = np.array(offsets, dtype=np.int64)
@@ -363,9 +365,27 @@ class EmbeddingDumpManifest:
     root: Path = field(default_factory=Path)
 
 
-def _check_file_name(item_id: str, kind: str) -> None:
-    if item_id in ("", ".", "..") or any(c in item_id for c in "/\\\0"):
-        raise ValueError(f"{kind} id {item_id!r} is not a safe file name")
+def _string(value, where: str, field: str, error: type[Exception] = ManifestError) -> str:
+    if not isinstance(value, str):
+        raise error(f"{where}: {field} must be a JSON string, got {value!r:.40}")
+    return value
+
+
+def _check_id(item_id, where: str, field: str, error: type[Exception] = ManifestError) -> str:
+    """The id rule of both dump kinds: a non-empty string with no whitespace,
+    which would split the id across fields of a run or qrels line."""
+    if not _string(item_id, where, field, error) or any(c.isspace() for c in item_id):
+        raise error(f"{where}: {field} {item_id!r:.40} is empty or holds whitespace")
+    return item_id
+
+
+def _check_file_name(item_id, where: str, field: str) -> None:
+    """A writer's id: the id rule, and a safe name for the raw file named after it."""
+    if isinstance(item_id, str) and (
+        item_id in ("", ".", "..") or any(c in item_id for c in "/\\\0")
+    ):
+        raise ValueError(f"{where}: {field} {item_id!r} is not a safe file name")
+    _check_id(item_id, where, field, ValueError)
 
 
 def _count(value, where: str, field: str) -> int:
@@ -383,7 +403,7 @@ def _load(path: str | Path, id_key: str) -> EmbeddingDumpManifest:
     p = Path(path)
     try:
         data = json.loads(p.read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
         raise ManifestError(f"cannot parse {kind} manifest {p}: {exc}") from exc
     try:
         dim, raw_entries = data["dim"], data["entries"]
@@ -396,11 +416,13 @@ def _load(path: str | Path, id_key: str) -> EmbeddingDumpManifest:
     seen: set[str] = set()
     for i, e in enumerate(raw_entries):
         try:
-            item_id, n_vectors, rel = str(e[id_key]), e["n_vectors"], str(e["path"])
+            item_id, n_vectors, rel = e[id_key], e["n_vectors"], e["path"]
             rows_cols = (e["rows"], e["cols"]) if id_key == "doc_id" else None
         except (KeyError, TypeError) as exc:
             raise ManifestError(f"{kind} manifest entry {i} is malformed: {exc}") from exc
         where = f"{kind} manifest entry {i}"
+        item_id = _check_id(item_id, where, id_key)
+        rel = _string(rel, where, "path")
         n_vectors = _count(n_vectors, where, "n_vectors")
         if rows_cols:
             rows_cols = (_count(rows_cols[0], where, "rows"), _count(rows_cols[1], where, "cols"))
@@ -423,9 +445,8 @@ def _load(path: str | Path, id_key: str) -> EmbeddingDumpManifest:
             found = False
         if not found:
             raise ManifestError(f"{kind} '{entry.id}': raw file {entry.path} not found")
-    return EmbeddingDumpManifest(
-        dim=dim, entries=tuple(entries), location=str(data.get("location", "")), root=root
-    )
+    location = _string(data.get("location", ""), f"{kind} manifest {p}", "location")
+    return EmbeddingDumpManifest(dim=dim, entries=tuple(entries), location=location, root=root)
 
 
 def load_manifest(path: str | Path) -> EmbeddingDumpManifest:
@@ -492,16 +513,16 @@ def _write_dump(
     """Write ``(id, dim, vectors, extra entry fields)`` items and their manifest.
 
     ``header`` holds the manifest's top-level fields besides ``dim`` and
-    ``entries``. Every id is checked (a safe file name, not repeated) before
-    the first byte is written.
+    ``entries``. Every id is checked (the id rule, a safe file name, not
+    repeated) before the first byte is written.
     """
     kind = id_key.removesuffix("_id")
     if not items:
         raise ValueError(f"refusing to write an empty {kind} dump")
     dim = items[0][1]
     seen: set[str] = set()
-    for item_id, item_dim, _, _ in items:
-        _check_file_name(item_id, kind)
+    for i, (item_id, item_dim, _, _) in enumerate(items):
+        _check_file_name(item_id, f"{kind} dump entry {i}", id_key)
         if item_id in seen:
             raise ValueError(f"duplicate {id_key} '{item_id}' in the {kind} dump")
         seen.add(item_id)

@@ -269,7 +269,7 @@ def seeded_sweep():
     sweep = SweepSpec(k_values=(5, 40, 80), omega_values=(), methods=("kmeans",),
                       base_k=40, base_omega=0.2, seed=7, include_baseline=True)
     t0 = time.perf_counter()
-    rows = run_ablation(docs, queries, qrels, sweep, threads=4)
+    rows = run_ablation(docs, queries, qrels, sweep)
     elapsed = time.perf_counter() - t0
     return {row.config_id: row for row in rows}, elapsed
 

@@ -1,9 +1,12 @@
-"""End-to-end CLI checks run through subprocess.
+"""End-to-end CLI checks.
 
-Each test invokes `python -m colchunk.cli ...` the way a user would, so
+Most tests invoke `python -m colchunk.cli ...` the way a user would, so
 exit codes, stream separation, and file outputs are all exercised for real.
+The error-path table runs `cli.main` in-process, one bad input per case.
 """
 
+import json
+import shutil
 import subprocess
 import sys
 
@@ -11,6 +14,7 @@ import pytest
 
 import numpy as np
 
+from colchunk import chunker, cli
 from colchunk.evaluation import SyntheticSpec, generate_synthetic
 from colchunk.store import read_index, write_embedding_dump
 from colchunk.types import PatchEmbeddingSet, PatchGrid
@@ -339,17 +343,17 @@ class TestTopLevel:
         assert proc.returncode == 0, proc.stderr
         assert index.exists()
 
-    def test_threads_default_to_one(self, monkeypatch):
-        from colchunk import cli
-
-        monkeypatch.delenv("COLCHUNK_THREADS", raising=False)
-        assert cli._default_threads() == 1
-        monkeypatch.setenv("COLCHUNK_THREADS", "3")
-        assert cli._default_threads() == 3
+    @pytest.mark.parametrize("command", ["compress", "query", "bench"])
+    def test_threads_must_be_a_positive_integer(self, command, capsys):
+        # the flag has no effect, but a bad value is still a usage error
+        positional = {"compress": ["m.json", "x.cchk"], "query": ["x.cchk", "q.json"],
+                      "bench": []}
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *positional[command], "--threads", "0"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_oversized_page_is_data_error(self, dataset, tmp_path, monkeypatch, capsys):
-        from colchunk import chunker, cli
-
         # the dataset's pages hold 16 patches each
         monkeypatch.setattr(chunker, "MAX_HAC_PATCHES", 15)
         index = tmp_path / "big.cchk"
@@ -359,15 +363,126 @@ class TestTopLevel:
         assert err.startswith("error:") and "MAX_HAC_PATCHES = 15" in err
         assert not index.exists()
 
-    @pytest.mark.parametrize("value", ["two", "0", "-3"])
-    def test_invalid_threads_env_is_data_error(self, dataset, tmp_path, value):
-        import os
 
-        env = dict(os.environ, COLCHUNK_THREADS=value)
-        index = tmp_path / "env.cchk"
-        proc = run_cli("compress", str(dataset.doc_manifest), str(index),
-                       "--k", "4", env=env)
-        assert proc.returncode == 1
-        assert "COLCHUNK_THREADS" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert not index.exists()
+@pytest.fixture(scope="module")
+def bad_inputs(dataset, index_path, tmp_path_factory):
+    """Name -> path of one good or bad input file each, for the error-path table."""
+    root = tmp_path_factory.mktemp("bad-inputs")
+    data = root / "data"
+    shutil.copytree(dataset.doc_manifest.parent, data)
+    paths = {
+        "manifest": data / dataset.doc_manifest.name,
+        "queries": data / dataset.query_manifest.name,
+        "index": index_path,
+        "missing": root / "missing",
+    }
+
+    def write(file_name, body):
+        paths[file_name.partition(".")[0]] = root / file_name
+        (root / file_name).write_bytes(body.encode() if isinstance(body, str) else body)
+
+    def manifest_with(file_name, source, field, value):
+        body = json.loads(paths[source].read_text())
+        body["entries"][0][field] = value
+        paths[file_name.partition(".")[0]] = data / file_name
+        (data / file_name).write_text(json.dumps(body))
+
+    write("non_utf8.json", b'{"dim": 16, "entries": []}\xff')
+    write("hostile.json", HOSTILE_MANIFESTS["entries-null"])
+    write("nested.json", "[" * 100_000)
+    manifest_with("null_doc_id.json", "manifest", "doc_id", None)
+    manifest_with("space_doc_id.json", "manifest", "doc_id", "a b")
+    manifest_with("space_query_id.json", "queries", "query_id", "q 1")
+    blob = index_path.read_bytes()
+    write("truncated.cchk", blob[: len(blob) // 2])
+    write("corrupt.cchk", b"JUNK" + blob[4:])
+    write("nested_trailer.cchk", with_trailer(blob, b"[" * 100_000))
+    write("run.txt", "q1 Q0 d1 1 0.9 t\n")
+    write("repeated_run.txt", "q1 Q0 d1 1 0.9 t\nq1 Q0 d1 2 0.5 t\n")
+    write("non_utf8_run.txt", b"\xff\xfeq1 Q0 d1 1 0.9 t\n")
+    write("qrels.txt", "q1 0 d1 1\n")
+    write("conflicting_qrels.txt", "q1 0 d1 1\nq1 0 d1 0\n")
+    return paths
+
+
+# name -> (argv, a fragment of the error). ``{name}`` stands for the file
+# ``bad_inputs`` names so, and ``{out}`` for an empty output directory.
+CLI_ERROR_CASES = {
+    "compress-missing-manifest": (["compress", "{missing}", "{out}/x.cchk"], "missing"),
+    "compress-non-utf8-manifest": (["compress", "{non_utf8}", "{out}/x.cchk"], "non_utf8.json"),
+    "compress-hostile-manifest": (["compress", "{hostile}", "{out}/x.cchk"],
+                                  "entries must be a list"),
+    "compress-nested-manifest": (["compress", "{nested}", "{out}/x.cchk"], "nested.json"),
+    "compress-null-doc-id": (["compress", "{null_doc_id}", "{out}/x.cchk"],
+                             "doc manifest entry 0: doc_id must be a JSON string"),
+    "compress-space-in-doc-id": (["compress", "{space_doc_id}", "{out}/x.cchk"],
+                                 "doc manifest entry 0: doc_id 'a b'"),
+    # MAX_HAC_PATCHES is lowered below the dataset's 16 patches a page
+    "compress-oversized-page": (["compress", "{manifest}", "{out}/x.cchk", "--k", "4"],
+                                "MAX_HAC_PATCHES = 15"),
+    "query-missing-index": (["query", "{missing}", "{queries}", "--out", "{out}/run.txt"],
+                            "missing"),
+    "query-truncated-index": (["query", "{truncated}", "{queries}", "--out", "{out}/run.txt"],
+                              "truncated file"),
+    "query-corrupt-index": (["query", "{corrupt}", "{queries}", "--out", "{out}/run.txt"],
+                            "bad magic"),
+    "query-nested-trailer": (["query", "{nested_trailer}", "{queries}", "--out",
+                              "{out}/run.txt"], "unreadable build metadata"),
+    "query-hostile-manifest": (["query", "{index}", "{hostile}", "--out", "{out}/run.txt"],
+                               "entries must be a list"),
+    "query-non-utf8-manifest": (["query", "{index}", "{non_utf8}", "--out", "{out}/run.txt"],
+                                "non_utf8.json"),
+    "query-space-in-query-id": (["query", "{index}", "{space_query_id}", "--out",
+                                 "{out}/run.txt"], "query manifest entry 0: query_id 'q 1'"),
+    "eval-missing-run": (["eval", "{missing}", "{qrels}"], "missing"),
+    "eval-repeated-run-pair": (["eval", "{repeated_run}", "{qrels}"], "run line 2"),
+    "eval-non-utf8-run": (["eval", "{non_utf8_run}", "{qrels}"], "is not UTF-8"),
+    "eval-conflicting-qrels": (["eval", "{run}", "{conflicting_qrels}"], "qrels line 2"),
+    "bench-more-queries-than-docs": (["bench", "--num-docs", "2", "--num-queries", "3",
+                                      "--out", "{out}/b.csv"], "its own relevant document"),
+}
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("case", list(CLI_ERROR_CASES))
+    def test_bad_input_is_a_clean_data_error(self, bad_inputs, tmp_path, monkeypatch, capsys,
+                                             case):
+        argv, fragment = CLI_ERROR_CASES[case]
+        if case == "compress-oversized-page":
+            monkeypatch.setattr(chunker, "MAX_HAC_PATCHES", 15)
+        out = tmp_path / "out"
+        out.mkdir()
+        code = cli.main([arg.format_map({"out": out, **bad_inputs}) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:") and fragment in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["doc", "query"])
+    def test_space_in_id_stops_the_pipeline(self, dataset, tmp_path, capsys, kind):
+        # Such an id once compressed and queried with exit 0; ``eval`` then
+        # refused the 7-field run line it had produced.
+        data = tmp_path / "data"
+        shutil.copytree(dataset.doc_manifest.parent, data)
+        manifest = data / (dataset.doc_manifest if kind == "doc" else dataset.query_manifest).name
+        body = json.loads(manifest.read_text())
+        body["entries"][0][f"{kind}_id"] = "a b"
+        manifest.write_text(json.dumps(body))
+        index, run = tmp_path / "x.cchk", tmp_path / "run.txt"
+        steps = {
+            "compress": ["compress", str(data / dataset.doc_manifest.name), str(index),
+                         "--k", "4"],
+            "query": ["query", str(index), str(data / dataset.query_manifest.name),
+                      "--out", str(run)],
+            "eval": ["eval", str(run), str(data / dataset.qrels_path.name)],
+        }
+        for step, argv in steps.items():
+            code = cli.main(argv)
+            if code:
+                break
+        err = capsys.readouterr().err
+        assert (step, code) == ("compress" if kind == "doc" else "query", 1)
+        assert err.startswith("error:") and f"{kind} manifest entry 0: {kind}_id 'a b'" in err
+        assert not run.exists()

@@ -400,7 +400,6 @@ class TestRunAblation:
         # the base-omega dendrogram is built once, at the baseline's k = 1
         assert sorted(set(calls)) == [(0.0, 4), (0.2, 1), (0.5, 4), (1.0, 4)]
 
-    @pytest.mark.parametrize("threads", [1, 4])
     @pytest.mark.parametrize("sweep", [
         # omega = 1 clusters on the grid alone, so Ward meets many exact ties
         SweepSpec(k_values=(2, 3, 5, 16), omega_values=(1.0, 0.0), methods=("kmeans",),
@@ -410,7 +409,7 @@ class TestRunAblation:
                   base_k=4, base_omega=0.2, seed=2),
     ], ids=["tie-heavy", "repeats-and-clamps"])
     def test_rows_match_per_config_compress_many(self, tiny_corpus, tmp_path, monkeypatch,
-                                                 sweep, threads):
+                                                 sweep):
         docs, queries, qrels = tiny_corpus
         written = {}
         real_write = evaluation.write_index
@@ -420,7 +419,7 @@ class TestRunAblation:
             real_write(index, path)
 
         monkeypatch.setattr(evaluation, "write_index", spy)
-        rows = run_ablation(docs, queries, qrels, sweep, threads=threads)
+        rows = run_ablation(docs, queries, qrels, sweep)
         assert set(written) == {r.config_id for r in rows}
         pe = PosEncConfig(dim=docs[0].dim)
         for row in rows:
@@ -429,7 +428,7 @@ class TestRunAblation:
             meta = BuildMeta(omega=cfg.omega, k_target=cfg.k, method=cfg.method,
                              posenc_base=pe.base, tool_version=__version__,
                              embedding_location="synthetic")
-            ref = CorpusIndex(dim=pe.dim, docs=compress_many(docs, cfg, pe, threads=threads),
+            ref = CorpusIndex(dim=pe.dim, docs=compress_many(docs, cfg, pe),
                               build_meta=meta)
             assert index.chunks.tobytes() == ref.chunks.tobytes(), row.config_id
             assert np.array_equal(index.sizes, ref.sizes)
@@ -440,13 +439,3 @@ class TestRunAblation:
             assert row.mean_ndcg_at_5 == evaluate_run(run, qrels, k=5)[1]
             assert row.vectors_per_doc == float(np.mean(np.diff(ref.offsets)))
             assert row.index_bytes == ref_path.stat().st_size
-
-    def test_threads_do_not_change_results(self, tiny_corpus):
-        docs, queries, qrels = tiny_corpus
-        sweep = SweepSpec(k_values=(3,), base_k=3, seed=2)
-        r1 = run_ablation(docs, queries, qrels, sweep, threads=1)
-        r4 = run_ablation(docs, queries, qrels, sweep, threads=4)
-        for a, b in zip(r1, r4):
-            assert a.config_id == b.config_id
-            assert a.mean_ndcg_at_5 == b.mean_ndcg_at_5
-            assert a.index_bytes == b.index_bytes

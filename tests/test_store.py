@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -198,8 +199,9 @@ class TestIndexCorruption:
 
     @pytest.mark.parametrize(
         "trailer",
-        [b"[]", b"null", b'"text"', json.dumps(dict(make_meta().to_dict(), omega="high")).encode()],
-        ids=["list", "null", "string", "non-numeric-omega"],
+        [b"[]", b"null", b'"text"', json.dumps(dict(make_meta().to_dict(), omega="high")).encode(),
+         b"[" * 100_000],
+        ids=["list", "null", "string", "non-numeric-omega", "deeply-nested"],
     )
     def test_malformed_metadata(self, good_file, trailer):
         good_file.write_bytes(with_trailer(good_file.read_bytes(), trailer))
@@ -421,6 +423,77 @@ class TestManifestIntegers:
         manifest.write_text(json.dumps({"dim": 4, "entries": [dict(QUERY_ENTRY, n_vectors=2.5)]}))
         with pytest.raises(ManifestError, match="n_vectors must be a JSON integer"):
             list(ingest_queries(manifest))
+
+
+class TestManifestStrings:
+    """Ids, paths and ``location`` are JSON strings; an id is non-empty, without whitespace."""
+
+    @pytest.fixture
+    def dumps(self, tmp_path):
+        """A valid one-entry page and query dump: kind -> (entry, manifest path, load)."""
+        (tmp_path / "d.f32").write_bytes(np.ones(16, dtype="<f4").tobytes())
+        (tmp_path / "q.f32").write_bytes(np.ones(16, dtype="<f4").tobytes())
+        return {
+            "doc": (PAGE_ENTRY, tmp_path / "manifest.json", load_manifest),
+            "query": (QUERY_ENTRY, tmp_path / "queries.json", lambda m: list(ingest_queries(m))),
+        }
+
+    def write(self, manifest, entry, **top):
+        manifest.write_text(json.dumps({"dim": 4, **top, "entries": [entry]}))
+        return manifest
+
+    @pytest.mark.parametrize("kind", ["doc", "query"])
+    def test_valid_dump_loads(self, dumps, kind):
+        entry, manifest, load = dumps[kind]
+        load(self.write(manifest, entry))
+
+    @pytest.mark.parametrize("kind", ["doc", "query"])
+    @pytest.mark.parametrize("field,value,problem", [
+        ("id", None, "must be a JSON string, got None"),
+        ("id", 7, "must be a JSON string, got 7"),
+        ("id", {"a": [1]}, "must be a JSON string"),
+        ("id", "", "is empty or holds whitespace"),
+        ("id", "a b", "'a b' is empty or holds whitespace"),
+        ("id", "a\tb", "is empty or holds whitespace"),
+        ("id", "a\u3000b", "is empty or holds whitespace"),
+        ("path", 5, "must be a JSON string, got 5"),
+        ("path", ["d.f32"], "must be a JSON string"),
+    ], ids=["id-null", "id-number", "id-object", "id-empty", "id-space", "id-tab",
+            "id-ideographic-space", "path-number", "path-list"])
+    def test_entry_field_names_entry_and_field(self, dumps, kind, field, value, problem):
+        entry, manifest, load = dumps[kind]
+        key = f"{kind}_id" if field == "id" else field
+        self.write(manifest, dict(entry, **{key: value}))
+        with pytest.raises(ManifestError, match=re.escape(f"{kind} manifest entry 0: {key} ")):
+            load(manifest)
+        with pytest.raises(ManifestError, match=re.escape(problem)):
+            load(manifest)
+
+    @pytest.mark.parametrize("value", [3, None, ["synthetic"]])
+    def test_non_string_location(self, dumps, value):
+        entry, manifest, load = dumps["doc"]
+        with pytest.raises(ManifestError, match="location must be a JSON string"):
+            load(self.write(manifest, entry, location=value))
+
+    @pytest.mark.parametrize("bad_id", ["a b", "tab\there", "line\n", "\u00a0", 7, None])
+    def test_writers_refuse_ids_before_writing(self, rng, tmp_path, bad_id):
+        psets = [make_pset(rng, doc_id="fine"), make_pset(rng, doc_id=bad_id)]
+        with pytest.raises(ValueError, match="doc dump entry 1: doc_id "):
+            write_embedding_dump(psets, tmp_path / "dump")
+        queries = [QueryEmbeddingSet(query_id=bad_id, dim=8, vectors=rng.normal(size=(2, 8)))]
+        with pytest.raises(ValueError, match="query dump entry 0: query_id "):
+            write_query_dump(queries, tmp_path / "dump")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("body", [b'{"dim": 4, "entries": []}\xff', b"[" * 100_000],
+                             ids=["not-utf8", "deeply-nested"])
+    def test_unreadable_manifest_names_file(self, tmp_path, body):
+        for name, load in (("manifest.json", load_manifest),
+                           ("queries.json", lambda m: list(ingest_queries(m)))):
+            manifest = tmp_path / name
+            manifest.write_bytes(body)
+            with pytest.raises(ManifestError, match=re.escape(str(manifest))):
+                load(manifest)
 
 
 class TestQueryDump:
