@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from colchunk import __version__, chunker, evaluation
+from colchunk import __version__, chunker, cli, evaluation
 from colchunk.chunker import ChunkerConfig, compress_many
 from colchunk.evaluation import (
     EvalInputError,
@@ -400,6 +400,9 @@ class TestRunAblation:
         # the base-omega dendrogram is built once, at the baseline's k = 1
         assert sorted(set(calls)) == [(0.0, 4), (0.2, 1), (0.5, 4), (1.0, 4)]
 
+    # ``bench --threads`` is accepted and ignored: every thread count must give
+    # the rows of a one-config-at-a-time compress_many.
+    @pytest.mark.parametrize("threads", [1, 4])
     @pytest.mark.parametrize("sweep", [
         # omega = 1 clusters on the grid alone, so Ward meets many exact ties
         SweepSpec(k_values=(2, 3, 5, 16), omega_values=(1.0, 0.0), methods=("kmeans",),
@@ -408,9 +411,7 @@ class TestRunAblation:
         SweepSpec(k_values=(4, 40, 4), omega_values=(0.2, 0.5), methods=("hac_ward", "kmeans"),
                   base_k=4, base_omega=0.2, seed=2),
     ], ids=["tie-heavy", "repeats-and-clamps"])
-    def test_rows_match_per_config_compress_many(self, tiny_corpus, tmp_path, monkeypatch,
-                                                 sweep):
-        docs, queries, qrels = tiny_corpus
+    def test_rows_match_per_config_compress_many(self, tmp_path, monkeypatch, sweep, threads):
         written = {}
         real_write = evaluation.write_index
 
@@ -418,8 +419,31 @@ class TestRunAblation:
             written[Path(path).stem] = index
             real_write(index, path)
 
+        ablations = []
+
+        def recording_ablation(docs, queries, qrels, spec):
+            assert spec == sweep
+            rows = run_ablation(docs, queries, qrels, spec)
+            ablations.append((docs, queries, qrels, rows))
+            return rows
+
         monkeypatch.setattr(evaluation, "write_index", spy)
-        rows = run_ablation(docs, queries, qrels, sweep)
+        monkeypatch.setattr(cli, "run_ablation", recording_ablation)
+        out = tmp_path / "ablation.csv"
+        # the tiny_corpus shape, generated and ingested by bench itself
+        assert cli.main([
+            "bench", "--num-docs", "8", "--num-queries", "4", "--grid-rows", "4",
+            "--grid-cols", "4", "--dim", "16", "--signal-patches", "4",
+            "--noise-sigma", "0.5", "--query-tokens", "8", "--seed", str(sweep.seed),
+            "--sweep-k", ",".join(map(str, sweep.k_values)),
+            "--sweep-omega", ",".join(map(str, sweep.omega_values)),
+            "--methods", ",".join(sweep.methods), "--k", str(sweep.base_k),
+            "--omega", str(sweep.base_omega), "--threads", str(threads), "--out", str(out),
+        ]) == 0
+        (docs, queries, qrels, rows), = ablations
+        buf = io.StringIO()
+        rows_to_csv(rows, buf)
+        assert out.read_text(encoding="utf-8") == buf.getvalue()
         assert set(written) == {r.config_id for r in rows}
         pe = PosEncConfig(dim=docs[0].dim)
         for row in rows:
