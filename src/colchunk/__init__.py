@@ -15,7 +15,7 @@ from .chunker import (  # noqa: E402
     fuse,
     pool,
 )
-from .posenc import PosEncConfig, encode_batch  # noqa: E402
+from .posenc import encode_batch  # noqa: E402
 from .scorer import ScoredHit, maxsim, retrieve, retrieve_many  # noqa: E402
 from .store import (  # noqa: E402
     BuildMeta,

@@ -1,13 +1,14 @@
 """Compression pipeline: spatial-semantic fusion, clustering, centroid pooling.
 
 A page is compressed in three training-free phases. Fusion blends each
-(optionally normalized) patch vector with the positional encoding of its
-grid cell, ``z_j = (1 - omega) * v_j + omega * p_j``. Ward agglomeration
-(or the k-means comparator) partitions the fused features into k chunks.
-Pooling then averages the ORIGINAL semantic vectors of each chunk and
-renormalizes, so the positional prior steers the partition but never leaks
-into the stored representation. Ward's greedy merge order does not depend on
-k, so one dendrogram per page, cut at each k, serves a whole sweep over k.
+unit-normalized patch vector with the positional encoding of its grid cell,
+at the page's own dim, ``z_j = (1 - omega) * v_j + omega * p_j``. Ward
+agglomeration (or the k-means comparator) partitions the fused features into
+k chunks. Pooling then averages the ORIGINAL semantic vectors of each chunk
+and renormalizes, so the positional prior steers the partition but never
+leaks into the stored representation. Ward's greedy merge order does not
+depend on k, so one dendrogram per page, cut at each k, serves a whole sweep
+over k.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .posenc import PosEncConfig, encode_batch
+from .posenc import encode_batch
 from .types import (
     ChunkAssignment,
     CompressedDocument,
@@ -67,7 +68,6 @@ class ChunkerConfig:
     omega: float = 0.2
     method: str = "hac_ward"
     seed: int = 0
-    normalize_semantic_before_fusion: bool = True
 
     def __post_init__(self):
         if self.k < 1:
@@ -78,19 +78,15 @@ class ChunkerConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
 
 
-def fuse(pset: PatchEmbeddingSet, cfg: ChunkerConfig, pe: PosEncConfig) -> FusedFeatureSet:
-    """Blend semantics with the positional prior.
+def fuse(pset: PatchEmbeddingSet, cfg: ChunkerConfig) -> FusedFeatureSet:
+    """Blend unit-normalized semantics with the positional prior.
 
-    Raises ValueError on a dim mismatch between the patch set and the
-    encoder. Normalizing needs no zero-norm check: a PatchEmbeddingSet
-    holds no zero vector.
+    The encoder takes the page's dim, so a dim that is not a multiple of 4
+    raises ValueError. Normalizing needs no zero-norm check: a
+    PatchEmbeddingSet holds no zero vector.
     """
-    if pe.dim != pset.dim:
-        raise ValueError(f"positional encoder dim {pe.dim} != embedding dim {pset.dim}")
-    v = pset.vectors
-    if cfg.normalize_semantic_before_fusion:
-        v = v / np.linalg.norm(v, axis=1, keepdims=True)
-    p = encode_batch(pe, grid_coords(pset.grid))
+    v = pset.vectors / np.linalg.norm(pset.vectors, axis=1, keepdims=True)
+    p = encode_batch(pset.dim, grid_coords(pset.grid))
     z = (1.0 - cfg.omega) * v + cfg.omega * p
     return FusedFeatureSet(dim=pset.dim, omega=cfg.omega, vectors=z)
 
@@ -389,9 +385,7 @@ def pool(pset: PatchEmbeddingSet, assignment: ChunkAssignment) -> CompressedDocu
     )
 
 
-def compress_ks(
-    pset: PatchEmbeddingSet, cfgs: Sequence[ChunkerConfig], pe: PosEncConfig
-) -> list[CompressedDocument]:
+def compress_ks(pset: PatchEmbeddingSet, cfgs: Sequence[ChunkerConfig]) -> list[CompressedDocument]:
     """Compress one page once per configuration; the configurations differ only in k.
 
     The per-page pipeline: fuse, cluster, pool. The page is fused once. Ward
@@ -409,18 +403,18 @@ def compress_ks(
         raise ValueError("configurations passed to compress_ks may differ only in k")
     n = pset.n_vectors
     ks = [min(cfg.k, n) for cfg in cfgs]
-    feats = fuse(pset, shared, pe)
+    feats = fuse(pset, shared)
     if shared.method == "hac_ward":
         _, z = cluster_hac(feats, min(ks))
         return [pool(pset, cut_linkage(z, n, k)) for k in ks]
     return [pool(pset, cluster_kmeans(feats, k, seed=shared.seed)) for k in ks]
 
 
-def compress(pset: PatchEmbeddingSet, cfg: ChunkerConfig, pe: PosEncConfig) -> CompressedDocument:
+def compress(pset: PatchEmbeddingSet, cfg: ChunkerConfig) -> CompressedDocument:
     """Compress one page under one configuration: ``compress_ks`` at a single k."""
-    return compress_ks(pset, (cfg,), pe)[0]
+    return compress_ks(pset, (cfg,))[0]
 
 
-def compress_many(psets, cfg: ChunkerConfig, pe: PosEncConfig) -> list[CompressedDocument]:
+def compress_many(psets, cfg: ChunkerConfig) -> list[CompressedDocument]:
     """Compress a corpus page by page, in input order."""
-    return [compress(s, cfg, pe) for s in psets]
+    return [compress(s, cfg) for s in psets]

@@ -15,7 +15,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from . import __version__
+from . import __version__, posenc
 from .chunker import ChunkerConfig, compress_many
 from .evaluation import (
     EvalInputError,
@@ -29,7 +29,6 @@ from .evaluation import (
     run_ablation,
     write_run,
 )
-from .posenc import PosEncConfig
 from .scorer import retrieve_many
 from .store import (
     BuildMeta,
@@ -108,12 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compress.add_argument(
         "--method", choices=sorted(METHOD_ALIASES), default="hac", help="clustering method"
     )
-    p_compress.add_argument("--posenc-base", type=float, default=10000.0)
-    p_compress.add_argument(
-        "--no-normalize-semantic",
-        action="store_true",
-        help="fuse raw semantic vectors instead of unit-normalized ones",
-    )
     p_compress.add_argument("--seed", type=int, default=0, help="k-means seed")
     p_compress.add_argument("--threads", type=_positive_int, help=THREADS_HELP)
 
@@ -159,20 +152,18 @@ def cmd_compress(args) -> int:
         omega=args.omega,
         method=METHOD_ALIASES[args.method],
         seed=args.seed,
-        normalize_semantic_before_fusion=not args.no_normalize_semantic,
     )
     manifest = load_manifest(args.manifest)
     sets = list(ingest_dump(manifest))
     if not sets:
         print("error: the dump manifest lists no documents", file=sys.stderr)
         return 1
-    pe = PosEncConfig(dim=sets[0].dim, base=args.posenc_base)
-    docs = compress_many(sets, cfg, pe)
+    docs = compress_many(sets, cfg)
     meta = BuildMeta(
         omega=cfg.omega,
         k_target=cfg.k,
         method=cfg.method,
-        posenc_base=pe.base,
+        posenc_base=posenc.BASE,
         tool_version=__version__,
         embedding_location=manifest.location,
     )

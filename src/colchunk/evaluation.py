@@ -17,8 +17,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import posenc
 from .chunker import ChunkerConfig, compress_ks
-from .posenc import PosEncConfig
 from .scorer import retrieve_many
 from .store import (
     BuildMeta,
@@ -374,7 +374,6 @@ def _measure_config(
     queries: list[QueryEmbeddingSet],
     qrels: Qrels,
     cfg: ChunkerConfig,
-    pe: PosEncConfig,
     scratch: Path,
     compress_ms: float,
 ) -> AblationRow:
@@ -387,7 +386,7 @@ def _measure_config(
         omega=cfg.omega,
         k_target=cfg.k,
         method=cfg.method,
-        posenc_base=pe.base,
+        posenc_base=posenc.BASE,
         tool_version=_tool_version,
         embedding_location="synthetic",
     )
@@ -423,9 +422,8 @@ def run_ablation(
 
     Emits a K=1 single-vector baseline row first (unless disabled), then the
     k sweep, the omega sweep, and the method comparison, each varying one
-    axis with the others at base values. Every row fuses normalized
-    semantics with the default encoder, ``PosEncConfig(dim)``. Index sizes
-    are measured on real files written under ``scratch_dir``.
+    axis with the others at base values. Index sizes are measured on real
+    files written under ``scratch_dir``.
 
     Configurations sharing (omega, method) are compressed together, page by
     page with ``compress_ks``: one fusion and, for Ward, one dendrogram per
@@ -437,7 +435,6 @@ def run_ablation(
     query_list = list(queries)
     if not doc_list or not query_list:
         raise ValueError("ablation needs at least one document and one query")
-    pe = PosEncConfig(dim=doc_list[0].dim)
 
     def make_cfg(k: int, omega: float, method: str) -> ChunkerConfig:
         return ChunkerConfig(k=k, omega=omega, method=method, seed=sweep.seed)
@@ -463,13 +460,13 @@ def run_ablation(
         for members in groups.values():
             cfgs = [configs[i][1] for i in members]
             start = time.perf_counter()
-            per_page = [compress_ks(s, cfgs, pe) for s in doc_list]
+            per_page = [compress_ks(s, cfgs) for s in doc_list]
             compress_ms = (time.perf_counter() - start) * 1000.0
             for j, i in enumerate(members):
                 config_id, cfg = configs[i]
                 compressed = [page[j] for page in per_page]
                 rows[i] = _measure_config(
-                    config_id, compressed, query_list, qrels, cfg, pe, scratch,
+                    config_id, compressed, query_list, qrels, cfg, scratch,
                     compress_ms if j == 0 else 0.0,
                 )
     return [rows[i] for i in range(len(configs))]

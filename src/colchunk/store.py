@@ -25,14 +25,15 @@ Embedding dumps are the ingestion side: a JSON manifest describing per-page
 raw vector files (flat float32 little-endian, row-major). Query dumps use
 the same shape minus the grid fields. Ids, paths and ``location`` are JSON
 strings, and an id is non-empty and holds no whitespace, since run and qrels
-lines are whitespace-separated fields; the loader and the writers share that
-rule. The writers name each raw file after its doc or query id, so they also
-reject ids that are not safe file names: ``.``, ``..`` and any id containing
-``/``, ``\\`` or NUL. The loader rejects entry paths that are absolute or
-have a ``..`` component, and raises ManifestError for any malformed
-manifest, such as one that is not UTF-8, ``entries`` that is not a list or a
-count that JSON reads as infinity (``1e400``). Vectors that their type
-rejects (non-finite or zero-norm) raise ManifestError on ingest too.
+lines are whitespace-separated fields; the loader, the writers and
+``CorpusIndex`` (so ``read_index`` too) share that rule. The writers name
+each raw file after its doc or query id, so they also reject ids that are
+not safe file names: ``.``, ``..`` and any id containing ``/``, ``\\`` or
+NUL. The loader rejects entry paths that are absolute or have a ``..``
+component, and raises ManifestError for any malformed manifest, such as one
+that is not UTF-8, ``entries`` that is not a list or a count that JSON reads
+as infinity (``1e400``). Vectors that their type rejects (non-finite or
+zero-norm) raise ManifestError on ingest too.
 
 The in-memory index is always a ``CorpusIndex``, the form ``retrieve`` takes.
 """
@@ -122,7 +123,8 @@ class BuildMeta:
 class CorpusIndex:
     """An ordered corpus of compressed documents sharing one dim, held as columns.
 
-    ``ids`` are the doc ids in order. Document ``i`` owns rows
+    ``ids`` are the doc ids in order, unique and obeying the dump id rule
+    (ValueError otherwise). Document ``i`` owns rows
     ``offsets[i]:offsets[i + 1]`` of ``chunks``, one ``(sum K, dim)`` matrix
     of unit-norm chunk vectors, and of ``sizes``, the patches pooled into
     each chunk. An index built from CompressedDocuments stacks their float64
@@ -160,6 +162,10 @@ class CorpusIndex:
     def _set(self, dim, ids, offsets, chunks, sizes, build_meta) -> None:
         seen: set[str] = set()
         for doc_id in ids:
+            if not (isinstance(doc_id, str) and _is_one_field(doc_id)):
+                raise ValueError(
+                    f"doc_id {doc_id!r:.40} is not a non-empty string free of whitespace"
+                )
             if doc_id in seen:
                 raise ValueError(f"duplicate doc_id '{doc_id}'")
             seen.add(doc_id)
@@ -262,9 +268,9 @@ def read_index(path: str | Path) -> CorpusIndex:
     Each record's sizes and vectors are read straight into preallocated
     column arrays. Raises IndexFormatError for anything malformed: wrong
     magic, unsupported version, truncation, trailing garbage, undecodable
-    metadata, duplicate doc ids, or a document that violates the
-    compressed-document invariants (K >= 1, every size >= 1, finite
-    unit-norm chunks).
+    metadata, duplicate doc ids or ids that break the id rule, or a
+    document that violates the compressed-document invariants (K >= 1,
+    every size >= 1, finite unit-norm chunks).
     """
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
@@ -371,10 +377,16 @@ def _string(value, where: str, field: str, error: type[Exception] = ManifestErro
     return value
 
 
+def _is_one_field(text: str) -> bool:
+    """The id rule: non-empty with no whitespace, which would split the id
+    across fields of a run or qrels line (``str.split`` splits on
+    ``str.isspace``)."""
+    return text.split() == [text]
+
+
 def _check_id(item_id, where: str, field: str, error: type[Exception] = ManifestError) -> str:
-    """The id rule of both dump kinds: a non-empty string with no whitespace,
-    which would split the id across fields of a run or qrels line."""
-    if not _string(item_id, where, field, error) or any(c.isspace() for c in item_id):
+    """A dump id of either kind: a string that obeys the id rule."""
+    if not _is_one_field(_string(item_id, where, field, error)):
         raise error(f"{where}: {field} {item_id!r:.40} is empty or holds whitespace")
     return item_id
 

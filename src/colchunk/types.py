@@ -4,8 +4,8 @@ Pages arrive as grids of patch embeddings in row-major order; queries as
 bags of token embeddings. Compression replaces each page by a small set of
 unit-norm chunk vectors. Every type checks its invariants at construction
 and raises ValueError on a violation, so an instance that exists is valid.
-Arrays are float64 in memory and made read-only at construction so
-instances can be shared freely across worker threads.
+Arrays are float64 in memory and made read-only at construction, so no
+caller can break an invariant after the check.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ from colchunk.evaluation import (
     ndcg_at_k,
     run_ablation,
 )
-from colchunk.posenc import PosEncConfig
 from colchunk.scorer import maxsim
 from colchunk.store import (
     BuildMeta,
@@ -130,7 +129,6 @@ def test_c02_maxsim_oracle_equivalence():
 
 def test_c03_no_compression_fidelity():
     rng = default_rng(303)
-    pe = PosEncConfig(dim=16)
     problems = []
     for trial in range(100):
         rows = int(rng.integers(2, 7))
@@ -139,7 +137,7 @@ def test_c03_no_compression_fidelity():
         vectors = rng.normal(size=(grid.n_patches, 16))
         pset = PatchEmbeddingSet(doc_id=f"p{trial}", dim=16, grid=grid, vectors=vectors)
         cfg = ChunkerConfig(k=grid.n_patches, omega=0.0)
-        doc = compress(pset, cfg, pe)
+        doc = compress(pset, cfg)
         query = QueryEmbeddingSet(query_id="q", dim=16,
                                   vectors=rng.normal(size=(int(rng.integers(1, 9)), 16)))
         got = maxsim(query, doc)
@@ -164,7 +162,7 @@ def test_c04_storage_bytes(tmp_path):
     if raw_bytes != 393216:
         problems.append(f"raw dump payload {raw_bytes} != 393216")
 
-    doc = compress(pset, ChunkerConfig(k=k, omega=0.2), PosEncConfig(dim=dim))
+    doc = compress(pset, ChunkerConfig(k=k, omega=0.2))
     index_path = tmp_path / "one.cchk"
     write_index(CorpusIndex(dim=dim, docs=(doc,), build_meta=_meta()), index_path)
     blob = index_path.read_bytes()
@@ -181,7 +179,6 @@ def test_c04_storage_bytes(tmp_path):
 
 def test_c05_unit_norm_and_partition_invariants(tmp_path):
     rng = default_rng(505)
-    pe = PosEncConfig(dim=16)
     problems = []
     docs = []
     truth = []
@@ -199,7 +196,7 @@ def test_c05_unit_norm_and_partition_invariants(tmp_path):
         )
         pset = PatchEmbeddingSet(doc_id=f"fuzz{trial}", dim=16, grid=grid,
                                  vectors=rng.normal(size=(n, 16)))
-        doc = compress(pset, cfg, pe)
+        doc = compress(pset, cfg)
         docs.append(doc)
         truth.append((n, k))
         if doc.k != min(k, n):
@@ -225,7 +222,6 @@ def test_c05_unit_norm_and_partition_invariants(tmp_path):
 
 def test_c06_omega_boundary_invariances():
     rng = default_rng(606)
-    pe = PosEncConfig(dim=16)
     problems = []
 
     cfg_pos = ChunkerConfig(k=4, omega=1.0)
@@ -233,12 +229,12 @@ def test_c06_omega_boundary_invariances():
         grid = PatchGrid(rows=4, cols=6)
         vectors = rng.normal(size=(grid.n_patches, 16))
         base_set = PatchEmbeddingSet(doc_id="a", dim=16, grid=grid, vectors=vectors)
-        base, _ = cluster_hac(fuse(base_set, cfg_pos, pe), 4)
+        base, _ = cluster_hac(fuse(base_set, cfg_pos), 4)
         for p in range(20):
             perm = rng.permutation(grid.n_patches)
             shuffled = PatchEmbeddingSet(doc_id="a", dim=16, grid=grid,
                                          vectors=vectors[perm])
-            got, _ = cluster_hac(fuse(shuffled, cfg_pos, pe), 4)
+            got, _ = cluster_hac(fuse(shuffled, cfg_pos), 4)
             if not np.array_equal(got.labels, base.labels):
                 problems.append(f"omega=1 instance {inst} perm {p}: assignment moved")
                 break
@@ -252,7 +248,7 @@ def test_c06_omega_boundary_invariances():
             pset = PatchEmbeddingSet(doc_id="b", dim=16,
                                      grid=PatchGrid(rows=rows, cols=cols),
                                      vectors=vectors)
-            got, _ = cluster_hac(fuse(pset, cfg_sem, pe), 5)
+            got, _ = cluster_hac(fuse(pset, cfg_sem), 5)
             if reference is None:
                 reference = got.labels
             elif not np.array_equal(got.labels, reference):

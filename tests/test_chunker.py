@@ -15,7 +15,6 @@ from colchunk.chunker import (
     fuse,
     pool,
 )
-from colchunk.posenc import PosEncConfig
 from colchunk.types import (
     ChunkAssignment,
     FusedFeatureSet,
@@ -37,7 +36,6 @@ class TestConfig:
         cfg = ChunkerConfig(k=40)
         assert cfg.omega == 0.2
         assert cfg.method == "hac_ward"
-        assert cfg.normalize_semantic_before_fusion
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -51,7 +49,7 @@ class TestConfig:
 class TestFuse:
     def test_omega_zero_is_pure_normalized_semantics(self, rng):
         pset = make_pset(rng)
-        feats = fuse(pset, ChunkerConfig(k=2, omega=0.0), PosEncConfig(dim=8))
+        feats = fuse(pset, ChunkerConfig(k=2, omega=0.0))
         expected = pset.vectors / np.linalg.norm(pset.vectors, axis=1, keepdims=True)
         np.testing.assert_array_equal(feats.vectors, expected)
 
@@ -60,9 +58,8 @@ class TestFuse:
         from colchunk.types import grid_coords
 
         pset = make_pset(rng)
-        pe = PosEncConfig(dim=8)
-        feats = fuse(pset, ChunkerConfig(k=2, omega=1.0), pe)
-        expected = encode_batch(pe, grid_coords(pset.grid))
+        feats = fuse(pset, ChunkerConfig(k=2, omega=1.0))
+        expected = encode_batch(8, grid_coords(pset.grid))
         np.testing.assert_array_equal(feats.vectors, expected)
 
     def test_componentwise_against_hand_arithmetic(self):
@@ -73,7 +70,7 @@ class TestFuse:
         pset = PatchEmbeddingSet(
             doc_id="d", dim=8, grid=PatchGrid(rows=1, cols=2), vectors=vectors
         )
-        feats = fuse(pset, ChunkerConfig(k=1, omega=0.25), PosEncConfig(dim=8))
+        feats = fuse(pset, ChunkerConfig(k=1, omega=0.25))
 
         def pos(x, y):
             raw = [
@@ -93,16 +90,6 @@ class TestFuse:
             ]
         )
         np.testing.assert_allclose(feats.vectors, expected, rtol=0, atol=1e-15)
-
-    def test_raw_semantics_when_normalization_off(self, rng):
-        pset = make_pset(rng)
-        cfg = ChunkerConfig(k=2, omega=0.0, normalize_semantic_before_fusion=False)
-        feats = fuse(pset, cfg, PosEncConfig(dim=8))
-        np.testing.assert_array_equal(feats.vectors, pset.vectors)
-
-    def test_dim_mismatch_rejected(self, rng):
-        with pytest.raises(ValueError):
-            fuse(make_pset(rng, dim=8), ChunkerConfig(k=2), PosEncConfig(dim=16))
 
     def test_zero_norm_semantic_rejected(self):
         # the page type refuses a zero vector, so fuse never has to
@@ -197,11 +184,10 @@ class TestClusterHac:
         # duplicated patches merge at rounding-error distances; both must
         # follow the oracle's tie rule. Heights compare squared, since the
         # square root magnifies rounding error near zero.
-        pe = PosEncConfig(dim=8)
         cases = []
         for _ in range(12):
             pset = make_pset(rng, rows=int(rng.integers(1, 6)), cols=int(rng.integers(2, 6)))
-            cases.append(fuse(pset, ChunkerConfig(k=1, omega=1.0), pe).vectors)
+            cases.append(fuse(pset, ChunkerConfig(k=1, omega=1.0)).vectors)
         cases += [duplicate_points(rng) for _ in range(40)]
         for pts in cases:
             n = pts.shape[0]
@@ -215,16 +201,17 @@ class TestClusterHac:
             check_linkage(z, n)
 
     def test_duplicated_patches_do_not_crash(self):
-        # exact duplicates sit ~4e-16 apart; the Lance-Williams update used
-        # to push merged costs below zero and fail in the square root
-        r = np.random.default_rng(13)
+        # duplicates up to length normalize to vectors a rounding error
+        # apart; the Lance-Williams update used to push merged costs below
+        # zero and fail in the square root
+        r = np.random.default_rng(240)
         pts = duplicate_points(r)
         k = int(r.integers(1, len(pts) + 1))
+        pts = pts * r.uniform(0.5, 4.0, size=(len(pts), 1))
         pset = PatchEmbeddingSet(doc_id="dup", dim=4, grid=PatchGrid(rows=2, cols=11),
                                  vectors=pts)
-        cfg = ChunkerConfig(k=k, omega=0.0, normalize_semantic_before_fusion=False)
-        doc = compress(pset, cfg, PosEncConfig(dim=4))
-        assert doc.k == k == 16
+        doc = compress(pset, ChunkerConfig(k=k, omega=0.0))
+        assert doc.k == k == 4
         assert int(doc.chunk_sizes.sum()) == 22
 
     def test_merge_distances_never_decrease(self, rng):
@@ -263,7 +250,6 @@ def canonical_labels(labels):
 
 def ward_inputs(rng, family, count):
     """``count`` point sets of one family, of 2 to 79 points each."""
-    pe = PosEncConfig(dim=8)
     cases = []
     for _ in range(count):
         if family == "gaussian":
@@ -272,7 +258,7 @@ def ward_inputs(rng, family, count):
         elif family == "grid":
             # pure position (omega=1): exactly tied costs everywhere
             pset = make_pset(rng, rows=int(rng.integers(1, 9)), cols=int(rng.integers(2, 9)))
-            cases.append(fuse(pset, ChunkerConfig(k=1, omega=1.0), pe).vectors)
+            cases.append(fuse(pset, ChunkerConfig(k=1, omega=1.0)).vectors)
         else:
             n = int(rng.integers(2, 80))
             base = rng.normal(size=(int(rng.integers(1, 6)), 4))
@@ -286,7 +272,7 @@ def large_ward_inputs(rng):
     base = rng.normal(size=(40, 16))
     return [
         rng.normal(size=(768, 16)),
-        fuse(grid, ChunkerConfig(k=1, omega=1.0), PosEncConfig(dim=16)).vectors,
+        fuse(grid, ChunkerConfig(k=1, omega=1.0)).vectors,
         base[rng.integers(0, len(base), size=768)],
     ]
 
@@ -481,7 +467,7 @@ class TestPoolReference:
         rng = np.random.default_rng(rows * cols)
         pset = make_pset(rng, rows=rows, cols=cols, dim=32)
         n = pset.n_vectors
-        _, z = cluster_hac(fuse(pset, ChunkerConfig(k=1), PosEncConfig(dim=32)), 1)
+        _, z = cluster_hac(fuse(pset, ChunkerConfig(k=1)), 1)
         for k in (1, 4, 40, 64, 200, n):
             asg = cut_linkage(z, n, k)
             assert_same_doc(pool(pset, asg), reference_pool(pset, asg))
@@ -513,11 +499,10 @@ class TestCompressKs:
     @pytest.mark.parametrize("omega", [0.0, 0.2, 1.0])
     def test_equals_one_compress_per_k(self, rng, method, omega):
         pset = make_pset(rng, rows=6, cols=5, dim=8)
-        pe = PosEncConfig(dim=8)
         cfgs = [ChunkerConfig(k=k, omega=omega, method=method, seed=3)
                 for k in (7, 1, 30, 7, 45, 2)]
-        for got, cfg in zip(compress_ks(pset, cfgs, pe), cfgs):
-            assert_same_doc(got, compress(pset, cfg, pe))
+        for got, cfg in zip(compress_ks(pset, cfgs), cfgs):
+            assert_same_doc(got, compress(pset, cfg))
 
     def test_clusters_once_at_the_smallest_k(self, rng, monkeypatch):
         calls = []
@@ -530,27 +515,25 @@ class TestCompressKs:
         monkeypatch.setattr(chunker, "cluster_hac", counting)
         pset = make_pset(rng, rows=4, cols=4)
         cfgs = [ChunkerConfig(k=k) for k in (9, 3, 40)]
-        docs = compress_ks(pset, cfgs, PosEncConfig(dim=8))
+        docs = compress_ks(pset, cfgs)
         assert calls == [3]
         assert [doc.k for doc in docs] == [9, 3, 16]
 
     def test_rejects_configurations_that_differ_beyond_k(self, rng):
         pset = make_pset(rng)
-        pe = PosEncConfig(dim=8)
         with pytest.raises(ValueError, match="differ only in k"):
-            compress_ks(pset, [ChunkerConfig(k=2), ChunkerConfig(k=3, omega=0.5)], pe)
+            compress_ks(pset, [ChunkerConfig(k=2), ChunkerConfig(k=3, omega=0.5)])
         with pytest.raises(ValueError, match="differ only in k"):
-            compress_ks(pset, [ChunkerConfig(k=2), ChunkerConfig(k=2, method="kmeans")], pe)
+            compress_ks(pset, [ChunkerConfig(k=2), ChunkerConfig(k=2, method="kmeans")])
         with pytest.raises(ValueError, match="at least one"):
-            compress_ks(pset, [], pe)
+            compress_ks(pset, [])
 
 
 class TestCompress:
     def test_k1_ignores_omega(self, rng):
         pset = make_pset(rng)
-        pe = PosEncConfig(dim=8)
         docs = [
-            compress(pset, ChunkerConfig(k=1, omega=w), pe)
+            compress(pset, ChunkerConfig(k=1, omega=w))
             for w in (0.0, 0.5, 1.0)
         ]
         for doc in docs[1:]:
@@ -562,19 +545,19 @@ class TestCompress:
 
     def test_k_equals_n_returns_normalized_originals(self, rng):
         pset = make_pset(rng, rows=2, cols=3)
-        doc = compress(pset, ChunkerConfig(k=6, omega=0.0), PosEncConfig(dim=8))
+        doc = compress(pset, ChunkerConfig(k=6, omega=0.0))
         expected = pset.vectors / np.linalg.norm(pset.vectors, axis=1, keepdims=True)
         np.testing.assert_allclose(doc.chunks, expected, rtol=0, atol=1e-15)
         assert doc.chunk_sizes.tolist() == [1] * 6
 
     def test_k_clamped_to_vector_count(self, rng):
         pset = make_pset(rng, rows=2, cols=2)
-        doc = compress(pset, ChunkerConfig(k=50), PosEncConfig(dim=8))
+        doc = compress(pset, ChunkerConfig(k=50))
         assert doc.k == 4
 
     def test_reduction_arithmetic(self, rng):
         pset = make_pset(rng, rows=8, cols=8, dim=16)
-        doc = compress(pset, ChunkerConfig(k=9), PosEncConfig(dim=16))
+        doc = compress(pset, ChunkerConfig(k=9))
         assert doc.k == 9
         assert doc.chunk_sizes.sum() == 64
         assert doc.n_source_vectors == 64
@@ -582,7 +565,7 @@ class TestCompress:
     def test_kmeans_method_dispatch(self, rng):
         pset = make_pset(rng, rows=4, cols=4)
         cfg = ChunkerConfig(k=3, method="kmeans", seed=5)
-        doc = compress(pset, cfg, PosEncConfig(dim=8))
+        doc = compress(pset, cfg)
         assert doc.k == 3
         assert doc.chunk_sizes.sum() == 16
 
@@ -590,8 +573,7 @@ class TestCompress:
         # one ``compress`` per page, in input order
         psets = [make_pset(rng, doc_id=f"d{i}") for i in range(6)]
         cfg = ChunkerConfig(k=3)
-        pe = PosEncConfig(dim=8)
-        many = compress_many(psets, cfg, pe)
+        many = compress_many(psets, cfg)
         assert len(many) == len(psets)
         for pset, got in zip(psets, many):
-            assert_same_doc(got, compress(pset, cfg, pe))
+            assert_same_doc(got, compress(pset, cfg))

@@ -96,17 +96,17 @@ class TestCompress:
         assert victim in proc.stderr
 
     def test_duplicated_patches(self, tmp_path):
-        # exact duplicate patches once made Ward HAC fail in a square root;
-        # these survive the dump's float32 rounding and still hit that path
+        # duplicate patches once made Ward HAC fail in a square root; these
+        # differ only in length, so they normalize to vectors a rounding
+        # error apart, survive the dump's float32 rounding and hit that path
         r = np.random.default_rng(130)
         base = r.normal(size=(r.integers(1, 5), 4))
-        pts = base[r.integers(0, len(base), size=22)]
+        pts = base[r.integers(0, len(base), size=22)] * r.uniform(0.5, 4.0, size=(22, 1))
         page = PatchEmbeddingSet(doc_id="dup", dim=4, grid=PatchGrid(rows=2, cols=11),
                                  vectors=pts)
         manifest = write_embedding_dump([page], tmp_path / "dump")
         index = tmp_path / "dup.cchk"
-        proc = run_cli("compress", str(manifest), str(index), "--omega", "0",
-                       "--no-normalize-semantic", "--k", "1")
+        proc = run_cli("compress", str(manifest), str(index), "--omega", "0", "--k", "1")
         assert proc.returncode == 0, proc.stderr
         assert read_index(index).docs[0].chunk_sizes.tolist() == [22]
 
@@ -388,6 +388,7 @@ def bad_inputs(dataset, index_path, tmp_path_factory):
         (data / file_name).write_text(json.dumps(body))
 
     write("non_utf8.json", b'{"dim": 16, "entries": []}\xff')
+    write("empty.json", '{"dim": 16, "entries": []}')
     write("hostile.json", HOSTILE_MANIFESTS["entries-null"])
     write("nested.json", "[" * 100_000)
     manifest_with("null_doc_id.json", "manifest", "doc_id", None)
@@ -397,11 +398,18 @@ def bad_inputs(dataset, index_path, tmp_path_factory):
     write("truncated.cchk", blob[: len(blob) // 2])
     write("corrupt.cchk", b"JUNK" + blob[4:])
     write("nested_trailer.cchk", with_trailer(blob, b"[" * 100_000))
+    # the first doc's id starts after the 20-byte header and its u16 length
+    middle = 22 + int.from_bytes(blob[20:22], "little") // 2
+    write("space_id.cchk", blob[:middle] + b" " + blob[middle + 1 :])
     write("run.txt", "q1 Q0 d1 1 0.9 t\n")
+    write("empty_run.txt", "")
     write("repeated_run.txt", "q1 Q0 d1 1 0.9 t\nq1 Q0 d1 2 0.5 t\n")
     write("non_utf8_run.txt", b"\xff\xfeq1 Q0 d1 1 0.9 t\n")
     write("qrels.txt", "q1 0 d1 1\n")
     write("conflicting_qrels.txt", "q1 0 d1 1\nq1 0 d1 0\n")
+    page = PatchEmbeddingSet(doc_id="p", dim=6, grid=PatchGrid(rows=2, cols=2),
+                             vectors=np.random.default_rng(6).normal(size=(4, 6)))
+    paths["dim6"] = write_embedding_dump([page], root / "dim6")
     return paths
 
 
@@ -417,6 +425,9 @@ CLI_ERROR_CASES = {
                              "doc manifest entry 0: doc_id must be a JSON string"),
     "compress-space-in-doc-id": (["compress", "{space_doc_id}", "{out}/x.cchk"],
                                  "doc manifest entry 0: doc_id 'a b'"),
+    "compress-empty-manifest": (["compress", "{empty}", "{out}/x.cchk"], "lists no documents"),
+    # the positional encoder takes the page's dim, which must be a multiple of 4
+    "compress-dim-6": (["compress", "{dim6}", "{out}/x.cchk"], "multiple of 4, got 6"),
     # MAX_HAC_PATCHES is lowered below the dataset's 16 patches a page
     "compress-oversized-page": (["compress", "{manifest}", "{out}/x.cchk", "--k", "4"],
                                 "MAX_HAC_PATCHES = 15"),
@@ -428,6 +439,11 @@ CLI_ERROR_CASES = {
                             "bad magic"),
     "query-nested-trailer": (["query", "{nested_trailer}", "{queries}", "--out",
                               "{out}/run.txt"], "unreadable build metadata"),
+    # such an id would split its run line into 7 fields, which eval refuses
+    "query-space-in-index-id": (["query", "{space_id}", "{queries}", "--out",
+                                 "{out}/run.txt"], "free of whitespace"),
+    "query-empty-manifest": (["query", "{index}", "{empty}", "--out", "{out}/run.txt"],
+                             "lists no queries"),
     "query-hostile-manifest": (["query", "{index}", "{hostile}", "--out", "{out}/run.txt"],
                                "entries must be a list"),
     "query-non-utf8-manifest": (["query", "{index}", "{non_utf8}", "--out", "{out}/run.txt"],
@@ -435,6 +451,7 @@ CLI_ERROR_CASES = {
     "query-space-in-query-id": (["query", "{index}", "{space_query_id}", "--out",
                                  "{out}/run.txt"], "query manifest entry 0: query_id 'q 1'"),
     "eval-missing-run": (["eval", "{missing}", "{qrels}"], "missing"),
+    "eval-empty-run": (["eval", "{empty_run}", "{qrels}"], "run file is empty"),
     "eval-repeated-run-pair": (["eval", "{repeated_run}", "{qrels}"], "run line 2"),
     "eval-non-utf8-run": (["eval", "{non_utf8_run}", "{qrels}"], "is not UTF-8"),
     "eval-conflicting-qrels": (["eval", "{run}", "{conflicting_qrels}"], "qrels line 2"),

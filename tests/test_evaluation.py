@@ -22,7 +22,7 @@ from colchunk.evaluation import (
     run_ablation,
     write_run,
 )
-from colchunk.posenc import PosEncConfig
+from colchunk.posenc import BASE
 from colchunk.scorer import ScoredHit, retrieve
 from colchunk.store import BuildMeta, CorpusIndex, ingest_dump, ingest_queries
 from colchunk.types import PatchGrid
@@ -445,15 +445,13 @@ class TestRunAblation:
         rows_to_csv(rows, buf)
         assert out.read_text(encoding="utf-8") == buf.getvalue()
         assert set(written) == {r.config_id for r in rows}
-        pe = PosEncConfig(dim=docs[0].dim)
         for row in rows:
             index = written[row.config_id]
             cfg = ChunkerConfig(k=row.k, omega=row.omega, method=row.method, seed=sweep.seed)
             meta = BuildMeta(omega=cfg.omega, k_target=cfg.k, method=cfg.method,
-                             posenc_base=pe.base, tool_version=__version__,
+                             posenc_base=BASE, tool_version=__version__,
                              embedding_location="synthetic")
-            ref = CorpusIndex(dim=pe.dim, docs=compress_many(docs, cfg, pe),
-                              build_meta=meta)
+            ref = CorpusIndex(dim=docs[0].dim, docs=compress_many(docs, cfg), build_meta=meta)
             assert index.chunks.tobytes() == ref.chunks.tobytes(), row.config_id
             assert np.array_equal(index.sizes, ref.sizes)
             assert np.array_equal(index.offsets, ref.offsets)

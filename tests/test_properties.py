@@ -17,7 +17,6 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 from colchunk.chunker import ChunkerConfig, cluster_hac, compress, cut_linkage, fuse  # noqa: E402
 from colchunk.evaluation import EvalInputError, Qrels, read_run  # noqa: E402
-from colchunk.posenc import PosEncConfig  # noqa: E402
 from colchunk.store import (  # noqa: E402
     ManifestError,
     ingest_dump,
@@ -47,12 +46,9 @@ def pages(draw):
 
 
 @given(page=pages(), k=st.integers(1, 40), omega=OMEGAS,
-       method=st.sampled_from(["hac_ward", "kmeans"]), normalize=st.booleans())
-def test_compress_keeps_min_k_n_unit_chunks_partitioning_the_page(page, k, omega, method,
-                                                                   normalize):
-    cfg = ChunkerConfig(k=k, omega=omega, method=method,
-                        normalize_semantic_before_fusion=normalize)
-    doc = compress(page, cfg, PosEncConfig(dim=page.dim))
+       method=st.sampled_from(["hac_ward", "kmeans"]))
+def test_compress_keeps_min_k_n_unit_chunks_partitioning_the_page(page, k, omega, method):
+    doc = compress(page, ChunkerConfig(k=k, omega=omega, method=method))
     n = page.n_vectors
     assert doc.k == min(k, n)
     assert (doc.chunk_sizes >= 1).all() and doc.chunk_sizes.sum() == n
@@ -61,7 +57,7 @@ def test_compress_keeps_min_k_n_unit_chunks_partitioning_the_page(page, k, omega
 
 @given(page=pages(), k=st.integers(1, 40), omega=OMEGAS)
 def test_cut_of_full_dendrogram_equals_direct_run(page, k, omega):
-    feats = fuse(page, ChunkerConfig(k=1, omega=omega), PosEncConfig(dim=page.dim))
+    feats = fuse(page, ChunkerConfig(k=1, omega=omega))
     n = page.n_vectors
     direct, _ = cluster_hac(feats, k)
     cut = cut_linkage(cluster_hac(feats, 1)[1], n, min(k, n))

@@ -104,6 +104,15 @@ class TestIndexRoundTrip:
         write_index(index, path)
         assert read_index(path).docs[0].doc_id == "påge-中文"
 
+    @pytest.mark.parametrize("doc_id", ["a b", "tab\t", "", "\u3000wide", 7],
+                             ids=["space", "tab", "empty", "ideographic-space", "int"])
+    def test_id_that_breaks_run_lines_rejected(self, doc_id):
+        # a run line is whitespace-separated fields, one of them the doc id
+        doc = CompressedDocument(doc_id=doc_id, k=1, dim=4, chunks=np.eye(1, 4),
+                                 chunk_sizes=np.array([1]))
+        with pytest.raises(ValueError, match="free of whitespace"):
+            CorpusIndex(dim=4, docs=(doc,), build_meta=make_meta())
+
     def test_oversized_doc_id_rejected_on_write(self, tmp_path):
         chunks = np.eye(1, 4)
         doc = CompressedDocument(
@@ -175,6 +184,24 @@ class TestIndexCorruption:
         path.write_bytes(blob)
         with pytest.raises(IndexFormatError, match="invalid k"):
             read_index(path)
+
+    # In-place edits of the good file (docs doc0..doc2, dim 8, K 4): the
+    # header is 20 bytes, doc0's id starts at 22 and its sizes at 30, and
+    # doc1's id starts at 176.
+    @pytest.mark.parametrize(
+        "offset,patch,fragment",
+        [(30, struct.pack("<I", 0), "at least one patch"),
+         (8, struct.pack("<I", 0), "invalid dim 0"),
+         (176, b"doc0", "duplicate doc_id 'doc0'"),
+         (22, b"do 0", "free of whitespace")],
+        ids=["zero-chunk-size", "zero-dim", "repeated-doc-id", "space-in-doc-id"],
+    )
+    def test_edited_field_rejected(self, good_file, offset, patch, fragment):
+        raw = bytearray(good_file.read_bytes())
+        raw[offset : offset + len(patch)] = patch
+        good_file.write_bytes(bytes(raw))
+        with pytest.raises(IndexFormatError, match=fragment):
+            read_index(good_file)
 
     def test_non_unit_chunks_rejected(self, good_file):
         # scale the first doc's vector payload: header 20, id len 2 + 4,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from colchunk.posenc import PosEncConfig, encode_batch
+from colchunk.posenc import encode_batch
 from colchunk.types import (
     ChunkAssignment,
     CompressedDocument,
@@ -62,12 +62,11 @@ class TestPatchCoords:
 class TestNormalizedCoords:
     # normalized coordinates are (n, 2) arrays; encode_batch holds the range check
     def test_range_check(self):
-        cfg = PosEncConfig(dim=8)
-        encode_batch(cfg, np.array([[0.0, 1.0]]))
+        encode_batch(8, np.array([[0.0, 1.0]]))
         with pytest.raises(ValueError):
-            encode_batch(cfg, np.array([[1.5, 0.5]]))
+            encode_batch(8, np.array([[1.5, 0.5]]))
         with pytest.raises(ValueError):
-            encode_batch(cfg, np.array([[0.5, -0.1]]))
+            encode_batch(8, np.array([[0.5, -0.1]]))
 
 
 def page(vectors, rows=2, cols=2, dim=8):
