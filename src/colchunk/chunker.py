@@ -88,7 +88,7 @@ def fuse(pset: PatchEmbeddingSet, cfg: ChunkerConfig) -> FusedFeatureSet:
     v = pset.vectors / np.linalg.norm(pset.vectors, axis=1, keepdims=True)
     p = encode_batch(pset.dim, grid_coords(pset.grid))
     z = (1.0 - cfg.omega) * v + cfg.omega * p
-    return FusedFeatureSet(dim=pset.dim, omega=cfg.omega, vectors=z)
+    return FusedFeatureSet(omega=cfg.omega, vectors=z)
 
 
 def _pairwise_sq(x: np.ndarray) -> np.ndarray:
@@ -115,8 +115,7 @@ def _canonical_assignment(labels_raw: np.ndarray) -> ChunkAssignment:
     _, first, inverse = np.unique(labels_raw, return_index=True, return_inverse=True)
     rank = np.empty(first.shape[0], dtype=np.int64)
     rank[np.argsort(first)] = np.arange(first.shape[0])
-    labels = rank[inverse]
-    return ChunkAssignment(k=first.shape[0], labels=labels, sizes=np.bincount(labels))
+    return ChunkAssignment(rank[inverse])
 
 
 def cluster_hac(feats: FusedFeatureSet, k: int) -> tuple[ChunkAssignment, np.ndarray]:
@@ -152,10 +151,7 @@ def cluster_hac(feats: FusedFeatureSet, k: int) -> tuple[ChunkAssignment, np.nda
     if n == 0:
         raise ValueError("cannot cluster an empty feature set")
     if n <= k:
-        return (
-            ChunkAssignment(k=n, labels=np.arange(n), sizes=np.ones(n, dtype=np.int64)),
-            np.empty((0, 4)),
-        )
+        return ChunkAssignment(np.arange(n)), np.empty((0, 4))
     if n > MAX_HAC_PATCHES:
         raise ValueError(
             f"a page of {n} patches exceeds MAX_HAC_PATCHES = {MAX_HAC_PATCHES}: "
@@ -262,6 +258,18 @@ def cut_linkage(z: np.ndarray, n: int, k: int) -> ChunkAssignment:
     return _canonical_assignment(parent[:n])
 
 
+def _label_sums(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """The ``(k, dim)`` sums of the rows of ``x`` that share each label.
+
+    A weighted ``bincount`` adds each label's rows in index order, as
+    ``np.add.at`` or a per-label loop does, so the sums match those bit for
+    bit.
+    """
+    dim = x.shape[1]
+    flat = (labels[:, None] * dim + np.arange(dim)).ravel()
+    return np.bincount(flat, weights=x.ravel(), minlength=k * dim).reshape(k, dim)
+
+
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Greedy k-means++ seeding, deterministic for a given generator state."""
     n = x.shape[0]
@@ -310,7 +318,7 @@ def cluster_kmeans(feats: FusedFeatureSet, k: int, seed: int = 0) -> ChunkAssign
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     x = feats.vectors
-    n, dim = x.shape
+    n = x.shape[0]
     if k > n:
         raise ValueError(f"k = {k} exceeds the {n} available points")
     rng = np.random.default_rng(seed)
@@ -324,11 +332,7 @@ def cluster_kmeans(feats: FusedFeatureSet, k: int, seed: int = 0) -> ChunkAssign
         counts = np.bincount(labels, minlength=k)
         if (counts == 0).any():
             labels = _repair_empty(x, centers, labels, counts)
-        # bincount adds each cluster's rows in index order, as a per-cluster
-        # mean would, so the centroids match that loop bit for bit.
-        flat = (labels[:, None] * dim + np.arange(dim)).ravel()
-        sums = np.bincount(flat, weights=x.ravel(), minlength=k * dim).reshape(k, dim)
-        new_centers = sums / counts[:, None]
+        new_centers = _label_sums(x, labels, k) / counts[:, None]
         shift = float(np.linalg.norm(new_centers - centers, axis=1).max())
         centers = new_centers
         if shift < KMEANS_TOL:
@@ -351,13 +355,8 @@ def pool(pset: PatchEmbeddingSet, assignment: ChunkAssignment) -> CompressedDocu
             f"assignment covers {assignment.labels.shape[0]} patches, set has {pset.n_vectors}"
         )
     v = pset.vectors
-    k, dim = assignment.k, pset.dim
     labels = assignment.labels
-    # bincount adds each chunk's rows in index order, as ``np.add.at`` does,
-    # so the sums are the same bit for bit.
-    flat = (labels[:, None] * dim + np.arange(dim)).ravel()
-    sums = np.bincount(flat, weights=v.ravel(), minlength=k * dim).reshape(k, dim)
-    means = sums / assignment.sizes[:, None]
+    means = _label_sums(v, labels, assignment.k) / assignment.sizes[:, None]
     norms = np.linalg.norm(means, axis=1)
     degenerate = norms < DEGENERATE_NORM
     chunks = means / np.where(degenerate, 1.0, norms)[:, None]
@@ -378,7 +377,7 @@ def pool(pset: PatchEmbeddingSet, assignment: ChunkAssignment) -> CompressedDocu
         chunks[c] = v[j] / fallback_norm
     return CompressedDocument(
         doc_id=pset.doc_id,
-        k=k,
+        k=assignment.k,
         dim=pset.dim,
         chunks=chunks,
         chunk_sizes=assignment.sizes,

@@ -138,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--methods", type=_method_list, default=())
     p_bench.add_argument("--k", type=_positive_int, default=40, help="base k for sweeps")
     p_bench.add_argument("--omega", type=_unit_float, default=0.2, help="base omega for sweeps")
-    p_bench.add_argument("--no-baseline", action="store_true", help="skip the K=1 row")
     p_bench.add_argument("--workdir", default=None, help="keep generated dumps here")
     p_bench.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p_bench.add_argument("--threads", type=_positive_int, help=THREADS_HELP)
@@ -154,11 +153,12 @@ def cmd_compress(args) -> int:
         seed=args.seed,
     )
     manifest = load_manifest(args.manifest)
-    sets = list(ingest_dump(manifest))
-    if not sets:
+    if not manifest.entries:
         print("error: the dump manifest lists no documents", file=sys.stderr)
         return 1
-    docs = compress_many(sets, cfg)
+    # One page's float64 patches in memory at a time: each page is read,
+    # compressed and dropped before the next.
+    docs = compress_many(ingest_dump(manifest), cfg)
     meta = BuildMeta(
         omega=cfg.omega,
         k_target=cfg.k,
@@ -167,12 +167,12 @@ def cmd_compress(args) -> int:
         tool_version=__version__,
         embedding_location=manifest.location,
     )
-    index = CorpusIndex(dim=sets[0].dim, docs=tuple(docs), build_meta=meta)
+    index = CorpusIndex(dim=manifest.dim, docs=tuple(docs), build_meta=meta)
     write_index(index, args.index)
-    total_in = sum(s.n_vectors for s in sets)
+    total_in = sum(entry.n_vectors for entry in manifest.entries)
     total_out = sum(d.k for d in docs)
-    payload_out = total_out * sets[0].dim * 4
-    payload_in = total_in * sets[0].dim * 4
+    payload_out = total_out * manifest.dim * 4
+    payload_in = total_in * manifest.dim * 4
     reduction = 100.0 * (1.0 - total_out / total_in)
     print(f"docs: {len(docs)}")
     print(f"mean patch vectors per doc: {total_in / len(docs):.1f}")
@@ -244,7 +244,6 @@ def cmd_bench(args) -> int:
         base_k=args.k,
         base_omega=args.omega,
         seed=args.seed,
-        include_baseline=not args.no_baseline,
     )
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(args.workdir) if args.workdir else Path(tmp)

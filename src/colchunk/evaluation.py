@@ -341,7 +341,6 @@ class SweepSpec:
     base_k: int = 40
     base_omega: float = 0.2
     seed: int = 0
-    include_baseline: bool = True
 
 
 @dataclass(frozen=True)
@@ -420,10 +419,10 @@ def run_ablation(
 ) -> list[AblationRow]:
     """Compress, index, retrieve, and score one row per swept configuration.
 
-    Emits a K=1 single-vector baseline row first (unless disabled), then the
-    k sweep, the omega sweep, and the method comparison, each varying one
-    axis with the others at base values. Index sizes are measured on real
-    files written under ``scratch_dir``.
+    Emits a K=1 single-vector baseline row first, then the k sweep, the
+    omega sweep, and the method comparison, each varying one axis with the
+    others at base values. Index sizes are measured on real files written
+    under ``scratch_dir``.
 
     Configurations sharing (omega, method) are compressed together, page by
     page with ``compress_ks``: one fusion and, for Ward, one dendrogram per
@@ -439,17 +438,13 @@ def run_ablation(
     def make_cfg(k: int, omega: float, method: str) -> ChunkerConfig:
         return ChunkerConfig(k=k, omega=omega, method=method, seed=sweep.seed)
 
-    configs: list[tuple[str, ChunkerConfig]] = []
-    if sweep.include_baseline:
-        configs.append(("baseline-k1", make_cfg(1, sweep.base_omega, "hac_ward")))
+    configs = [("baseline-k1", make_cfg(1, sweep.base_omega, "hac_ward"))]
     for k in sweep.k_values:
         configs.append((f"k{k}", make_cfg(k, sweep.base_omega, "hac_ward")))
     for omega in sweep.omega_values:
         configs.append((f"omega{omega:g}", make_cfg(sweep.base_k, omega, "hac_ward")))
     for method in sweep.methods:
         configs.append((f"method-{method}", make_cfg(sweep.base_k, sweep.base_omega, method)))
-    if not configs:
-        raise ValueError("sweep selects no configurations")
 
     groups: dict[tuple[float, str], list[int]] = {}
     for i, (_, cfg) in enumerate(configs):

@@ -160,6 +160,8 @@ class CorpusIndex:
         return index
 
     def _set(self, dim, ids, offsets, chunks, sizes, build_meta) -> None:
+        if dim < 1:
+            raise ValueError(f"dim must be at least 1, got {dim}")
         seen: set[str] = set()
         for doc_id in ids:
             if not (isinstance(doc_id, str) and _is_one_field(doc_id)):
@@ -200,9 +202,13 @@ class CorpusIndex:
 def write_index(index: CorpusIndex, path: str | Path) -> None:
     """Serialize an index; see the module docstring for the exact layout.
 
-    The bytes go to a sibling temporary file that replaces ``path`` only once
-    complete, so a failed write leaves any previous index intact.
+    Before any byte is written, the chunks are checked as ``read_index``
+    checks them, rounded to float32, so a file the reader would reject
+    raises ValueError instead. The bytes go to a sibling temporary file that
+    replaces ``path`` only once complete, so a failed write leaves any
+    previous index intact.
     """
+    _check_chunks(index.ids, index.offsets, index.chunks, index.sizes)
     out = Path(path)
     tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
     try:
@@ -325,27 +331,33 @@ def read_index(path: str | Path) -> CorpusIndex:
     rows = offsets[-1]
     offsets = np.array(offsets, dtype=np.int64)
     chunks, sizes = chunks[:rows], sizes[:rows].astype(np.int64)
-    _check_chunks(ids, offsets, chunks, sizes)
     try:
+        _check_chunks(ids, offsets, chunks, sizes)
         return CorpusIndex.from_columns(dim, ids, offsets, chunks, sizes, meta)
     except ValueError as exc:
         raise IndexFormatError(str(exc)) from exc
 
 
 def _check_chunks(ids, offsets, chunks, sizes) -> None:
-    """Every size >= 1 and every chunk finite and unit norm, by float64 norms."""
+    """Every size >= 1 and every chunk finite and unit norm; ValueError otherwise.
+
+    Chunks are rounded to float32, as stored, and their norms taken in
+    float64, ``_CHECK_ROWS`` rows at a time. The rounding is a no-op on the
+    reader's float32 matrix.
+    """
     bad = np.flatnonzero(sizes < 1)
     if bad.size:
         doc = int(np.searchsorted(offsets, bad[0], side="right")) - 1
-        raise IndexFormatError(
+        raise ValueError(
             f"doc '{ids[doc]}' violates invariants: every chunk must cover at least one patch"
         )
     for start in range(0, len(chunks), _CHECK_ROWS):
-        found = first_non_unit_row(chunks[start : start + _CHECK_ROWS].astype(np.float64))
+        block = chunks[start : start + _CHECK_ROWS].astype(np.float32, copy=False)
+        found = first_non_unit_row(block.astype(np.float64))
         if found is not None:
             row = start + found[0]
             doc = int(np.searchsorted(offsets, row, side="right")) - 1
-            raise IndexFormatError(
+            raise ValueError(
                 f"doc '{ids[doc]}' violates invariants: chunk {row - offsets[doc]} "
                 f"is not unit norm (|norm - 1| = {found[1]:.3g})"
             )

@@ -10,7 +10,7 @@ caller can break an invariant after the check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,11 +37,11 @@ def first_non_unit_row(rows: np.ndarray) -> tuple[int, float] | None:
     return (int(bad[0]), float(off[bad[0]])) if bad.size else None
 
 
-def _freeze_matrix(obj, name: str, value) -> np.ndarray:
-    """Coerce a field to a read-only float64 matrix on a frozen dataclass."""
-    arr = np.array(value, dtype=np.float64, copy=True)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
+def _freeze(obj, name: str, value, dtype=np.float64, ndim: int = 2) -> np.ndarray:
+    """Coerce a field to a read-only ``ndim``-D array of ``dtype`` on a frozen dataclass."""
+    arr = np.array(value, dtype=dtype, copy=True)
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
     arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
     return arr
@@ -66,15 +66,6 @@ def _check_rows(owner: str, dim: int, rows: np.ndarray) -> None:
         j = int(bad[0])
         problem = "a non-finite component" if not finite[j] else "zero norm"
         raise ValueError(f"{owner}: vectors[{j}] has {problem}")
-
-
-def _freeze_ints(obj, name: str, value) -> np.ndarray:
-    arr = np.array(value, dtype=np.int64, copy=True)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    arr.setflags(write=False)
-    object.__setattr__(obj, name, arr)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -124,7 +115,7 @@ class PatchEmbeddingSet:
     vectors: np.ndarray
 
     def __post_init__(self):
-        arr = _freeze_matrix(self, "vectors", self.vectors)
+        arr = _freeze(self, "vectors", self.vectors)
         owner = f"doc '{self.doc_id}'"
         if arr.shape[0] != self.grid.n_patches:
             raise ValueError(f"{owner}: count mismatch: {arr.shape[0]} != {self.grid.n_patches}")
@@ -139,48 +130,44 @@ class PatchEmbeddingSet:
 class FusedFeatureSet:
     """Per-patch features after blending semantics with the positional prior."""
 
-    dim: int
     omega: float
     vectors: np.ndarray
 
     def __post_init__(self):
-        arr = _freeze_matrix(self, "vectors", self.vectors)
+        arr = _freeze(self, "vectors", self.vectors)
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
-        if arr.shape[1] != self.dim:
-            raise ValueError(f"expected {self.dim} components, got {arr.shape[1]}")
         if not np.isfinite(arr).all():
             raise ValueError("fused features must be finite")
 
 
 @dataclass(frozen=True, eq=False)
 class ChunkAssignment:
-    """A partition of a page's patches into ``k`` chunks.
+    """A partition of a page's patches into ``k`` chunks, given by its labels.
 
-    ``labels[j]`` is the chunk of patch ``j``. Labels are contiguous in
-    ``[0, k)`` and numbered by ascending smallest member index, so the
-    assignment is a canonical representation of the partition.
+    ``labels[j]`` is the chunk of patch ``j``. The chunk count ``k`` and the
+    patches per chunk, ``sizes``, are derived from the labels, which must be
+    non-empty and non-negative and leave no chunk in ``[0, k)`` empty. The
+    clusterers number chunks by ascending smallest member index, so their
+    assignments are a canonical representation of the partition.
     """
 
-    k: int
     labels: np.ndarray
-    sizes: np.ndarray
+    k: int = field(init=False)
+    sizes: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        labels = _freeze_ints(self, "labels", self.labels)
-        sizes = _freeze_ints(self, "sizes", self.sizes)
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
-        if labels.shape[0] < self.k:
-            raise ValueError(f"cannot split {labels.shape[0]} patches into {self.k} chunks")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.k):
-            raise ValueError("labels must lie in [0, k)")
-        counts = np.bincount(labels, minlength=self.k)
-        if (counts == 0).any():
-            missing = int(np.flatnonzero(counts == 0)[0])
-            raise ValueError(f"chunk {missing} is empty")
-        if sizes.shape[0] != self.k or (sizes != counts).any():
-            raise ValueError("sizes disagree with labels")
+        labels = _freeze(self, "labels", self.labels, np.int64, 1)
+        if labels.size == 0:
+            raise ValueError("an assignment needs at least one patch")
+        # A label of n or more would leave a chunk empty; refusing it first
+        # also bounds the bincount.
+        if labels.min() < 0 or labels.max() >= labels.size:
+            raise ValueError(f"labels must lie in [0, {labels.size}) for {labels.size} patches")
+        sizes = _freeze(self, "sizes", np.bincount(labels), np.int64, 1)
+        if (sizes == 0).any():
+            raise ValueError(f"chunk {int(np.flatnonzero(sizes == 0)[0])} is empty")
+        object.__setattr__(self, "k", len(sizes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,8 +181,8 @@ class CompressedDocument:
     chunk_sizes: np.ndarray
 
     def __post_init__(self):
-        chunks = _freeze_matrix(self, "chunks", self.chunks)
-        sizes = _freeze_ints(self, "chunk_sizes", self.chunk_sizes)
+        chunks = _freeze(self, "chunks", self.chunks)
+        sizes = _freeze(self, "chunk_sizes", self.chunk_sizes, np.int64, 1)
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
         if chunks.shape != (self.k, self.dim):
@@ -223,7 +210,7 @@ class QueryEmbeddingSet:
     vectors: np.ndarray
 
     def __post_init__(self):
-        arr = _freeze_matrix(self, "vectors", self.vectors)
+        arr = _freeze(self, "vectors", self.vectors)
         if arr.shape[0] < 1:
             raise ValueError("a query needs at least one token vector")
         _check_rows(f"query '{self.query_id}'", self.dim, arr)

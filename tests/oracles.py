@@ -170,14 +170,12 @@ def reference_ward(points, k: int):
 
     slots = sorted(np.flatnonzero(active).tolist(), key=lambda s: min_member[s])
     labels = np.empty(n, dtype=np.int64)
-    sizes = np.empty(len(slots), dtype=np.int64)
     for lbl, s in enumerate(slots):
         labels[members[s]] = lbl
-        sizes[lbl] = size[s]
     linkage = np.array(merges, dtype=np.float64)
     linkage[:, :2].sort(axis=1)
     np.sqrt(linkage[:, 2], out=linkage[:, 2])
-    return ChunkAssignment(k=len(slots), labels=labels, sizes=sizes), linkage
+    return ChunkAssignment(labels), linkage
 
 
 def reference_pool(pset, assignment) -> CompressedDocument:

@@ -80,7 +80,7 @@ def test_c01_hac_oracle_equivalence():
         dim = int(rng.choice([4, 8, 16]))
         k = int(rng.integers(1, n + 1))
         pts = rng.normal(size=(n, dim))
-        got, trace = cluster_hac(FusedFeatureSet(dim=dim, omega=0.0, vectors=pts), k)
+        got, trace = cluster_hac(FusedFeatureSet(omega=0.0, vectors=pts), k)
         want_labels, want_dists = brute_force_ward(pts, k)
         if not np.array_equal(got.labels, want_labels):
             problems.append(f"trial {trial}: partition mismatch (n={n} dim={dim} k={k})")
@@ -263,7 +263,7 @@ def seeded_sweep():
                          dim=128, noise_sigma=0.5, seed=7)
     docs, queries, qrels = generate_corpus(spec)
     sweep = SweepSpec(k_values=(5, 40, 80), omega_values=(), methods=("kmeans",),
-                      base_k=40, base_omega=0.2, seed=7, include_baseline=True)
+                      base_k=40, base_omega=0.2, seed=7)
     t0 = time.perf_counter()
     rows = run_ablation(docs, queries, qrels, sweep)
     elapsed = time.perf_counter() - t0

@@ -28,7 +28,7 @@ from oracles import brute_force_ward, reference_pool, reference_ward
 
 def feats_from(points, omega=0.0):
     pts = np.asarray(points, dtype=np.float64)
-    return FusedFeatureSet(dim=pts.shape[1], omega=omega, vectors=pts)
+    return FusedFeatureSet(omega=omega, vectors=pts)
 
 
 class TestConfig:
@@ -411,9 +411,7 @@ class TestPool:
         pset = PatchEmbeddingSet(
             doc_id="d", dim=2, grid=PatchGrid(rows=1, cols=3), vectors=vectors
         )
-        asg = ChunkAssignment(
-            k=2, labels=np.array([0, 0, 1]), sizes=np.array([2, 1])
-        )
+        asg = ChunkAssignment(np.array([0, 0, 1]))
         doc = pool(pset, asg)
         s = 1.0 / math.sqrt(2.0)
         np.testing.assert_allclose(
@@ -427,7 +425,7 @@ class TestPool:
         pset = PatchEmbeddingSet(
             doc_id="d", dim=2, grid=PatchGrid(rows=1, cols=2), vectors=vectors
         )
-        asg = ChunkAssignment(k=1, labels=np.array([0, 0]), sizes=np.array([2]))
+        asg = ChunkAssignment(np.array([0, 0]))
         doc = pool(pset, asg)
         expected = np.array([5.0, 0.5]) / math.sqrt(25.25)
         np.testing.assert_allclose(doc.chunks[0], expected, rtol=0, atol=1e-15)
@@ -437,7 +435,7 @@ class TestPool:
         pset = PatchEmbeddingSet(
             doc_id="d", dim=2, grid=PatchGrid(rows=1, cols=2), vectors=vectors
         )
-        asg = ChunkAssignment(k=1, labels=np.array([0, 0]), sizes=np.array([2]))
+        asg = ChunkAssignment(np.array([0, 0]))
         with pytest.warns(RuntimeWarning):
             doc = pool(pset, asg)
         np.testing.assert_array_equal(doc.chunks[0], [1.0, 0.0])
@@ -448,7 +446,7 @@ class TestPool:
         pset = PatchEmbeddingSet(
             doc_id="d", dim=2, grid=PatchGrid(rows=1, cols=2), vectors=vectors
         )
-        asg = ChunkAssignment(k=1, labels=np.array([0, 0]), sizes=np.array([2]))
+        asg = ChunkAssignment(np.array([0, 0]))
         with pytest.raises(ValueError, match="smallest member 0 is itself zero"):
             pool(pset, asg)
 
@@ -478,7 +476,7 @@ class TestPoolReference:
         pset = PatchEmbeddingSet(
             doc_id="d", dim=2, grid=PatchGrid(rows=1, cols=5), vectors=vectors
         )
-        asg = ChunkAssignment(k=3, labels=np.array([0, 1, 0, 2, 2]), sizes=np.array([2, 1, 2]))
+        asg = ChunkAssignment(np.array([0, 1, 0, 2, 2]))
         with pytest.warns(RuntimeWarning) as got_warnings:
             got = pool(pset, asg)
         with pytest.warns(RuntimeWarning) as ref_warnings:

@@ -22,10 +22,9 @@ from colchunk.types import PatchEmbeddingSet, PatchGrid
 from conftest import with_trailer
 
 
-def run_cli(*argv, env=None):
+def run_cli(*argv):
     return subprocess.run(
-        [sys.executable, "-m", "colchunk.cli", *argv],
-        capture_output=True, text=True, env=env,
+        [sys.executable, "-m", "colchunk.cli", *argv], capture_output=True, text=True
     )
 
 
@@ -56,6 +55,29 @@ class TestCompress:
         loaded = read_index(index)
         assert len(loaded.docs) == 6
         assert loaded.build_meta.k_target == 4
+
+    def test_reads_each_page_only_after_compressing_the_last(
+        self, dataset, tmp_path, monkeypatch, capsys
+    ):
+        # one page of float64 patches in memory at a time, however long the dump
+        events = []
+        read_pages, compress_page = cli.ingest_dump, chunker.compress
+
+        def spy_ingest(manifest):
+            for pset in read_pages(manifest):
+                events.append("read")
+                yield pset
+
+        def spy_compress(pset, cfg):
+            events.append("compress")
+            return compress_page(pset, cfg)
+
+        monkeypatch.setattr(cli, "ingest_dump", spy_ingest)
+        monkeypatch.setattr(chunker, "compress", spy_compress)
+        argv = ["compress", str(dataset.doc_manifest), str(tmp_path / "s.cchk"), "--k", "4"]
+        assert cli.main(argv) == 0
+        assert "docs: 6" in capsys.readouterr().out
+        assert events == ["read", "compress"] * 6
 
     def test_method_alias(self, dataset, tmp_path):
         index = tmp_path / "km.cchk"
@@ -332,16 +354,6 @@ class TestTopLevel:
         assert proc.returncode == 0
         for sub in ("compress", "query", "eval", "bench"):
             assert sub in proc.stdout
-
-    def test_threads_env_fallback(self, dataset, tmp_path):
-        import os
-
-        env = dict(os.environ, COLCHUNK_THREADS="2")
-        index = tmp_path / "env.cchk"
-        proc = run_cli("compress", str(dataset.doc_manifest), str(index),
-                       "--k", "4", env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert index.exists()
 
     @pytest.mark.parametrize("command", ["compress", "query", "bench"])
     def test_threads_must_be_a_positive_integer(self, command, capsys):

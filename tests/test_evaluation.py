@@ -359,11 +359,6 @@ class TestRunAblation:
         assert rows[0].vectors_per_doc == 1.0
         assert rows[1].vectors_per_doc == 2.0
 
-    def test_rejects_empty_sweep(self, tiny_corpus):
-        docs, queries, qrels = tiny_corpus
-        with pytest.raises(ValueError):
-            run_ablation(docs, queries, qrels, SweepSpec(include_baseline=False))
-
     def test_csv_shape(self, tiny_corpus):
         docs, queries, qrels = tiny_corpus
         rows = run_ablation(docs, queries, qrels,

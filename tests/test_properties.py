@@ -18,13 +18,22 @@ from hypothesis import given, strategies as st  # noqa: E402
 from colchunk.chunker import ChunkerConfig, cluster_hac, compress, cut_linkage, fuse  # noqa: E402
 from colchunk.evaluation import EvalInputError, Qrels, read_run  # noqa: E402
 from colchunk.store import (  # noqa: E402
+    BuildMeta,
+    CorpusIndex,
     ManifestError,
     ingest_dump,
     ingest_queries,
+    read_index,
     write_embedding_dump,
+    write_index,
     write_query_dump,
 )
-from colchunk.types import PatchEmbeddingSet, PatchGrid, QueryEmbeddingSet  # noqa: E402
+from colchunk.types import (  # noqa: E402
+    CompressedDocument,
+    PatchEmbeddingSet,
+    PatchGrid,
+    QueryEmbeddingSet,
+)
 
 OMEGAS = st.sampled_from([0.0, 0.2, 1.0]) | st.floats(0.0, 1.0)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -86,6 +95,39 @@ def test_nan_inf_or_zero_row_raises_naming_it(make, seed, n, dim, fault, data):
         vectors[row, data.draw(st.integers(0, dim - 1))] = fault
     with pytest.raises(ValueError, match=re.escape(f"vectors[{row}] has")):
         make(vectors)
+
+
+# Ids that obey the id rule: no whitespace (categories Z and C hold every
+# character ``str.split`` splits on) and no surrogates.
+IDS = st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=8)
+# Chunk norms drift from 1 by at most the unit-norm tolerance, either way.
+DRIFTS = st.sampled_from([-1e-6, 0.0, 0.999e-6, 1e-6]) | st.floats(-1e-6, 1e-6)
+META = BuildMeta(omega=0.2, k_target=4, method="hac_ward", posenc_base=10000.0,
+                 tool_version="0.1.0")
+
+
+@given(dim=st.integers(0, 12),
+       docs=st.lists(st.tuples(IDS, st.integers(1, 4), SEEDS, DRIFTS), max_size=3,
+                     unique_by=lambda doc: doc[0]))
+def test_index_is_refused_or_reads_back_and_rewrites_byte_identical(tmp_path_factory, dim, docs):
+    first = tmp_path_factory.getbasetemp() / "first.cchk"
+    second = tmp_path_factory.getbasetemp() / "second.cchk"
+    try:
+        built = []
+        for doc_id, k, seed, drift in docs:
+            rng = np.random.default_rng(seed)
+            chunks = rng.normal(size=(k, dim))
+            if dim:
+                chunks *= (1.0 + drift) / np.linalg.norm(chunks, axis=1, keepdims=True)
+            built.append(CompressedDocument(doc_id=doc_id, k=k, dim=dim, chunks=chunks,
+                                            chunk_sizes=rng.integers(1, 9, size=k)))
+        write_index(CorpusIndex(dim=dim, docs=built, build_meta=META), first)
+    except ValueError:
+        return
+    back = read_index(first)
+    assert back.ids == tuple(doc[0] for doc in docs)
+    write_index(back, second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 # Run and qrels lines: whitespace-joined fields, some of them plausible, or

@@ -44,7 +44,6 @@ def without_wall_ms(csv_lines):
 def test_quick_start_matches_readme(tmp_path, monkeypatch, capsys):
     bench_block, csv_block, steps_block = quick_start_blocks()[:3]
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("COLCHUNK_THREADS", raising=False)
 
     bench = shlex.split(bench_block.replace("\\\n", " "))
     assert "--workdir" in bench

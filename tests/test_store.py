@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from colchunk import store
 from colchunk.store import (
     FORMAT_VERSION,
     MAGIC,
@@ -20,7 +21,7 @@ from colchunk.store import (
     write_index,
     write_query_dump,
 )
-from colchunk.types import CompressedDocument, PatchGrid, QueryEmbeddingSet
+from colchunk.types import CompressedDocument, PatchGrid, QueryEmbeddingSet, first_non_unit_row
 
 from conftest import make_pset, with_trailer
 
@@ -134,6 +135,37 @@ class TestIndexRoundTrip:
             write_index(CorpusIndex(dim=4, docs=(good, big), build_meta=make_meta()), path)
         assert path.read_bytes() == before
         assert len(read_index(path)) == 3
+        assert [f.name for f in tmp_path.iterdir()] == ["t.cchk"]
+
+    def test_zero_dim_rejected(self):
+        # the reader rejects a header dim of 0, so no index may carry one
+        with pytest.raises(ValueError, match="dim must be at least 1"):
+            CorpusIndex(dim=0, docs=(), build_meta=make_meta())
+
+    def test_chunk_off_unit_norm_once_stored_rejected_before_writing(
+        self, rng, tmp_path, monkeypatch
+    ):
+        # unit norm within UNIT_NORM_TOL in float64, but not once rounded to
+        # the stored float32, where the reader checks it
+        draws = np.random.default_rng(0)
+        while True:
+            chunk = draws.normal(size=(1, 128))
+            chunk *= (1.0 + 0.999e-6) / np.linalg.norm(chunk)
+            if first_non_unit_row(chunk.astype(np.float32).astype(np.float64)) is not None:
+                break
+        doc = CompressedDocument(doc_id="d", k=1, dim=128, chunks=chunk,
+                                 chunk_sizes=np.array([1]))
+        path = tmp_path / "t.cchk"
+        write_index(make_index(rng), path)
+        before = path.read_bytes()
+
+        def no_bytes(*args):
+            raise AssertionError("write_index started writing")
+
+        monkeypatch.setattr(store, "_write_records", no_bytes)
+        with pytest.raises(ValueError, match="chunk 0 is not unit norm"):
+            write_index(CorpusIndex(dim=128, docs=(doc,), build_meta=make_meta()), path)
+        assert path.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["t.cchk"]
 
 

@@ -126,36 +126,37 @@ class TestValidate:
 class TestFusedFeatureSet:
     def test_omega_bounds(self, rng):
         vecs = rng.normal(size=(4, 8))
-        FusedFeatureSet(dim=8, omega=0.0, vectors=vecs)
-        FusedFeatureSet(dim=8, omega=1.0, vectors=vecs)
+        FusedFeatureSet(omega=0.0, vectors=vecs)
+        FusedFeatureSet(omega=1.0, vectors=vecs)
         with pytest.raises(ValueError):
-            FusedFeatureSet(dim=8, omega=1.2, vectors=vecs)
+            FusedFeatureSet(omega=1.2, vectors=vecs)
         with pytest.raises(ValueError):
-            FusedFeatureSet(dim=8, omega=-0.1, vectors=vecs)
+            FusedFeatureSet(omega=-0.1, vectors=vecs)
 
     def test_rejects_nonfinite(self, rng):
         vecs = rng.normal(size=(4, 8))
         vecs[0, 0] = np.inf
         with pytest.raises(ValueError):
-            FusedFeatureSet(dim=8, omega=0.5, vectors=vecs)
+            FusedFeatureSet(omega=0.5, vectors=vecs)
 
 
 class TestChunkAssignment:
     def test_valid_partition(self):
-        asg = ChunkAssignment(k=2, labels=np.array([0, 1, 0, 1]), sizes=np.array([2, 2]))
+        asg = ChunkAssignment(np.array([0, 1, 0, 1]))
         assert asg.k == 2
+        assert asg.sizes.tolist() == [2, 2]
 
     def test_rejects_empty_chunk(self):
-        with pytest.raises(ValueError):
-            ChunkAssignment(k=3, labels=np.array([0, 0, 1, 1]), sizes=np.array([2, 2, 0]))
-
-    def test_rejects_size_count_disagreement(self):
-        with pytest.raises(ValueError):
-            ChunkAssignment(k=2, labels=np.array([0, 1, 1, 1]), sizes=np.array([2, 2]))
+        with pytest.raises(ValueError, match="chunk 1 is empty"):
+            ChunkAssignment(np.array([0, 0, 2, 2]))
+        with pytest.raises(ValueError, match="at least one patch"):
+            ChunkAssignment(np.array([], dtype=np.int64))
 
     def test_rejects_out_of_range_label(self):
-        with pytest.raises(ValueError):
-            ChunkAssignment(k=2, labels=np.array([0, 2, 0, 1]), sizes=np.array([2, 2]))
+        with pytest.raises(ValueError, match="must lie in"):
+            ChunkAssignment(np.array([0, -1, 0, 1]))
+        with pytest.raises(ValueError, match="must lie in"):
+            ChunkAssignment(np.array([0, 10**12]))  # refused before any bincount
 
 
 class TestCompressedDocument:
