@@ -1,5 +1,8 @@
 """Command-line interface: compress, query, eval, bench.
 
+``compress`` reads, compresses and writes one page at a time, so it holds
+one page's vectors however long the dump.
+
 Exit codes: 0 on success, 1 on data or runtime errors, 2 on usage errors
 (argparse's own convention). Every command runs on one thread: the work is
 short numpy calls that hold the GIL, and more threads made compress slower
@@ -15,8 +18,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from . import __version__, posenc
-from .chunker import ChunkerConfig, compress_many
+from . import __version__, chunker
+from .chunker import ChunkerConfig
 from .evaluation import (
     EvalInputError,
     Qrels,
@@ -32,14 +35,13 @@ from .evaluation import (
 from .scorer import retrieve_many
 from .store import (
     BuildMeta,
-    CorpusIndex,
     IndexFormatError,
     ManifestError,
     ingest_dump,
     ingest_queries,
     load_manifest,
     read_index,
-    write_index,
+    write_records,
 )
 from .types import PatchGrid
 
@@ -156,27 +158,21 @@ def cmd_compress(args) -> int:
     if not manifest.entries:
         print("error: the dump manifest lists no documents", file=sys.stderr)
         return 1
-    # One page's float64 patches in memory at a time: each page is read,
-    # compressed and dropped before the next.
-    docs = compress_many(ingest_dump(manifest), cfg)
-    meta = BuildMeta(
-        omega=cfg.omega,
-        k_target=cfg.k,
-        method=cfg.method,
-        posenc_base=posenc.BASE,
-        tool_version=__version__,
-        embedding_location=manifest.location,
+    # One page in memory at a time: each page is read, compressed and
+    # written before the next is read. The writer checks every id first.
+    docs = (chunker.compress(pset, cfg) for pset in ingest_dump(manifest))
+    ids = [entry.id for entry in manifest.entries]
+    meta = BuildMeta.for_config(cfg, manifest.location)
+    total_out = write_records(
+        args.index, manifest.dim, ids, meta, ((doc.chunks, doc.chunk_sizes) for doc in docs)
     )
-    index = CorpusIndex(dim=manifest.dim, docs=tuple(docs), build_meta=meta)
-    write_index(index, args.index)
     total_in = sum(entry.n_vectors for entry in manifest.entries)
-    total_out = sum(d.k for d in docs)
     payload_out = total_out * manifest.dim * 4
     payload_in = total_in * manifest.dim * 4
     reduction = 100.0 * (1.0 - total_out / total_in)
-    print(f"docs: {len(docs)}")
-    print(f"mean patch vectors per doc: {total_in / len(docs):.1f}")
-    print(f"mean chunks per doc: {total_out / len(docs):.1f}")
+    print(f"docs: {len(ids)}")
+    print(f"mean patch vectors per doc: {total_in / len(ids):.1f}")
+    print(f"mean chunks per doc: {total_out / len(ids):.1f}")
     print(f"vector payload: {payload_out} bytes (raw dump payload: {payload_in})")
     print(f"vector-count reduction: {reduction:.1f}%")
     print(f"index written: {args.index} ({Path(args.index).stat().st_size} bytes)")

@@ -17,7 +17,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import posenc
 from .chunker import ChunkerConfig, compress_ks
 from .scorer import retrieve_many
 from .store import (
@@ -46,8 +45,6 @@ __all__ = [
     "run_ablation",
     "rows_to_csv",
 ]
-
-from . import __version__ as _tool_version
 
 
 class EvalInputError(Exception):
@@ -381,14 +378,7 @@ def _measure_config(
     The row's ``wall_ms`` is ``compress_ms`` plus the time spent here.
     """
     start = time.perf_counter()
-    meta = BuildMeta(
-        omega=cfg.omega,
-        k_target=cfg.k,
-        method=cfg.method,
-        posenc_base=posenc.BASE,
-        tool_version=_tool_version,
-        embedding_location="synthetic",
-    )
+    meta = BuildMeta.for_config(cfg, "synthetic")
     index = CorpusIndex(dim=compressed[0].dim, docs=tuple(compressed), build_meta=meta)
     index_path = scratch / f"{config_id}.cchk"
     write_index(index, index_path)

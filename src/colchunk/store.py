@@ -19,7 +19,10 @@ it without scanning the document records:
 
 Vectors are float32 on disk. An index read from disk holds the stored
 float32 values in one ``(sum K, dim)`` matrix; scoring arithmetic is float64.
-Writing what was read reproduces the file byte for byte.
+Writing what was read reproduces the file byte for byte. ``write_records``
+is the one writer: it streams records, so ``compress`` holds one page at a
+time, and ``write_index`` feeds it an in-memory ``CorpusIndex``, the form
+``retrieve`` takes.
 
 Embedding dumps are the ingestion side: a JSON manifest describing per-page
 raw vector files (flat float32 little-endian, row-major). Query dumps use
@@ -34,8 +37,6 @@ component, and raises ManifestError for any malformed manifest, such as one
 that is not UTF-8, ``entries`` that is not a list or a count that JSON reads
 as infinity (``1e400``). Vectors that their type rejects (non-finite or
 zero-norm) raise ManifestError on ingest too.
-
-The in-memory index is always a ``CorpusIndex``, the form ``retrieve`` takes.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__, posenc
 from .types import (
     CompressedDocument,
     PatchEmbeddingSet,
@@ -66,6 +68,7 @@ __all__ = [
     "DumpEntry",
     "EmbeddingDumpManifest",
     "write_index",
+    "write_records",
     "read_index",
     "load_manifest",
     "ingest_dump",
@@ -98,6 +101,11 @@ class BuildMeta:
     posenc_base: float
     tool_version: str
     embedding_location: str = ""
+
+    @classmethod
+    def for_config(cls, cfg, location: str) -> "BuildMeta":
+        """The metadata of an index this version builds under a ChunkerConfig."""
+        return cls(cfg.omega, cfg.k, cfg.method, posenc.BASE, __version__, location)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -145,11 +153,8 @@ class CorpusIndex:
                 raise ValueError(f"doc '{doc.doc_id}' has dim {doc.dim}, index expects {dim}")
         offsets = np.zeros(len(docs) + 1, dtype=np.int64)
         np.cumsum([doc.k for doc in docs], out=offsets[1:])
-        if docs:
-            chunks = np.concatenate([doc.chunks for doc in docs])
-            sizes = np.concatenate([doc.chunk_sizes for doc in docs])
-        else:
-            chunks, sizes = np.empty((0, dim)), np.empty(0, dtype=np.int64)
+        chunks = np.concatenate([np.empty((0, dim))] + [doc.chunks for doc in docs])
+        sizes = np.concatenate([np.empty(0, np.int64)] + [doc.chunk_sizes for doc in docs])
         self._set(dim, [doc.doc_id for doc in docs], offsets, chunks, sizes, build_meta)
 
     @classmethod
@@ -162,15 +167,7 @@ class CorpusIndex:
     def _set(self, dim, ids, offsets, chunks, sizes, build_meta) -> None:
         if dim < 1:
             raise ValueError(f"dim must be at least 1, got {dim}")
-        seen: set[str] = set()
-        for doc_id in ids:
-            if not (isinstance(doc_id, str) and _is_one_field(doc_id)):
-                raise ValueError(
-                    f"doc_id {doc_id!r:.40} is not a non-empty string free of whitespace"
-                )
-            if doc_id in seen:
-                raise ValueError(f"duplicate doc_id '{doc_id}'")
-            seen.add(doc_id)
+        _encoded_ids(ids)
         for arr in (offsets, chunks, sizes):
             arr.setflags(write=False)
         object.__setattr__(self, "dim", dim)
@@ -200,46 +197,54 @@ class CorpusIndex:
 
 
 def write_index(index: CorpusIndex, path: str | Path) -> None:
-    """Serialize an index; see the module docstring for the exact layout.
+    """Serialize an index through ``write_records``, one record per document."""
+    bounds = index.offsets.tolist()
+    rows = ((index.chunks[lo:hi], index.sizes[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+    write_records(path, index.dim, index.ids, index.build_meta, rows)
 
-    Before any byte is written, the chunks are checked as ``read_index``
-    checks them, rounded to float32, so a file the reader would reject
-    raises ValueError instead. The bytes go to a sibling temporary file that
-    replaces ``path`` only once complete, so a failed write leaves any
-    previous index intact.
+
+def write_records(path: str | Path, dim: int, ids, build_meta: BuildMeta, rows) -> int:
+    """Write ``(chunks, sizes)`` records, taken one at a time from ``rows``, under ``ids``.
+
+    Every id is checked before the file is opened, and each record as
+    ``read_index`` will check it, after rounding to the stored float32, just
+    before its bytes are written: a file the reader would reject raises
+    ValueError instead, as does a record count that disagrees with ``ids``.
+    The bytes go to a sibling temporary file that replaces ``path`` only once
+    complete, so a failed write leaves any previous index intact. Returns the
+    chunk rows written.
     """
-    _check_chunks(index.ids, index.offsets, index.chunks, index.sizes)
+    encoded = _encoded_ids(ids)
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
     out = Path(path)
     tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    total = 0
     try:
-        _write_records(index, tmp)
+        with tmp.open("wb") as fh:
+            fh.write(MAGIC + struct.pack("<IIQ", FORMAT_VERSION, dim, len(encoded)))
+            for (doc_id, id_bytes), (chunks, sizes) in zip(encoded.items(), rows, strict=True):
+                chunks, sizes = np.ascontiguousarray(chunks, "<f4"), np.asarray(sizes)
+                k = len(sizes)
+                if not k or chunks.shape != (k, dim):
+                    raise ValueError(
+                        f"doc '{doc_id}' has {k} sizes and chunks of shape {chunks.shape}, "
+                        f"expected K >= 1 of each in dim {dim}"
+                    )
+                _check_chunks((doc_id,), (0, k), chunks, sizes)
+                fh.write(struct.pack("<H", len(id_bytes)) + id_bytes + struct.pack("<I", k))
+                fh.write(sizes.astype("<u4"))
+                fh.write(chunks)
+                total += k
+            trailer = json.dumps(
+                build_meta.to_dict(), sort_keys=True, separators=(",", ":")
+            ).encode("utf-8")
+            fh.write(trailer + struct.pack("<Q", len(trailer)))
         os.replace(tmp, out)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _write_records(index: CorpusIndex, path: Path) -> None:
-    bounds = index.offsets.tolist()
-    with path.open("wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<I", index.dim))
-        fh.write(struct.pack("<Q", len(index)))
-        for doc_id, lo, hi in zip(index.ids, bounds, bounds[1:]):
-            id_bytes = doc_id.encode("utf-8")
-            if len(id_bytes) > 0xFFFF:
-                raise ValueError(f"doc_id of {len(id_bytes)} bytes exceeds the u16 length field")
-            fh.write(struct.pack("<H", len(id_bytes)))
-            fh.write(id_bytes)
-            fh.write(struct.pack("<I", hi - lo))
-            fh.write(index.sizes[lo:hi].astype("<u4").tobytes())
-            fh.write(index.chunks[lo:hi].astype("<f4").tobytes())
-        trailer = json.dumps(
-            index.build_meta.to_dict(), sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-        fh.write(trailer)
-        fh.write(struct.pack("<Q", len(trailer)))
+    return total
 
 
 class _Reader:
@@ -339,12 +344,8 @@ def read_index(path: str | Path) -> CorpusIndex:
 
 
 def _check_chunks(ids, offsets, chunks, sizes) -> None:
-    """Every size >= 1 and every chunk finite and unit norm; ValueError otherwise.
-
-    Chunks are rounded to float32, as stored, and their norms taken in
-    float64, ``_CHECK_ROWS`` rows at a time. The rounding is a no-op on the
-    reader's float32 matrix.
-    """
+    """Every size >= 1 and every stored float32 chunk finite and unit norm, its
+    norm taken in float64, ``_CHECK_ROWS`` rows at a time; ValueError otherwise."""
     bad = np.flatnonzero(sizes < 1)
     if bad.size:
         doc = int(np.searchsorted(offsets, bad[0], side="right")) - 1
@@ -352,8 +353,7 @@ def _check_chunks(ids, offsets, chunks, sizes) -> None:
             f"doc '{ids[doc]}' violates invariants: every chunk must cover at least one patch"
         )
     for start in range(0, len(chunks), _CHECK_ROWS):
-        block = chunks[start : start + _CHECK_ROWS].astype(np.float32, copy=False)
-        found = first_non_unit_row(block.astype(np.float64))
+        found = first_non_unit_row(chunks[start : start + _CHECK_ROWS].astype(np.float64))
         if found is not None:
             row = start + found[0]
             doc = int(np.searchsorted(offsets, row, side="right")) - 1
@@ -394,6 +394,23 @@ def _is_one_field(text: str) -> bool:
     across fields of a run or qrels line (``str.split`` splits on
     ``str.isspace``)."""
     return text.split() == [text]
+
+
+def _encoded_ids(ids) -> dict[str, bytes]:
+    """Each index id, in order, with its UTF-8 bytes, once every id obeys the
+    id rule, is unique and fits the record's u16 length; ValueError otherwise."""
+    encoded: dict[str, bytes] = {}
+    for doc_id in ids:
+        if not (isinstance(doc_id, str) and _is_one_field(doc_id)):
+            raise ValueError(f"doc_id {doc_id!r:.40} is not a non-empty string free of whitespace")
+        if doc_id in encoded:
+            raise ValueError(f"duplicate doc_id '{doc_id}'")
+        encoded[doc_id] = id_bytes = doc_id.encode("utf-8")
+        if len(id_bytes) > 0xFFFF:
+            raise ValueError(
+                f"doc_id {doc_id!r:.40} of {len(id_bytes)} bytes exceeds the u16 length field"
+            )
+    return encoded
 
 
 def _check_id(item_id, where: str, field: str, error: type[Exception] = ManifestError) -> str:
@@ -482,18 +499,28 @@ def load_manifest(path: str | Path) -> EmbeddingDumpManifest:
     return _load(path, "doc_id")
 
 
-def _read_raw_vectors(manifest: EmbeddingDumpManifest, entry: DumpEntry) -> np.ndarray:
-    path = manifest.root / entry.path
-    expected = entry.n_vectors * manifest.dim * 4
-    actual = path.stat().st_size
-    if actual != expected:
-        kind = "doc" if entry.grid else "query"
-        raise ManifestError(
-            f"{kind} '{entry.id}': raw file {path.name} holds {actual} bytes, "
-            f"expected {expected} ({entry.n_vectors} x {manifest.dim} float32)"
-        )
-    flat = np.fromfile(path, dtype="<f4")
-    return flat.astype(np.float64).reshape(entry.n_vectors, manifest.dim)
+def _ingest(manifest: EmbeddingDumpManifest, make):
+    """Yield ``make(entry, vectors)`` for each entry's raw file, in order.
+
+    A raw file of the wrong size, or vectors that ``make`` rejects with
+    ValueError (a non-finite or zero-norm vector), raise ManifestError.
+    """
+    for entry in manifest.entries:
+        path = manifest.root / entry.path
+        expected = entry.n_vectors * manifest.dim * 4
+        actual = path.stat().st_size
+        if actual != expected:
+            kind = "doc" if entry.grid else "query"
+            raise ManifestError(
+                f"{kind} '{entry.id}': raw file {path.name} holds {actual} bytes, "
+                f"expected {expected} ({entry.n_vectors} x {manifest.dim} float32)"
+            )
+        flat = np.fromfile(path, dtype="<f4")
+        try:
+            item = make(entry, flat.astype(np.float64).reshape(entry.n_vectors, manifest.dim))
+        except ValueError as exc:
+            raise ManifestError(str(exc)) from exc
+        yield item
 
 
 def ingest_dump(manifest_path: str | Path | EmbeddingDumpManifest):
@@ -503,32 +530,18 @@ def ingest_dump(manifest_path: str | Path | EmbeddingDumpManifest):
     A page that its type rejects (a non-finite or zero-norm vector) raises
     ManifestError.
     """
-    manifest = (
-        manifest_path
-        if isinstance(manifest_path, EmbeddingDumpManifest)
-        else load_manifest(manifest_path)
+    manifest = manifest_path
+    if not isinstance(manifest, EmbeddingDumpManifest):
+        manifest = load_manifest(manifest)
+    yield from _ingest(
+        manifest, lambda e, vectors: PatchEmbeddingSet(e.id, manifest.dim, e.grid, vectors)
     )
-    for entry in manifest.entries:
-        vectors = _read_raw_vectors(manifest, entry)
-        try:
-            pset = PatchEmbeddingSet(
-                doc_id=entry.id, dim=manifest.dim, grid=entry.grid, vectors=vectors
-            )
-        except ValueError as exc:
-            raise ManifestError(str(exc)) from exc
-        yield pset
 
 
 def ingest_queries(manifest_path: str | Path):
     """Yield QueryEmbeddingSets for each query manifest entry, in order."""
     manifest = _load(manifest_path, "query_id")
-    for entry in manifest.entries:
-        vectors = _read_raw_vectors(manifest, entry)
-        try:
-            query = QueryEmbeddingSet(query_id=entry.id, dim=manifest.dim, vectors=vectors)
-        except ValueError as exc:
-            raise ManifestError(str(exc)) from exc
-        yield query
+    yield from _ingest(manifest, lambda e, vectors: QueryEmbeddingSet(e.id, manifest.dim, vectors))
 
 
 def _write_dump(

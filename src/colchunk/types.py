@@ -193,10 +193,6 @@ class CompressedDocument:
         if bad is not None:
             raise ValueError(f"chunk {bad[0]} is not unit norm (|norm - 1| = {bad[1]:.3g})")
 
-    @property
-    def n_source_vectors(self) -> int:
-        return int(self.chunk_sizes.sum())
-
 
 @dataclass(frozen=True, eq=False)
 class QueryEmbeddingSet:

@@ -557,8 +557,7 @@ class TestCompress:
         pset = make_pset(rng, rows=8, cols=8, dim=16)
         doc = compress(pset, ChunkerConfig(k=9))
         assert doc.k == 9
-        assert doc.chunk_sizes.sum() == 64
-        assert doc.n_source_vectors == 64
+        assert int(doc.chunk_sizes.sum()) == 64
 
     def test_kmeans_method_dispatch(self, rng):
         pset = make_pset(rng, rows=4, cols=4)

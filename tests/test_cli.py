@@ -14,7 +14,7 @@ import pytest
 
 import numpy as np
 
-from colchunk import chunker, cli
+from colchunk import chunker, cli, store
 from colchunk.evaluation import SyntheticSpec, generate_synthetic
 from colchunk.store import read_index, write_embedding_dump
 from colchunk.types import PatchEmbeddingSet, PatchGrid
@@ -59,9 +59,12 @@ class TestCompress:
     def test_reads_each_page_only_after_compressing_the_last(
         self, dataset, tmp_path, monkeypatch, capsys
     ):
-        # one page of float64 patches in memory at a time, however long the dump
+        # one page in memory at a time, however long the dump: each page is
+        # written before the next is read (the writer checks each record
+        # just before writing its bytes)
         events = []
         read_pages, compress_page = cli.ingest_dump, chunker.compress
+        check_record = store._check_chunks
 
         def spy_ingest(manifest):
             for pset in read_pages(manifest):
@@ -72,12 +75,17 @@ class TestCompress:
             events.append("compress")
             return compress_page(pset, cfg)
 
+        def spy_check(*args):
+            events.append("write")
+            return check_record(*args)
+
         monkeypatch.setattr(cli, "ingest_dump", spy_ingest)
         monkeypatch.setattr(chunker, "compress", spy_compress)
+        monkeypatch.setattr(store, "_check_chunks", spy_check)
         argv = ["compress", str(dataset.doc_manifest), str(tmp_path / "s.cchk"), "--k", "4"]
         assert cli.main(argv) == 0
         assert "docs: 6" in capsys.readouterr().out
-        assert events == ["read", "compress"] * 6
+        assert events == ["read", "compress", "write"] * 6
 
     def test_method_alias(self, dataset, tmp_path):
         index = tmp_path / "km.cchk"
@@ -393,9 +401,9 @@ def bad_inputs(dataset, index_path, tmp_path_factory):
         paths[file_name.partition(".")[0]] = root / file_name
         (root / file_name).write_bytes(body.encode() if isinstance(body, str) else body)
 
-    def manifest_with(file_name, source, field, value):
+    def manifest_with(file_name, source, field, value, entry=0):
         body = json.loads(paths[source].read_text())
-        body["entries"][0][field] = value
+        body["entries"][entry][field] = value
         paths[file_name.partition(".")[0]] = data / file_name
         (data / file_name).write_text(json.dumps(body))
 
@@ -406,6 +414,12 @@ def bad_inputs(dataset, index_path, tmp_path_factory):
     manifest_with("null_doc_id.json", "manifest", "doc_id", None)
     manifest_with("space_doc_id.json", "manifest", "doc_id", "a b")
     manifest_with("space_query_id.json", "queries", "query_id", "q 1")
+    manifest_with("long_doc_id.json", "manifest", "doc_id", "x" * 70_000, entry=-1)
+    # the dataset's last page (16 patches of dim 16) with a NaN in its first patch
+    nan_page = np.ones(16 * 16, dtype="<f4")
+    nan_page[5] = np.nan
+    nan_page.tofile(data / "vectors" / "nan.f32")
+    manifest_with("nan_last_page.json", "manifest", "path", "vectors/nan.f32", entry=-1)
     blob = index_path.read_bytes()
     write("truncated.cchk", blob[: len(blob) // 2])
     write("corrupt.cchk", b"JUNK" + blob[4:])
@@ -443,6 +457,12 @@ CLI_ERROR_CASES = {
     # MAX_HAC_PATCHES is lowered below the dataset's 16 patches a page
     "compress-oversized-page": (["compress", "{manifest}", "{out}/x.cchk", "--k", "4"],
                                 "MAX_HAC_PATCHES = 15"),
+    # refused before any page is compressed
+    "compress-oversized-doc-id": (["compress", "{long_doc_id}", "{out}/x.cchk", "--k", "4"],
+                                  "exceeds the u16 length field"),
+    # refused after the earlier pages' records were written
+    "compress-bad-last-page": (["compress", "{nan_last_page}", "{out}/x.cchk", "--k", "4"],
+                               "doc 'doc0005': vectors[0] has a non-finite component"),
     "query-missing-index": (["query", "{missing}", "{queries}", "--out", "{out}/run.txt"],
                             "missing"),
     "query-truncated-index": (["query", "{truncated}", "{queries}", "--out", "{out}/run.txt"],
@@ -479,6 +499,14 @@ class TestErrorPaths:
         argv, fragment = CLI_ERROR_CASES[case]
         if case == "compress-oversized-page":
             monkeypatch.setattr(chunker, "MAX_HAC_PATCHES", 15)
+        compressed = []
+        compress_page = chunker.compress
+
+        def spy_compress(pset, cfg):
+            compressed.append(pset.doc_id)
+            return compress_page(pset, cfg)
+
+        monkeypatch.setattr(chunker, "compress", spy_compress)
         out = tmp_path / "out"
         out.mkdir()
         code = cli.main([arg.format_map({"out": out, **bad_inputs}) for arg in argv])
@@ -488,6 +516,10 @@ class TestErrorPaths:
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert list(out.iterdir()) == []
+        if case == "compress-oversized-doc-id":
+            assert compressed == []
+        if case == "compress-bad-last-page":
+            assert len(compressed) == 5
 
     @pytest.mark.parametrize("kind", ["doc", "query"])
     def test_space_in_id_stops_the_pipeline(self, dataset, tmp_path, capsys, kind):

@@ -1,11 +1,11 @@
 import json
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from colchunk import store
 from colchunk.store import (
     FORMAT_VERSION,
     MAGIC,
@@ -20,6 +20,7 @@ from colchunk.store import (
     write_embedding_dump,
     write_index,
     write_query_dump,
+    write_records,
 )
 from colchunk.types import CompressedDocument, PatchGrid, QueryEmbeddingSet, first_non_unit_row
 
@@ -115,27 +116,41 @@ class TestIndexRoundTrip:
             CorpusIndex(dim=4, docs=(doc,), build_meta=make_meta())
 
     def test_oversized_doc_id_rejected_on_write(self, tmp_path):
-        chunks = np.eye(1, 4)
+        # the record's id length is a u16, so such an id cannot be stored
         doc = CompressedDocument(
-            doc_id="x" * 70000, k=1, dim=4, chunks=chunks, chunk_sizes=np.array([1])
+            doc_id="x" * 70000, k=1, dim=4, chunks=np.eye(1, 4), chunk_sizes=np.array([1])
         )
-        index = CorpusIndex(dim=4, docs=(doc,), build_meta=make_meta())
-        with pytest.raises(ValueError):
-            write_index(index, tmp_path / "big.cchk")
+        with pytest.raises(ValueError, match="exceeds the u16 length field"):
+            CorpusIndex(dim=4, docs=(doc,), build_meta=make_meta())
+
+        def no_rows():
+            raise AssertionError("the writer took a record before checking every id")
+            yield
+
+        with pytest.raises(ValueError, match="exceeds the u16 length field"):
+            write_records(tmp_path / "big.cchk", 4, ["fine", "x" * 70000], make_meta(), no_rows())
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_keeps_previous_index(self, rng, tmp_path):
         path = tmp_path / "t.cchk"
         write_index(make_index(rng), path)
         before = path.read_bytes()
-        good = make_index(rng, n_docs=1, dim=4).docs[0]
-        big = CompressedDocument(
-            doc_id="x" * 70000, k=1, dim=4, chunks=np.eye(1, 4), chunk_sizes=np.array([1])
-        )
-        with pytest.raises(ValueError):
-            write_index(CorpusIndex(dim=4, docs=(good, big), build_meta=make_meta()), path)
+        good = make_index(rng, n_docs=1, dim=4)
+        bad = np.eye(1, 4) * np.nan
+        rows = [(good.chunks, good.sizes), (bad, np.array([1]))]
+        with pytest.raises(ValueError, match="doc 'bad' violates invariants"):
+            write_records(path, 4, ["good", "bad"], make_meta(), rows)
         assert path.read_bytes() == before
         assert len(read_index(path)) == 3
         assert [f.name for f in tmp_path.iterdir()] == ["t.cchk"]
+
+    @pytest.mark.parametrize("n_rows", [1, 3])
+    def test_record_count_must_match_ids(self, rng, tmp_path, n_rows):
+        index = make_index(rng, n_docs=3, dim=4, k=2)
+        rows = [(index.chunks[:2], index.sizes[:2])] * n_rows
+        with pytest.raises(ValueError):
+            write_records(tmp_path / "t.cchk", 4, ["a", "b"], make_meta(), rows)
+        assert list(tmp_path.iterdir()) == []
 
     def test_zero_dim_rejected(self):
         # the reader rejects a header dim of 0, so no index may carry one
@@ -158,13 +173,18 @@ class TestIndexRoundTrip:
         path = tmp_path / "t.cchk"
         write_index(make_index(rng), path)
         before = path.read_bytes()
+        # the writer checks each record just before its bytes, so the temp
+        # file holds the 20-byte header alone when it is removed
+        unlinked, unlink = {}, Path.unlink
 
-        def no_bytes(*args):
-            raise AssertionError("write_index started writing")
+        def spy_unlink(self, missing_ok=False):
+            unlinked[self.name] = self.stat().st_size
+            unlink(self, missing_ok=missing_ok)
 
-        monkeypatch.setattr(store, "_write_records", no_bytes)
+        monkeypatch.setattr(Path, "unlink", spy_unlink)
         with pytest.raises(ValueError, match="chunk 0 is not unit norm"):
             write_index(CorpusIndex(dim=128, docs=(doc,), build_meta=make_meta()), path)
+        assert list(unlinked.values()) == [20]
         assert path.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["t.cchk"]
 

@@ -166,7 +166,7 @@ class TestCompressedDocument:
         doc = CompressedDocument(
             doc_id="d", k=3, dim=8, chunks=chunks, chunk_sizes=np.array([4, 2, 2])
         )
-        assert doc.n_source_vectors == 8
+        assert int(doc.chunk_sizes.sum()) == 8
 
     def test_rejects_non_unit_chunks(self, rng):
         chunks = rng.normal(size=(3, 8)) * 5.0
