@@ -73,24 +73,16 @@ def _unit_float(text: str) -> float:
     return value
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(_positive_int(part) for part in text.split(",") if part.strip())
+def _method(text: str) -> str:
+    name = text.strip()
+    if name not in METHOD_ALIASES:
+        raise argparse.ArgumentTypeError(f"unknown method {name!r}")
+    return METHOD_ALIASES[name]
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(_unit_float(part) for part in text.split(",") if part.strip())
-
-
-def _method_list(text: str) -> tuple[str, ...]:
-    methods = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if part not in METHOD_ALIASES:
-            raise argparse.ArgumentTypeError(f"unknown method {part!r}")
-        methods.append(METHOD_ALIASES[part])
-    return tuple(methods)
+def _comma_list(parse):
+    """An argparse type: comma-separated values, each read by ``parse``, blanks skipped."""
+    return lambda text: tuple(parse(part) for part in text.split(",") if part.strip())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,9 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--noise-sigma", type=float, default=0.5)
     p_bench.add_argument("--query-tokens", type=_positive_int, default=64)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--sweep-k", type=_int_list, default=())
-    p_bench.add_argument("--sweep-omega", type=_float_list, default=())
-    p_bench.add_argument("--methods", type=_method_list, default=())
+    p_bench.add_argument("--sweep-k", type=_comma_list(_positive_int), default=())
+    p_bench.add_argument("--sweep-omega", type=_comma_list(_unit_float), default=())
+    p_bench.add_argument("--methods", type=_comma_list(_method), default=())
     p_bench.add_argument("--k", type=_positive_int, default=40, help="base k for sweeps")
     p_bench.add_argument("--omega", type=_unit_float, default=0.2, help="base omega for sweeps")
     p_bench.add_argument("--workdir", default=None, help="keep generated dumps here")
@@ -156,8 +148,7 @@ def cmd_compress(args) -> int:
     )
     manifest = load_manifest(args.manifest)
     if not manifest.entries:
-        print("error: the dump manifest lists no documents", file=sys.stderr)
-        return 1
+        raise ManifestError("the dump manifest lists no documents")
     # One page in memory at a time: each page is read, compressed and
     # written before the next is read. The writer checks every id first.
     docs = (chunker.compress(pset, cfg) for pset in ingest_dump(manifest))
@@ -183,8 +174,7 @@ def cmd_query(args) -> int:
     index = read_index(args.index)
     queries = list(ingest_queries(args.queries))
     if not queries:
-        print("error: the query manifest lists no queries", file=sys.stderr)
-        return 1
+        raise ManifestError("the query manifest lists no queries")
     all_hits = retrieve_many(queries, index, top_k=args.top_k)
     hits_by_query = {q.query_id: hits for q, hits in zip(queries, all_hits)}
     if args.out:
@@ -199,8 +189,7 @@ def cmd_eval(args) -> int:
     run = read_run(args.run)
     qrels = Qrels.from_file(args.qrels)
     if not run:
-        print("error: the run file is empty", file=sys.stderr)
-        return 1
+        raise EvalInputError("the run file is empty")
     per_query, mean = evaluate_run({qid: run[qid] for qid in sorted(run)}, qrels, args.k)
     print(f"query_id,ndcg_at_{args.k}")
     for qid, value in per_query.items():

@@ -14,37 +14,39 @@ it without scanning the document records:
         k          u32
         sizes      k * u32    patches pooled into each chunk
         chunks     k * dim * f32
-    trailer        JSON, UTF-8, sorted keys
+    trailer        JSON, UTF-8, sorted keys, no whitespace: BuildMeta's six fields
     trailer_len    u64
 
 Vectors are float32 on disk. An index read from disk holds the stored
 float32 values in one ``(sum K, dim)`` matrix; scoring arithmetic is float64.
-Writing what was read reproduces the file byte for byte. ``write_records``
-is the one writer: it streams records, so ``compress`` holds one page at a
-time, and ``write_index`` feeds it an in-memory ``CorpusIndex``, the form
-``retrieve`` takes.
+Writing what was read reproduces the file byte for byte, since the reader
+takes the trailer's values unconverted. ``write_records`` is the one writer:
+it streams records, so ``compress`` holds one page at a time, and
+``write_index`` feeds it an in-memory ``CorpusIndex``, the form ``retrieve``
+takes.
 
 Embedding dumps are the ingestion side: a JSON manifest describing per-page
 raw vector files (flat float32 little-endian, row-major). Query dumps use
 the same shape minus the grid fields. Ids, paths and ``location`` are JSON
-strings, and an id is non-empty and holds no whitespace, since run and qrels
-lines are whitespace-separated fields; the loader, the writers and
-``CorpusIndex`` (so ``read_index`` too) share that rule. The writers name
-each raw file after its doc or query id, so they also reject ids that are
-not safe file names: ``.``, ``..`` and any id containing ``/``, ``\\`` or
-NUL. The loader rejects entry paths that are absolute or have a ``..``
-component, and raises ManifestError for any malformed manifest, such as one
-that is not UTF-8, ``entries`` that is not a list or a count that JSON reads
-as infinity (``1e400``). Vectors that their type rejects (non-finite or
-zero-norm) raise ManifestError on ingest too.
+strings. The loader, the writers and ``CorpusIndex`` (so ``read_index`` too)
+check ids by one rule, ``_check_id``: non-empty with no whitespace, since
+run and qrels lines are whitespace-separated fields; ``_check_unique``
+refuses repeats. The writers name each raw file after its id, so they also
+reject ids that are not safe file names: ``.``, ``..`` and any id holding
+``/``, ``\\`` or NUL. The loader rejects entry paths that are absolute or
+have a ``..`` component, and raises ManifestError for any malformed
+manifest, such as one that is not UTF-8, ``entries`` that is not a list or
+a count that JSON reads as infinity (``1e400``). Vectors that their type
+rejects (non-finite or zero-norm) raise ManifestError on ingest too.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -93,7 +95,12 @@ class ManifestError(Exception):
 
 @dataclass(frozen=True)
 class BuildMeta:
-    """Provenance of an index, persisted verbatim in the JSON trailer."""
+    """Provenance of an index, persisted verbatim in the JSON trailer.
+
+    Construction raises ValueError unless ``omega`` and ``posenc_base`` are
+    finite numbers, ``k_target`` a count and the rest strings, by the
+    manifest's rules, so every instance writes a trailer the reader accepts.
+    """
 
     omega: float
     k_target: int
@@ -102,29 +109,33 @@ class BuildMeta:
     tool_version: str
     embedding_location: str = ""
 
+    def __post_init__(self):
+        where = "build metadata"
+        for name in ("omega", "posenc_base"):
+            value = getattr(self, name)
+            if not (type(value) is int or isinstance(value, float) and math.isfinite(value)):
+                raise ValueError(f"{where}: {name} must be a finite JSON number, got {value!r:.40}")
+        _count(self.k_target, where, "k_target", ValueError)
+        for name in ("method", "tool_version", "embedding_location"):
+            _string(getattr(self, name), where, name, ValueError)
+
     @classmethod
     def for_config(cls, cfg, location: str) -> "BuildMeta":
         """The metadata of an index this version builds under a ChunkerConfig."""
         return cls(cfg.omega, cfg.k, cfg.method, posenc.BASE, __version__, location)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
-    def from_dict(cls, d: dict) -> "BuildMeta":
+    def from_dict(cls, d) -> "BuildMeta":
+        """The metadata a parsed trailer holds: a JSON object with exactly the
+        six fields, taken unconverted; IndexFormatError otherwise."""
+        names = sorted(f.name for f in fields(cls))
+        if not (isinstance(d, dict) and sorted(d) == names):
+            shown = sorted(d) if isinstance(d, dict) else d
+            raise IndexFormatError(f"build metadata must hold exactly {names}, got {shown!r:.200}")
         try:
-            return cls(
-                omega=float(d["omega"]),
-                k_target=int(d["k_target"]),
-                method=str(d["method"]),
-                posenc_base=float(d["posenc_base"]),
-                tool_version=str(d["tool_version"]),
-                embedding_location=str(d.get("embedding_location", "")),
-            )
-        except KeyError as exc:
-            raise IndexFormatError(f"build metadata is missing field {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise IndexFormatError(f"malformed build metadata: {exc}") from exc
+            return cls(**d)
+        except ValueError as exc:
+            raise IndexFormatError(str(exc)) from exc
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -214,6 +225,7 @@ def write_records(path: str | Path, dim: int, ids, build_meta: BuildMeta, rows) 
     complete, so a failed write leaves any previous index intact. Returns the
     chunk rows written.
     """
+    ids = list(ids)
     encoded = _encoded_ids(ids)
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
@@ -222,8 +234,13 @@ def write_records(path: str | Path, dim: int, ids, build_meta: BuildMeta, rows) 
     total = 0
     try:
         with tmp.open("wb") as fh:
-            fh.write(MAGIC + struct.pack("<IIQ", FORMAT_VERSION, dim, len(encoded)))
-            for (doc_id, id_bytes), (chunks, sizes) in zip(encoded.items(), rows, strict=True):
+            fh.write(MAGIC + struct.pack("<IIQ", FORMAT_VERSION, dim, len(ids)))
+            records = iter(rows)
+            for n, (doc_id, id_bytes) in enumerate(zip(ids, encoded)):
+                record = next(records, None)
+                if record is None:
+                    raise ValueError(f"cannot write {out}: {len(ids)} ids but {n} records")
+                chunks, sizes = record
                 chunks, sizes = np.ascontiguousarray(chunks, "<f4"), np.asarray(sizes)
                 k = len(sizes)
                 if not k or chunks.shape != (k, dim):
@@ -236,8 +253,10 @@ def write_records(path: str | Path, dim: int, ids, build_meta: BuildMeta, rows) 
                 fh.write(sizes.astype("<u4"))
                 fh.write(chunks)
                 total += k
+            if next(records, None) is not None:
+                raise ValueError(f"cannot write {out}: more records than the {len(ids)} ids")
             trailer = json.dumps(
-                build_meta.to_dict(), sort_keys=True, separators=(",", ":")
+                asdict(build_meta), sort_keys=True, separators=(",", ":")
             ).encode("utf-8")
             fh.write(trailer + struct.pack("<Q", len(trailer)))
         os.replace(tmp, out)
@@ -263,14 +282,8 @@ class _Reader:
         if self.fh.readinto(out) < out.nbytes:
             raise IndexFormatError(f"truncated file: ran out of bytes reading {what}")
 
-    def u16(self, what: str) -> int:
-        return struct.unpack("<H", self.take(2, what))[0]
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def u64(self, what: str) -> int:
-        return struct.unpack("<Q", self.take(8, what))[0]
+    def unpack(self, fmt: str, what: str) -> int:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))[0]
 
 
 def read_index(path: str | Path) -> CorpusIndex:
@@ -278,8 +291,8 @@ def read_index(path: str | Path) -> CorpusIndex:
 
     Each record's sizes and vectors are read straight into preallocated
     column arrays. Raises IndexFormatError for anything malformed: wrong
-    magic, unsupported version, truncation, trailing garbage, undecodable
-    metadata, duplicate doc ids or ids that break the id rule, or a
+    magic, unsupported version, truncation, trailing garbage, metadata that
+    ``BuildMeta.from_dict`` refuses, duplicate doc ids or ids that break the id rule, or a
     document that violates the compressed-document invariants (K >= 1,
     every size >= 1, finite unit-norm chunks).
     """
@@ -289,13 +302,13 @@ def read_index(path: str | Path) -> CorpusIndex:
         magic = cur.take(4, "magic")
         if magic != MAGIC:
             raise IndexFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        version = cur.u32("version")
+        version = cur.unpack("<I", "version")
         if version != FORMAT_VERSION:
             raise IndexFormatError(f"unsupported format version {version}")
-        dim = cur.u32("dim")
+        dim = cur.unpack("<I", "dim")
         if dim < 1:
             raise IndexFormatError(f"invalid dim {dim}")
-        doc_count = cur.u64("doc count")
+        doc_count = cur.unpack("<Q", "doc count")
         # Each chunk row costs 4 * (dim + 1) bytes of the file, which bounds
         # the row count; pages of the unused tail are never touched.
         capacity = max(file_size - 20, 0) // (4 * (dim + 1))
@@ -304,12 +317,12 @@ def read_index(path: str | Path) -> CorpusIndex:
         ids: list[str] = []
         offsets = [0]
         for i in range(doc_count):
-            id_len = cur.u16(f"doc {i} id length")
+            id_len = cur.unpack("<H", f"doc {i} id length")
             try:
                 doc_id = cur.take(id_len, f"doc {i} id").decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise IndexFormatError(f"doc {i} id is not valid UTF-8") from exc
-            k = cur.u32(f"doc '{doc_id}' k")
+            k = cur.unpack("<I", f"doc '{doc_id}' k")
             if k < 1:
                 raise IndexFormatError(f"doc '{doc_id}' has invalid k = {k}")
             lo, hi = offsets[-1], offsets[-1] + k
@@ -331,7 +344,7 @@ def read_index(path: str | Path) -> CorpusIndex:
         )
     try:
         meta = BuildMeta.from_dict(json.loads(tail[:-8].decode("utf-8")))
-    except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON or an over-long integer
         raise IndexFormatError(f"unreadable build metadata: {exc}") from exc
     rows = offsets[-1]
     offsets = np.array(offsets, dtype=np.int64)
@@ -389,35 +402,37 @@ def _string(value, where: str, field: str, error: type[Exception] = ManifestErro
     return value
 
 
-def _is_one_field(text: str) -> bool:
-    """The id rule: non-empty with no whitespace, which would split the id
-    across fields of a run or qrels line (``str.split`` splits on
-    ``str.isspace``)."""
-    return text.split() == [text]
+def _check_id(item_id, where: str, field: str, error: type[Exception] = ManifestError) -> str:
+    """The id rule, for doc and query ids alike: a string, non-empty and with
+    no whitespace, which would split the id across fields of a run or qrels
+    line (``str.split`` splits on ``str.isspace``)."""
+    if _string(item_id, where, field, error).split() != [item_id]:
+        raise error(f"{where}: {field} {item_id!r:.40} is empty or holds whitespace")
+    return item_id
 
 
-def _encoded_ids(ids) -> dict[str, bytes]:
-    """Each index id, in order, with its UTF-8 bytes, once every id obeys the
-    id rule, is unique and fits the record's u16 length; ValueError otherwise."""
-    encoded: dict[str, bytes] = {}
+def _check_unique(ids, field: str, where: str, error: type[Exception] = ManifestError) -> None:
+    """The uniqueness rule: no id repeats; the error names the first repeat."""
+    seen: set[str] = set()
+    for item_id in ids:
+        if item_id in seen:
+            raise error(f"duplicate {field} '{item_id}' in {where}")
+        seen.add(item_id)
+
+
+def _encoded_ids(ids) -> list[bytes]:
+    """Each index id's UTF-8 bytes, in order, once every id obeys the id rule,
+    is unique and fits the record's u16 length; ValueError otherwise."""
+    encoded = []
     for doc_id in ids:
-        if not (isinstance(doc_id, str) and _is_one_field(doc_id)):
-            raise ValueError(f"doc_id {doc_id!r:.40} is not a non-empty string free of whitespace")
-        if doc_id in encoded:
-            raise ValueError(f"duplicate doc_id '{doc_id}'")
-        encoded[doc_id] = id_bytes = doc_id.encode("utf-8")
+        id_bytes = _check_id(doc_id, "index", "doc_id", ValueError).encode("utf-8")
         if len(id_bytes) > 0xFFFF:
             raise ValueError(
                 f"doc_id {doc_id!r:.40} of {len(id_bytes)} bytes exceeds the u16 length field"
             )
+        encoded.append(id_bytes)
+    _check_unique(ids, "doc_id", "the index", ValueError)
     return encoded
-
-
-def _check_id(item_id, where: str, field: str, error: type[Exception] = ManifestError) -> str:
-    """A dump id of either kind: a string that obeys the id rule."""
-    if not _is_one_field(_string(item_id, where, field, error)):
-        raise error(f"{where}: {field} {item_id!r:.40} is empty or holds whitespace")
-    return item_id
 
 
 def _check_file_name(item_id, where: str, field: str) -> None:
@@ -429,10 +444,10 @@ def _check_file_name(item_id, where: str, field: str) -> None:
     _check_id(item_id, where, field, ValueError)
 
 
-def _count(value, where: str, field: str) -> int:
-    """A manifest count: a JSON integer of at least 1, never a bool, float or string."""
+def _count(value, where: str, field: str, error: type[Exception] = ManifestError) -> int:
+    """A count: a JSON integer of at least 1, never a bool, float or string."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ManifestError(
+        raise error(
             f"{where}: {field} must be a JSON integer of at least 1, got {value!r:.40}"
         )
     return value
@@ -444,7 +459,7 @@ def _load(path: str | Path, id_key: str) -> EmbeddingDumpManifest:
     p = Path(path)
     try:
         data = json.loads(p.read_text("utf-8"))
-    except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ManifestError(f"cannot parse {kind} manifest {p}: {exc}") from exc
     try:
         dim, raw_entries = data["dim"], data["entries"]
@@ -454,7 +469,6 @@ def _load(path: str | Path, id_key: str) -> EmbeddingDumpManifest:
     if not isinstance(raw_entries, list):
         raise ManifestError(f"{kind} manifest {p}: entries must be a list")
     entries = []
-    seen: set[str] = set()
     for i, e in enumerate(raw_entries):
         try:
             item_id, n_vectors, rel = e[id_key], e["n_vectors"], e["path"]
@@ -467,9 +481,6 @@ def _load(path: str | Path, id_key: str) -> EmbeddingDumpManifest:
         n_vectors = _count(n_vectors, where, "n_vectors")
         if rows_cols:
             rows_cols = (_count(rows_cols[0], where, "rows"), _count(rows_cols[1], where, "cols"))
-        if item_id in seen:
-            raise ManifestError(f"duplicate {id_key} '{item_id}' in manifest")
-        seen.add(item_id)
         grid = PatchGrid(*rows_cols) if rows_cols else None
         if grid and n_vectors != grid.n_patches:
             raise ManifestError(
@@ -478,6 +489,7 @@ def _load(path: str | Path, id_key: str) -> EmbeddingDumpManifest:
         if Path(rel).is_absolute() or ".." in Path(rel).parts:
             raise ManifestError(f"{kind} '{item_id}': path {rel} leaves the manifest directory")
         entries.append(DumpEntry(id=item_id, n_vectors=n_vectors, path=rel, grid=grid))
+    _check_unique([entry.id for entry in entries], id_key, f"{kind} manifest {p}")
     root = p.parent
     for entry in entries:
         try:
@@ -557,14 +569,11 @@ def _write_dump(
     if not items:
         raise ValueError(f"refusing to write an empty {kind} dump")
     dim = items[0][1]
-    seen: set[str] = set()
     for i, (item_id, item_dim, _, _) in enumerate(items):
         _check_file_name(item_id, f"{kind} dump entry {i}", id_key)
-        if item_id in seen:
-            raise ValueError(f"duplicate {id_key} '{item_id}' in the {kind} dump")
-        seen.add(item_id)
         if item_dim != dim:
             raise ValueError(f"{kind} '{item_id}' has dim {item_dim}, dump expects {dim}")
+    _check_unique([item[0] for item in items], id_key, f"the {kind} dump", ValueError)
     out = Path(out_dir)
     (out / subdir).mkdir(parents=True, exist_ok=True)
     entries = []

@@ -424,6 +424,9 @@ def bad_inputs(dataset, index_path, tmp_path_factory):
     write("truncated.cchk", blob[: len(blob) // 2])
     write("corrupt.cchk", b"JUNK" + blob[4:])
     write("nested_trailer.cchk", with_trailer(blob, b"[" * 100_000))
+    meta = json.loads(blob[-8 - int.from_bytes(blob[-8:], "little") : -8])
+    bad_meta = json.dumps(dict(meta, k_target=True), sort_keys=True, separators=(",", ":"))
+    write("bool_k_trailer.cchk", with_trailer(blob, bad_meta.encode()))
     # the first doc's id starts after the 20-byte header and its u16 length
     middle = 22 + int.from_bytes(blob[20:22], "little") // 2
     write("space_id.cchk", blob[:middle] + b" " + blob[middle + 1 :])
@@ -471,9 +474,13 @@ CLI_ERROR_CASES = {
                             "bad magic"),
     "query-nested-trailer": (["query", "{nested_trailer}", "{queries}", "--out",
                               "{out}/run.txt"], "unreadable build metadata"),
+    # a bool where the trailer needs an integer
+    "query-malformed-trailer": (["query", "{bool_k_trailer}", "{queries}", "--out",
+                                 "{out}/run.txt"],
+                                "k_target must be a JSON integer of at least 1, got True"),
     # such an id would split its run line into 7 fields, which eval refuses
     "query-space-in-index-id": (["query", "{space_id}", "{queries}", "--out",
-                                 "{out}/run.txt"], "free of whitespace"),
+                                 "{out}/run.txt"], "is empty or holds whitespace"),
     "query-empty-manifest": (["query", "{index}", "{empty}", "--out", "{out}/run.txt"],
                              "lists no queries"),
     "query-hostile-manifest": (["query", "{index}", "{hostile}", "--out", "{out}/run.txt"],

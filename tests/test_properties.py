@@ -8,6 +8,7 @@ every run draws the same examples.
 
 import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from colchunk.evaluation import EvalInputError, Qrels, read_run  # noqa: E402
 from colchunk.store import (  # noqa: E402
     BuildMeta,
     CorpusIndex,
+    IndexFormatError,
     ManifestError,
     ingest_dump,
     ingest_queries,
@@ -34,6 +36,8 @@ from colchunk.types import (  # noqa: E402
     PatchGrid,
     QueryEmbeddingSet,
 )
+
+from conftest import with_trailer  # noqa: E402
 
 OMEGAS = st.sampled_from([0.0, 0.2, 1.0]) | st.floats(0.0, 1.0)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -202,3 +206,41 @@ def test_any_json_in_a_manifest_field_loads_or_raises_manifest_error(dumps, kind
         list(ingest(manifest))
     except ManifestError:
         pass
+
+
+NUMBERS = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+# Trailer field -> values of the JSON type the reader takes for it.
+TRAILER_TYPES = {"omega": NUMBERS, "posenc_base": NUMBERS, "k_target": st.integers(min_value=1),
+                 "method": st.text(), "tool_version": st.text(), "embedding_location": st.text()}
+# One trailer field and a value for it: of its own type, or any JSON value.
+TRAILER_VALUES = st.sampled_from(sorted(TRAILER_TYPES)).flatmap(
+    lambda name: st.tuples(st.just(name), TRAILER_TYPES[name] | JSON_VALUES)
+)
+
+
+@given(field_value=TRAILER_VALUES, change=st.sampled_from(["set", "set", "drop", "add"]),
+       extra_key=st.text(max_size=12))
+def test_any_json_in_a_trailer_field_is_refused_or_rewrites_byte_identical(
+    tmp_path_factory, field_value, change, extra_key
+):
+    # The field takes the value, or is dropped, or the value goes under an extra key.
+    field, value = field_value
+    path = tmp_path_factory.getbasetemp() / "trailer.cchk"
+    doc = CompressedDocument(doc_id="d", k=1, dim=4, chunks=np.eye(1, 4), chunk_sizes=[1])
+    write_index(CorpusIndex(dim=4, docs=(doc,), build_meta=META), path)
+    meta = asdict(META)
+    if change == "set":
+        meta[field] = value
+    elif change == "drop":
+        del meta[field]
+    else:
+        meta[extra_key] = value
+    trailer = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    blob = with_trailer(path.read_bytes(), trailer)
+    path.write_bytes(blob)
+    try:
+        back = read_index(path)
+    except IndexFormatError:
+        return
+    write_index(back, path)
+    assert path.read_bytes() == blob

@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -89,7 +90,7 @@ class TestIndexRoundTrip:
         path = tmp_path / "t.cchk"
         write_index(index, path)
         trailer = json.dumps(
-            index.build_meta.to_dict(), sort_keys=True, separators=(",", ":")
+            asdict(index.build_meta), sort_keys=True, separators=(",", ":")
         ).encode()
         per_doc = 2 + len("doc0") + 4 + 4 * 3 + 4 * 3 * 8
         expected = 20 + 2 * per_doc + len(trailer) + 8
@@ -112,7 +113,8 @@ class TestIndexRoundTrip:
         # a run line is whitespace-separated fields, one of them the doc id
         doc = CompressedDocument(doc_id=doc_id, k=1, dim=4, chunks=np.eye(1, 4),
                                  chunk_sizes=np.array([1]))
-        with pytest.raises(ValueError, match="free of whitespace"):
+        with pytest.raises(ValueError,
+                           match="is empty or holds whitespace|must be a JSON string"):
             CorpusIndex(dim=4, docs=(doc,), build_meta=make_meta())
 
     def test_oversized_doc_id_rejected_on_write(self, tmp_path):
@@ -148,8 +150,10 @@ class TestIndexRoundTrip:
     def test_record_count_must_match_ids(self, rng, tmp_path, n_rows):
         index = make_index(rng, n_docs=3, dim=4, k=2)
         rows = [(index.chunks[:2], index.sizes[:2])] * n_rows
-        with pytest.raises(ValueError):
-            write_records(tmp_path / "t.cchk", 4, ["a", "b"], make_meta(), rows)
+        problem = "2 ids but 1 records" if n_rows == 1 else "more records than the 2 ids"
+        path = tmp_path / "t.cchk"
+        with pytest.raises(ValueError, match=re.escape(f"cannot write {path}: {problem}")):
+            write_records(path, 4, ["a", "b"], make_meta(), rows)
         assert list(tmp_path.iterdir()) == []
 
     def test_zero_dim_rejected(self):
@@ -189,6 +193,26 @@ class TestIndexRoundTrip:
         assert [f.name for f in tmp_path.iterdir()] == ["t.cchk"]
 
 
+def changed_meta(drop=None, **changes) -> dict:
+    """``make_meta()``'s fields as a trailer holds them, less ``drop``, with ``changes``."""
+    return {k: v for k, v in dict(asdict(make_meta()), **changes).items() if k != drop}
+
+
+# Well-formed JSON trailers of the wrong shape: a field of another JSON type,
+# a field missing or a field too many. None may be converted or defaulted.
+MALFORMED_METAS = {
+    "k_target-true": changed_meta(k_target=True),
+    "k_target-fractional": changed_meta(k_target=40.9),
+    "k_target-string": changed_meta(k_target="40"),
+    "k_target-negative": changed_meta(k_target=-3),
+    "method-list": changed_meta(method=["a"]),
+    "omega-string": changed_meta(omega="0.5"),
+    "posenc_base-true": changed_meta(posenc_base=True),
+    "missing-embedding_location": changed_meta(drop="embedding_location"),
+    "extra-field": changed_meta(note="x"),
+}
+
+
 class TestIndexCorruption:
     @pytest.fixture
     def good_file(self, rng, tmp_path):
@@ -226,7 +250,7 @@ class TestIndexCorruption:
     def test_zero_k_rejected(self, rng, tmp_path):
         # hand-build a file with k=0 for its only doc
         path = tmp_path / "k0.cchk"
-        trailer = json.dumps(make_meta().to_dict(), sort_keys=True,
+        trailer = json.dumps(asdict(make_meta()), sort_keys=True,
                              separators=(",", ":")).encode()
         blob = (
             MAGIC + struct.pack("<I", FORMAT_VERSION) + struct.pack("<I", 4)
@@ -245,7 +269,7 @@ class TestIndexCorruption:
         [(30, struct.pack("<I", 0), "at least one patch"),
          (8, struct.pack("<I", 0), "invalid dim 0"),
          (176, b"doc0", "duplicate doc_id 'doc0'"),
-         (22, b"do 0", "free of whitespace")],
+         (22, b"do 0", "is empty or holds whitespace")],
         ids=["zero-chunk-size", "zero-dim", "repeated-doc-id", "space-in-doc-id"],
     )
     def test_edited_field_rejected(self, good_file, offset, patch, fragment):
@@ -278,9 +302,11 @@ class TestIndexCorruption:
 
     @pytest.mark.parametrize(
         "trailer",
-        [b"[]", b"null", b'"text"', json.dumps(dict(make_meta().to_dict(), omega="high")).encode(),
-         b"[" * 100_000],
-        ids=["list", "null", "string", "non-numeric-omega", "deeply-nested"],
+        [b"[]", b"null", b'"text"', json.dumps(dict(asdict(make_meta()), omega="high")).encode(),
+         b"[" * 100_000, *(json.dumps(meta).encode() for meta in MALFORMED_METAS.values()),
+         b'{"k_target":' + b"4" * 5000 + b"}"],
+        ids=["list", "null", "string", "non-numeric-omega", "deeply-nested", *MALFORMED_METAS,
+             "over-long-integer"],
     )
     def test_malformed_metadata(self, good_file, trailer):
         good_file.write_bytes(with_trailer(good_file.read_bytes(), trailer))
@@ -328,6 +354,22 @@ class TestIndexCorruption:
     def test_metadata_missing_field(self):
         with pytest.raises(IndexFormatError, match="omega"):
             BuildMeta.from_dict({"k_target": 40})
+
+    @pytest.mark.parametrize("field,value,problem", [
+        ("omega", "0.2", "omega must be a finite JSON number, got '0.2'"),
+        ("omega", float("nan"), "omega must be a finite JSON number, got nan"),
+        ("posenc_base", True, "posenc_base must be a finite JSON number, got True"),
+        ("k_target", 4.0, "k_target must be a JSON integer of at least 1, got 4.0"),
+        ("k_target", 0, "k_target must be a JSON integer of at least 1, got 0"),
+        ("method", None, "method must be a JSON string, got None"),
+        ("tool_version", 1, "tool_version must be a JSON string, got 1"),
+        ("embedding_location", ["x"], "embedding_location must be a JSON string"),
+    ], ids=["omega-string", "omega-nan", "posenc_base-true", "k_target-float", "k_target-zero",
+            "method-null", "tool_version-int", "embedding_location-list"])
+    def test_build_meta_rejects_a_wrong_typed_field(self, field, value, problem):
+        # an instance exists only if its trailer would read back
+        with pytest.raises(ValueError, match=re.escape(f"build metadata: {problem}")):
+            make_meta(**{field: value})
 
     def test_nonexistent_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -564,8 +606,9 @@ class TestManifestStrings:
             write_query_dump(queries, tmp_path / "dump")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("body", [b'{"dim": 4, "entries": []}\xff', b"[" * 100_000],
-                             ids=["not-utf8", "deeply-nested"])
+    @pytest.mark.parametrize("body", [b'{"dim": 4, "entries": []}\xff', b"[" * 100_000,
+                                      b'{"dim": ' + b"4" * 5000 + b', "entries": []}'],
+                             ids=["not-utf8", "deeply-nested", "over-long-integer"])
     def test_unreadable_manifest_names_file(self, tmp_path, body):
         for name, load in (("manifest.json", load_manifest),
                            ("queries.json", lambda m: list(ingest_queries(m)))):
@@ -573,6 +616,54 @@ class TestManifestStrings:
             manifest.write_bytes(body)
             with pytest.raises(ManifestError, match=re.escape(str(manifest))):
                 load(manifest)
+
+
+def one_doc_index(doc_id: str) -> bytes:
+    """An index file image of one dim-4, K=1 doc under ``doc_id``, however bad."""
+    id_bytes = doc_id.encode("utf-8")
+    trailer = json.dumps(asdict(make_meta()), sort_keys=True, separators=(",", ":")).encode()
+    return (MAGIC + struct.pack("<IIQH", FORMAT_VERSION, 4, 1, len(id_bytes)) + id_bytes
+            + struct.pack("<II", 1, 1) + np.eye(1, 4, dtype="<f4").tobytes()
+            + trailer + struct.pack("<Q", len(trailer)))
+
+
+def id_rule_messages(rng, tmp_path, doc_id) -> dict[str, str]:
+    """Entry point -> its error message for one doc under ``doc_id``, each
+    entry point raising its own error type."""
+    messages = {}
+
+    def catch(name, error, action):
+        with pytest.raises(error) as info:
+            action()
+        assert type(info.value) is error, name
+        messages[name] = str(info.value)
+
+    (tmp_path / "d.f32").write_bytes(np.ones(4, dtype="<f4").tobytes())
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"dim": 4, "entries": [dict(PAGE_ENTRY, doc_id=doc_id)]}))
+    catch("load_manifest", ManifestError, lambda: load_manifest(manifest))
+    if doc_id != "":  # the writers refuse an empty id as a file name first
+        catch("write_embedding_dump", ValueError,
+              lambda: write_embedding_dump([make_pset(rng, doc_id=doc_id)], tmp_path / "dump"))
+    doc = CompressedDocument(doc_id=doc_id, k=1, dim=4, chunks=np.eye(1, 4),
+                             chunk_sizes=np.array([1]))
+    catch("CorpusIndex", ValueError,
+          lambda: CorpusIndex(dim=4, docs=(doc,), build_meta=make_meta()))
+    if isinstance(doc_id, str):  # an id read from a file is always a string
+        (tmp_path / "bad.cchk").write_bytes(one_doc_index(doc_id))
+        catch("read_index", IndexFormatError, lambda: read_index(tmp_path / "bad.cchk"))
+    return messages
+
+
+@pytest.mark.parametrize("doc_id", ["a b", "", "a\u3000b", 7],
+                         ids=["space", "empty", "ideographic-space", "int"])
+def test_one_id_rule_one_message(rng, tmp_path, doc_id):
+    messages = id_rule_messages(rng, tmp_path, doc_id)
+    assert len(messages) == (4 if doc_id not in ("", 7) else 3)
+    rule = (f"{doc_id!r} is empty or holds whitespace" if isinstance(doc_id, str)
+            else f"must be a JSON string, got {doc_id!r}")
+    for name, message in messages.items():
+        assert message.endswith(f": doc_id {rule}"), (name, message)
 
 
 class TestQueryDump:
