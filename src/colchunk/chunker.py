@@ -64,7 +64,7 @@ KMEANS_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ChunkerConfig:
-    k: int
+    k: int = 40
     omega: float = 0.2
     method: str = "hac_ward"
     seed: int = 0

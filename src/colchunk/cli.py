@@ -19,7 +19,7 @@ import tempfile
 from pathlib import Path
 
 from . import __version__, chunker
-from .chunker import ChunkerConfig
+from .chunker import METHODS, ChunkerConfig
 from .evaluation import (
     EvalInputError,
     Qrels,
@@ -45,7 +45,7 @@ from .store import (
 )
 from .types import PatchGrid
 
-METHOD_ALIASES = {"hac": "hac_ward", "hac_ward": "hac_ward", "kmeans": "kmeans"}
+METHOD_ALIASES = {"hac": ChunkerConfig.method, **{name: name for name in METHODS}}
 
 # ``eval`` names at most this many judged queries that the run leaves out.
 MISSING_SHOWN = 5
@@ -96,13 +96,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_compress = sub.add_parser("compress", help="build a chunk index from an embedding dump")
     p_compress.add_argument("manifest", help="embedding dump manifest (JSON)")
     p_compress.add_argument("index", help="output index file")
-    p_compress.add_argument("--k", type=_positive_int, default=40, help="chunks per page")
-    p_compress.add_argument("--omega", type=_unit_float, default=0.2, help="positional weight")
+    p_compress.add_argument(
+        "--k", type=_positive_int, default=ChunkerConfig.k, help="chunks per page"
+    )
+    p_compress.add_argument(
+        "--omega", type=_unit_float, default=ChunkerConfig.omega, help="positional weight"
+    )
     p_compress.add_argument(
         "--method", choices=sorted(METHOD_ALIASES), default="hac", help="clustering method"
     )
-    p_compress.add_argument("--seed", type=int, default=0, help="k-means seed")
+    p_compress.add_argument("--seed", type=int, default=ChunkerConfig.seed, help="k-means seed")
     p_compress.add_argument("--threads", type=_positive_int, help=THREADS_HELP)
+    p_compress.set_defaults(handler=cmd_compress)
 
     p_query = sub.add_parser("query", help="run queries against an index")
     p_query.add_argument("index", help="index file")
@@ -111,11 +116,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--out", default=None, help="run file path (default: stdout)")
     p_query.add_argument("--run-tag", default="colchunk")
     p_query.add_argument("--threads", type=_positive_int, help=THREADS_HELP)
+    p_query.set_defaults(handler=cmd_query)
 
     p_eval = sub.add_parser("eval", help="score a run file against qrels")
     p_eval.add_argument("run", help="TREC run file")
     p_eval.add_argument("qrels", help="TREC qrels file")
     p_eval.add_argument("--k", type=_positive_int, default=5, help="nDCG cutoff")
+    p_eval.set_defaults(handler=cmd_eval)
 
     p_bench = sub.add_parser("bench", help="synthetic benchmark plus ablation table")
     p_bench.add_argument("--num-docs", type=_positive_int, default=100)
@@ -123,29 +130,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--grid-rows", type=_positive_int, default=32)
     p_bench.add_argument("--grid-cols", type=_positive_int, default=24)
     p_bench.add_argument("--dim", type=_positive_int, default=128)
-    p_bench.add_argument("--signal-patches", type=_positive_int, default=16)
-    p_bench.add_argument("--noise-sigma", type=float, default=0.5)
-    p_bench.add_argument("--query-tokens", type=_positive_int, default=64)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument(
+        "--signal-patches", type=_positive_int, default=SyntheticSpec.signal_patches
+    )
+    p_bench.add_argument("--noise-sigma", type=float, default=SyntheticSpec.noise_sigma)
+    p_bench.add_argument("--query-tokens", type=_positive_int, default=SyntheticSpec.query_tokens)
+    p_bench.add_argument("--seed", type=int, default=SyntheticSpec.seed)
     p_bench.add_argument("--sweep-k", type=_comma_list(_positive_int), default=())
     p_bench.add_argument("--sweep-omega", type=_comma_list(_unit_float), default=())
     p_bench.add_argument("--methods", type=_comma_list(_method), default=())
-    p_bench.add_argument("--k", type=_positive_int, default=40, help="base k for sweeps")
-    p_bench.add_argument("--omega", type=_unit_float, default=0.2, help="base omega for sweeps")
+    p_bench.add_argument(
+        "--k", type=_positive_int, default=SweepSpec.base_k, help="base k for sweeps"
+    )
+    p_bench.add_argument(
+        "--omega", type=_unit_float, default=SweepSpec.base_omega, help="base omega for sweeps"
+    )
     p_bench.add_argument("--workdir", default=None, help="keep generated dumps here")
     p_bench.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p_bench.add_argument("--threads", type=_positive_int, help=THREADS_HELP)
+    p_bench.set_defaults(handler=cmd_bench)
 
     return parser
 
 
 def cmd_compress(args) -> int:
-    cfg = ChunkerConfig(
-        k=args.k,
-        omega=args.omega,
-        method=METHOD_ALIASES[args.method],
-        seed=args.seed,
-    )
+    cfg = ChunkerConfig(args.k, args.omega, METHOD_ALIASES[args.method], args.seed)
     manifest = load_manifest(args.manifest)
     if not manifest.entries:
         raise ManifestError("the dump manifest lists no documents")
@@ -248,14 +257,8 @@ def cmd_bench(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "compress": cmd_compress,
-        "query": cmd_query,
-        "eval": cmd_eval,
-        "bench": cmd_bench,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (IndexFormatError, ManifestError, EvalInputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -335,9 +335,9 @@ class SweepSpec:
     k_values: tuple[int, ...] = ()
     omega_values: tuple[float, ...] = ()
     methods: tuple[str, ...] = ()
-    base_k: int = 40
-    base_omega: float = 0.2
-    seed: int = 0
+    base_k: int = ChunkerConfig.k
+    base_omega: float = ChunkerConfig.omega
+    seed: int = ChunkerConfig.seed
 
 
 @dataclass(frozen=True)
@@ -350,18 +350,6 @@ class AblationRow:
     vectors_per_doc: float
     index_bytes: int
     wall_ms: float
-
-
-CSV_COLUMNS = (
-    "config_id",
-    "method",
-    "k",
-    "omega",
-    "mean_ndcg_at_5",
-    "vectors_per_doc",
-    "index_bytes",
-    "wall_ms",
-)
 
 
 def _measure_config(
@@ -425,16 +413,11 @@ def run_ablation(
     if not doc_list or not query_list:
         raise ValueError("ablation needs at least one document and one query")
 
-    def make_cfg(k: int, omega: float, method: str) -> ChunkerConfig:
-        return ChunkerConfig(k=k, omega=omega, method=method, seed=sweep.seed)
-
-    configs = [("baseline-k1", make_cfg(1, sweep.base_omega, "hac_ward"))]
-    for k in sweep.k_values:
-        configs.append((f"k{k}", make_cfg(k, sweep.base_omega, "hac_ward")))
-    for omega in sweep.omega_values:
-        configs.append((f"omega{omega:g}", make_cfg(sweep.base_k, omega, "hac_ward")))
-    for method in sweep.methods:
-        configs.append((f"method-{method}", make_cfg(sweep.base_k, sweep.base_omega, method)))
+    base = ChunkerConfig(k=1, omega=sweep.base_omega, seed=sweep.seed)
+    configs = [("baseline-k1", base)]
+    configs += [(f"k{k}", replace(base, k=k)) for k in sweep.k_values]
+    configs += [(f"omega{w:g}", replace(base, k=sweep.base_k, omega=w)) for w in sweep.omega_values]
+    configs += [(f"method-{m}", replace(base, k=sweep.base_k, method=m)) for m in sweep.methods]
 
     groups: dict[tuple[float, str], list[int]] = {}
     for i, (_, cfg) in enumerate(configs):
@@ -458,7 +441,7 @@ def run_ablation(
 
 
 def rows_to_csv(rows: Sequence[AblationRow], fh) -> None:
-    fh.write(",".join(CSV_COLUMNS) + "\n")
+    fh.write(",".join(f.name for f in fields(AblationRow)) + "\n")
     for r in rows:
         fh.write(
             f"{r.config_id},{r.method},{r.k},{r.omega:g},"

@@ -17,13 +17,14 @@ it without scanning the document records:
     trailer        JSON, UTF-8, sorted keys, no whitespace: BuildMeta's six fields
     trailer_len    u64
 
-Vectors are float32 on disk. An index read from disk holds the stored
-float32 values in one ``(sum K, dim)`` matrix; scoring arithmetic is float64.
-Writing what was read reproduces the file byte for byte, since the reader
-takes the trailer's values unconverted. ``write_records`` is the one writer:
-it streams records, so ``compress`` holds one page at a time, and
-``write_index`` feeds it an in-memory ``CorpusIndex``, the form ``retrieve``
-takes.
+Vectors are float32 on disk. ``read_index`` holds the stored float32 values
+in one ``(sum K, dim)`` matrix, checked by ``CorpusIndex.from_columns``;
+scoring arithmetic is float64. Writing what was read reproduces the file
+byte for byte, since the reader takes the trailer's values unconverted. They
+must be a build ``ChunkerConfig`` accepts, so ``store`` imports ``chunker``
+(never the reverse). ``write_records`` is the one writer: it streams
+records, so ``compress`` holds one page at a time, and ``write_index`` feeds
+it an in-memory ``CorpusIndex``, the form ``retrieve`` takes.
 
 Embedding dumps are the ingestion side: a JSON manifest describing per-page
 raw vector files (flat float32 little-endian, row-major). Query dumps use
@@ -31,13 +32,13 @@ the same shape minus the grid fields. Ids, paths and ``location`` are JSON
 strings. The loader, the writers and ``CorpusIndex`` (so ``read_index`` too)
 check ids by one rule, ``_check_id``: non-empty with no whitespace, since
 run and qrels lines are whitespace-separated fields; ``_check_unique``
-refuses repeats. The writers name each raw file after its id, so they also
-reject ids that are not safe file names: ``.``, ``..`` and any id holding
-``/``, ``\\`` or NUL. The loader rejects entry paths that are absolute or
-have a ``..`` component, and raises ManifestError for any malformed
-manifest, such as one that is not UTF-8, ``entries`` that is not a list or
-a count that JSON reads as infinity (``1e400``). Vectors that their type
-rejects (non-finite or zero-norm) raise ManifestError on ingest too.
+refuses repeats. The writers name each raw file after its id, so after the
+id rule they reject ids that are not safe file names: ``.``, ``..`` and any
+id holding ``/``, ``\\`` or NUL. The loader rejects entry paths that are
+absolute or have a ``..`` component, and raises ManifestError for any
+malformed manifest, such as one that is not UTF-8, ``entries`` that is not a
+list or a count that JSON reads as infinity (``1e400``). Vectors that their
+type rejects (non-finite or zero-norm) raise ManifestError on ingest too.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, posenc
+from .chunker import ChunkerConfig
 from .types import (
     CompressedDocument,
     PatchEmbeddingSet,
@@ -99,7 +101,8 @@ class BuildMeta:
 
     Construction raises ValueError unless ``omega`` and ``posenc_base`` are
     finite numbers, ``k_target`` a count and the rest strings, by the
-    manifest's rules, so every instance writes a trailer the reader accepts.
+    manifest's rules, and unless ``ChunkerConfig(k_target, omega, method)``
+    accepts the build, so every instance writes a trailer the reader accepts.
     """
 
     omega: float
@@ -118,9 +121,13 @@ class BuildMeta:
         _count(self.k_target, where, "k_target", ValueError)
         for name in ("method", "tool_version", "embedding_location"):
             _string(getattr(self, name), where, name, ValueError)
+        try:
+            ChunkerConfig(self.k_target, self.omega, self.method)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
 
     @classmethod
-    def for_config(cls, cfg, location: str) -> "BuildMeta":
+    def for_config(cls, cfg: ChunkerConfig, location: str) -> "BuildMeta":
         """The metadata of an index this version builds under a ChunkerConfig."""
         return cls(cfg.omega, cfg.k, cfg.method, posenc.BASE, __version__, location)
 
@@ -170,7 +177,18 @@ class CorpusIndex:
 
     @classmethod
     def from_columns(cls, dim, ids, offsets, chunks, sizes, build_meta) -> "CorpusIndex":
-        """Wrap columns as they are; the caller has checked the chunk invariants."""
+        """Wrap the columns as they are, once they are an index: ``offsets``
+        runs from 0 by K >= 1 per id, ``chunks`` is ``(offsets[-1], dim)``,
+        ``sizes`` is ``(offsets[-1],)``, every size is >= 1 and every chunk
+        finite and unit norm; ValueError otherwise."""
+        if len(offsets) != len(ids) + 1 or offsets[0] != 0 or (np.diff(offsets) < 1).any():
+            raise ValueError(f"offsets must run from 0 by K >= 1 for each of {len(ids)} ids")
+        rows = int(offsets[-1])
+        if chunks.shape != (rows, dim) or sizes.shape != (rows,):
+            raise ValueError(
+                f"chunks {chunks.shape} and sizes {sizes.shape} must be {(rows, dim)} and {(rows,)}"
+            )
+        _check_chunks(ids, offsets, chunks, sizes)
         index = cls.__new__(cls)
         index._set(dim, ids, offsets, chunks, sizes, build_meta)
         return index
@@ -181,12 +199,9 @@ class CorpusIndex:
         _encoded_ids(ids)
         for arr in (offsets, chunks, sizes):
             arr.setflags(write=False)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "ids", tuple(ids))
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "chunks", chunks)
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "build_meta", build_meta)
+        values = (dim, tuple(ids), offsets, chunks, sizes, build_meta)
+        for f, value in zip(fields(self), values):
+            object.__setattr__(self, f.name, value)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -350,7 +365,6 @@ def read_index(path: str | Path) -> CorpusIndex:
     offsets = np.array(offsets, dtype=np.int64)
     chunks, sizes = chunks[:rows], sizes[:rows].astype(np.int64)
     try:
-        _check_chunks(ids, offsets, chunks, sizes)
         return CorpusIndex.from_columns(dim, ids, offsets, chunks, sizes, meta)
     except ValueError as exc:
         raise IndexFormatError(str(exc)) from exc
@@ -436,12 +450,10 @@ def _encoded_ids(ids) -> list[bytes]:
 
 
 def _check_file_name(item_id, where: str, field: str) -> None:
-    """A writer's id: the id rule, and a safe name for the raw file named after it."""
-    if isinstance(item_id, str) and (
-        item_id in ("", ".", "..") or any(c in item_id for c in "/\\\0")
-    ):
-        raise ValueError(f"{where}: {field} {item_id!r} is not a safe file name")
+    """A writer's id: the id rule, then a safe name for the raw file named after it."""
     _check_id(item_id, where, field, ValueError)
+    if item_id in (".", "..") or any(c in item_id for c in "/\\\0"):
+        raise ValueError(f"{where}: {field} {item_id!r} is not a safe file name")
 
 
 def _count(value, where: str, field: str, error: type[Exception] = ManifestError) -> int:
@@ -529,7 +541,7 @@ def _ingest(manifest: EmbeddingDumpManifest, make):
             )
         flat = np.fromfile(path, dtype="<f4")
         try:
-            item = make(entry, flat.astype(np.float64).reshape(entry.n_vectors, manifest.dim))
+            item = make(entry, flat.reshape(entry.n_vectors, manifest.dim))
         except ValueError as exc:
             raise ManifestError(str(exc)) from exc
         yield item

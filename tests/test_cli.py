@@ -5,6 +5,7 @@ exit codes, stream separation, and file outputs are all exercised for real.
 The error-path table runs `cli.main` in-process, one bad input per case.
 """
 
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -15,7 +16,8 @@ import pytest
 import numpy as np
 
 from colchunk import chunker, cli, store
-from colchunk.evaluation import SyntheticSpec, generate_synthetic
+from colchunk.chunker import ChunkerConfig
+from colchunk.evaluation import SweepSpec, SyntheticSpec, generate_synthetic
 from colchunk.store import read_index, write_embedding_dump
 from colchunk.types import PatchEmbeddingSet, PatchGrid
 
@@ -357,6 +359,17 @@ class TestTopLevel:
         proc = run_cli("frobnicate")
         assert proc.returncode == 2
 
+    def test_defaults_are_the_dataclass_defaults(self):
+        parser = cli.build_parser()
+        args = parser.parse_args(["compress", "manifest.json", "index.cchk"])
+        cfg = ChunkerConfig(args.k, args.omega, cli.METHOD_ALIASES[args.method], args.seed)
+        assert cfg == ChunkerConfig()
+        args = parser.parse_args(["bench"])
+        assert SweepSpec(base_k=args.k, base_omega=args.omega, seed=args.seed) == SweepSpec()
+        defaults = [f for f in dataclasses.fields(SyntheticSpec)
+                    if f.default is not dataclasses.MISSING]
+        assert [getattr(args, f.name) for f in defaults] == [f.default for f in defaults]
+
     def test_help_exits_zero(self):
         proc = run_cli("--help")
         assert proc.returncode == 0
@@ -427,6 +440,8 @@ def bad_inputs(dataset, index_path, tmp_path_factory):
     meta = json.loads(blob[-8 - int.from_bytes(blob[-8:], "little") : -8])
     bad_meta = json.dumps(dict(meta, k_target=True), sort_keys=True, separators=(",", ":"))
     write("bool_k_trailer.cchk", with_trailer(blob, bad_meta.encode()))
+    far_meta = json.dumps(dict(meta, omega=5), sort_keys=True, separators=(",", ":"))
+    write("out_of_range_trailer.cchk", with_trailer(blob, far_meta.encode()))
     # the first doc's id starts after the 20-byte header and its u16 length
     middle = 22 + int.from_bytes(blob[20:22], "little") // 2
     write("space_id.cchk", blob[:middle] + b" " + blob[middle + 1 :])
@@ -478,6 +493,10 @@ CLI_ERROR_CASES = {
     "query-malformed-trailer": (["query", "{bool_k_trailer}", "{queries}", "--out",
                                  "{out}/run.txt"],
                                 "k_target must be a JSON integer of at least 1, got True"),
+    # well typed, but a build that no ChunkerConfig accepts
+    "query-out-of-range-trailer": (["query", "{out_of_range_trailer}", "{queries}", "--out",
+                                    "{out}/run.txt"],
+                                   "build metadata: omega must lie in [0, 1], got 5"),
     # such an id would split its run line into 7 fields, which eval refuses
     "query-space-in-index-id": (["query", "{space_id}", "{queries}", "--out",
                                  "{out}/run.txt"], "is empty or holds whitespace"),

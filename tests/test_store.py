@@ -161,6 +161,37 @@ class TestIndexRoundTrip:
         with pytest.raises(ValueError, match="dim must be at least 1"):
             CorpusIndex(dim=0, docs=(), build_meta=make_meta())
 
+    # Columns of make_index's 3 docs (dim 8, K 4), each case breaking one rule.
+    @pytest.mark.parametrize("case,fragment", [
+        ("two-ids-three-docs", "offsets must run from 0 by K >= 1 for each of 2 ids"),
+        ("width-5-in-dim-4", "chunks (12, 5) and sizes (12,) must be (12, 4) and (12,)"),
+        ("norm-3", "doc 'doc0' violates invariants: chunk 0 is not unit norm"),
+        ("offsets-from-1", "offsets must run from 0"),
+        ("zero-k", "offsets must run from 0 by K >= 1"),
+        ("short-sizes", "must be (12, 8) and (12,)"),
+    ], ids=["two-ids-three-docs", "width-5-in-dim-4", "norm-3", "offsets-from-1", "zero-k",
+            "short-sizes"])
+    def test_from_columns_checks_what_it_wraps(self, rng, case, fragment):
+        good = make_index(rng)
+        cols = dict(dim=good.dim, ids=good.ids, offsets=good.offsets.copy(),
+                    chunks=good.chunks.copy(), sizes=good.sizes.copy(),
+                    build_meta=good.build_meta)
+        if case == "two-ids-three-docs":
+            cols["ids"] = good.ids[:2]
+        elif case == "width-5-in-dim-4":
+            wide = rng.normal(size=(12, 5))
+            cols.update(dim=4, chunks=wide / np.linalg.norm(wide, axis=1, keepdims=True))
+        elif case == "norm-3":
+            cols["chunks"] = good.chunks * 3.0
+        elif case == "offsets-from-1":
+            cols["offsets"] = good.offsets + 1
+        elif case == "zero-k":
+            cols["offsets"] = np.array([0, 4, 4, 12])
+        else:
+            cols["sizes"] = good.sizes[:-1]
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            CorpusIndex.from_columns(**cols)
+
     def test_chunk_off_unit_norm_once_stored_rejected_before_writing(
         self, rng, tmp_path, monkeypatch
     ):
@@ -199,7 +230,8 @@ def changed_meta(drop=None, **changes) -> dict:
 
 
 # Well-formed JSON trailers of the wrong shape: a field of another JSON type,
-# a field missing or a field too many. None may be converted or defaulted.
+# a field missing or a field too many, or a build no ChunkerConfig accepts.
+# None may be converted or defaulted.
 MALFORMED_METAS = {
     "k_target-true": changed_meta(k_target=True),
     "k_target-fractional": changed_meta(k_target=40.9),
@@ -210,6 +242,10 @@ MALFORMED_METAS = {
     "posenc_base-true": changed_meta(posenc_base=True),
     "missing-embedding_location": changed_meta(drop="embedding_location"),
     "extra-field": changed_meta(note="x"),
+    "omega-above-1": changed_meta(omega=5),
+    "omega-negative": changed_meta(omega=-1),
+    "method-empty": changed_meta(method=""),
+    "method-unknown": changed_meta(method="spectral"),
 }
 
 
@@ -364,8 +400,13 @@ class TestIndexCorruption:
         ("method", None, "method must be a JSON string, got None"),
         ("tool_version", 1, "tool_version must be a JSON string, got 1"),
         ("embedding_location", ["x"], "embedding_location must be a JSON string"),
+        ("omega", 5, "omega must lie in [0, 1], got 5"),
+        ("omega", -1, "omega must lie in [0, 1], got -1"),
+        ("method", "", "method must be one of ('hac_ward', 'kmeans'), got ''"),
+        ("method", "spectral", "method must be one of ('hac_ward', 'kmeans'), got 'spectral'"),
     ], ids=["omega-string", "omega-nan", "posenc_base-true", "k_target-float", "k_target-zero",
-            "method-null", "tool_version-int", "embedding_location-list"])
+            "method-null", "tool_version-int", "embedding_location-list", "omega-above-1",
+            "omega-negative", "method-empty", "method-unknown"])
     def test_build_meta_rejects_a_wrong_typed_field(self, field, value, problem):
         # an instance exists only if its trailer would read back
         with pytest.raises(ValueError, match=re.escape(f"build metadata: {problem}")):
@@ -432,7 +473,8 @@ class TestEmbeddingDump:
         with pytest.raises(ManifestError):
             load_manifest(manifest)
 
-    @pytest.mark.parametrize("bad_id", ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b"])
+    # The empty id breaks the id rule first: see test_one_id_rule_one_message.
+    @pytest.mark.parametrize("bad_id", [".", "..", "../escaped", "a/b", "a\\b", "a\0b"])
     def test_unsafe_ids_rejected_before_writing(self, rng, tmp_path, bad_id):
         psets = [make_pset(rng, doc_id="fine"), make_pset(rng, doc_id=bad_id)]
         with pytest.raises(ValueError, match="safe file name"):
@@ -642,9 +684,10 @@ def id_rule_messages(rng, tmp_path, doc_id) -> dict[str, str]:
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"dim": 4, "entries": [dict(PAGE_ENTRY, doc_id=doc_id)]}))
     catch("load_manifest", ManifestError, lambda: load_manifest(manifest))
-    if doc_id != "":  # the writers refuse an empty id as a file name first
-        catch("write_embedding_dump", ValueError,
-              lambda: write_embedding_dump([make_pset(rng, doc_id=doc_id)], tmp_path / "dump"))
+    catch("write_embedding_dump", ValueError,
+          lambda: write_embedding_dump([make_pset(rng, doc_id=doc_id)], tmp_path / "dump"))
+    query = QueryEmbeddingSet(query_id=doc_id, dim=4, vectors=np.ones((1, 4)))
+    catch("write_query_dump", ValueError, lambda: write_query_dump([query], tmp_path / "dump"))
     doc = CompressedDocument(doc_id=doc_id, k=1, dim=4, chunks=np.eye(1, 4),
                              chunk_sizes=np.array([1]))
     catch("CorpusIndex", ValueError,
@@ -659,11 +702,12 @@ def id_rule_messages(rng, tmp_path, doc_id) -> dict[str, str]:
                          ids=["space", "empty", "ideographic-space", "int"])
 def test_one_id_rule_one_message(rng, tmp_path, doc_id):
     messages = id_rule_messages(rng, tmp_path, doc_id)
-    assert len(messages) == (4 if doc_id not in ("", 7) else 3)
+    assert len(messages) == (5 if isinstance(doc_id, str) else 4)
     rule = (f"{doc_id!r} is empty or holds whitespace" if isinstance(doc_id, str)
             else f"must be a JSON string, got {doc_id!r}")
     for name, message in messages.items():
-        assert message.endswith(f": doc_id {rule}"), (name, message)
+        field = "query_id" if name == "write_query_dump" else "doc_id"
+        assert message.endswith(f": {field} {rule}"), (name, message)
 
 
 class TestQueryDump:
