@@ -473,14 +473,15 @@ class TestEmbeddingDump:
         with pytest.raises(ManifestError):
             load_manifest(manifest)
 
-    # The empty id breaks the id rule first: see test_one_id_rule_one_message.
-    @pytest.mark.parametrize("bad_id", [".", "..", "../escaped", "a/b", "a\\b", "a\0b"])
+    # The empty id breaks the id rule before the file-name rule.
+    @pytest.mark.parametrize("bad_id", ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b"])
     def test_unsafe_ids_rejected_before_writing(self, rng, tmp_path, bad_id):
+        rule = "is empty or holds whitespace" if bad_id == "" else "safe file name"
         psets = [make_pset(rng, doc_id="fine"), make_pset(rng, doc_id=bad_id)]
-        with pytest.raises(ValueError, match="safe file name"):
+        with pytest.raises(ValueError, match=rule):
             write_embedding_dump(psets, tmp_path / "dump")
         queries = [QueryEmbeddingSet(query_id=bad_id, dim=8, vectors=rng.normal(size=(2, 8)))]
-        with pytest.raises(ValueError, match="safe file name"):
+        with pytest.raises(ValueError, match=rule):
             write_query_dump(queries, tmp_path / "dump")
         assert list(tmp_path.iterdir()) == []
 
