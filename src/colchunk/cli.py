@@ -21,6 +21,7 @@ from pathlib import Path
 from . import __version__, chunker
 from .chunker import METHODS, ChunkerConfig
 from .evaluation import (
+    NDCG_CUTOFF,
     EvalInputError,
     Qrels,
     SweepSpec,
@@ -37,6 +38,7 @@ from .store import (
     BuildMeta,
     IndexFormatError,
     ManifestError,
+    _check_id,
     ingest_dump,
     ingest_queries,
     load_manifest,
@@ -121,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="score a run file against qrels")
     p_eval.add_argument("run", help="TREC run file")
     p_eval.add_argument("qrels", help="TREC qrels file")
-    p_eval.add_argument("--k", type=_positive_int, default=5, help="nDCG cutoff")
+    p_eval.add_argument("--k", type=_positive_int, default=NDCG_CUTOFF, help="nDCG cutoff")
     p_eval.set_defaults(handler=cmd_eval)
 
     p_bench = sub.add_parser("bench", help="synthetic benchmark plus ablation table")
@@ -180,6 +182,8 @@ def cmd_compress(args) -> int:
 
 
 def cmd_query(args) -> int:
+    # Refused before any work, so no run file is left behind.
+    _check_id(args.run_tag, "query", "--run-tag", ValueError)
     index = read_index(args.index)
     queries = list(ingest_queries(args.queries))
     if not queries:

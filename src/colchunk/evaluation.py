@@ -22,6 +22,7 @@ from .scorer import retrieve_many
 from .store import (
     BuildMeta,
     CorpusIndex,
+    _check_id,
     write_embedding_dump,
     write_index,
     write_query_dump,
@@ -30,6 +31,7 @@ from .types import CompressedDocument, PatchEmbeddingSet, PatchGrid, QueryEmbedd
 
 __all__ = [
     "EvalInputError",
+    "NDCG_CUTOFF",
     "Qrels",
     "dcg",
     "ndcg_at_k",
@@ -45,6 +47,11 @@ __all__ = [
     "run_ablation",
     "rows_to_csv",
 ]
+
+
+# The ablation's nDCG cutoff, named by its CSV column ``mean_ndcg_at_5``,
+# and the default of ``eval --k``.
+NDCG_CUTOFF = 5
 
 
 class EvalInputError(Exception):
@@ -159,7 +166,9 @@ def evaluate_run(
 
 
 def write_run(hits_by_query: Mapping[str, Sequence], fh, run_tag: str = "colchunk") -> None:
-    """Emit TREC run lines: ``query_id Q0 doc_id rank score tag``."""
+    """Emit TREC run lines: ``query_id Q0 doc_id rank score tag``. A ``run_tag``
+    that breaks the id rule raises ValueError before any line is written."""
+    _check_id(run_tag, "run", "run_tag", ValueError)
     for qid in hits_by_query:
         for hit in hits_by_query[qid]:
             fh.write(f"{qid} Q0 {hit.doc_id} {hit.rank} {hit.score:.6f} {run_tag}\n")
@@ -330,7 +339,8 @@ def generate_synthetic(spec: SyntheticSpec, out_dir) -> SyntheticDataset:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Which single-axis ablations to run. Unspecified axes stay at base values."""
+    """Which single-axis ablations to run. Unspecified axes stay at base values.
+    Every value is checked by ``ChunkerConfig`` at construction, used by a row or not."""
 
     k_values: tuple[int, ...] = ()
     omega_values: tuple[float, ...] = ()
@@ -338,6 +348,19 @@ class SweepSpec:
     base_k: int = ChunkerConfig.k
     base_omega: float = ChunkerConfig.omega
     seed: int = ChunkerConfig.seed
+
+    def __post_init__(self):
+        self.configs()
+
+    def configs(self) -> list[tuple[str, ChunkerConfig]]:
+        """Each row's ``(config_id, ChunkerConfig)``: the K=1 baseline, then the
+        k, omega and method sweeps, each varying one axis of the base."""
+        base = ChunkerConfig(self.base_k, self.base_omega, seed=self.seed)
+        configs = [("baseline-k1", replace(base, k=1))]
+        configs += [(f"k{k}", replace(base, k=k)) for k in self.k_values]
+        configs += [(f"omega{w:g}", replace(base, omega=w)) for w in self.omega_values]
+        configs += [(f"method-{m}", replace(base, method=m)) for m in self.methods]
+        return configs
 
 
 @dataclass(frozen=True)
@@ -372,9 +395,9 @@ def _measure_config(
     write_index(index, index_path)
     run = {
         q.query_id: [h.doc_id for h in hits]
-        for q, hits in zip(queries, retrieve_many(queries, index, top_k=5))
+        for q, hits in zip(queries, retrieve_many(queries, index, top_k=NDCG_CUTOFF))
     }
-    _, mean = evaluate_run(run, qrels, k=5)
+    _, mean = evaluate_run(run, qrels, k=NDCG_CUTOFF)
     wall_ms = compress_ms + (time.perf_counter() - start) * 1000.0
     return AblationRow(
         config_id=config_id,
@@ -397,10 +420,8 @@ def run_ablation(
 ) -> list[AblationRow]:
     """Compress, index, retrieve, and score one row per swept configuration.
 
-    Emits a K=1 single-vector baseline row first, then the k sweep, the
-    omega sweep, and the method comparison, each varying one axis with the
-    others at base values. Index sizes are measured on real files written
-    under ``scratch_dir``.
+    Emits one row per ``sweep.configs()`` entry, in that order. Index sizes
+    are measured on real files written under ``scratch_dir``.
 
     Configurations sharing (omega, method) are compressed together, page by
     page with ``compress_ks``: one fusion and, for Ward, one dendrogram per
@@ -413,12 +434,7 @@ def run_ablation(
     if not doc_list or not query_list:
         raise ValueError("ablation needs at least one document and one query")
 
-    base = ChunkerConfig(k=1, omega=sweep.base_omega, seed=sweep.seed)
-    configs = [("baseline-k1", base)]
-    configs += [(f"k{k}", replace(base, k=k)) for k in sweep.k_values]
-    configs += [(f"omega{w:g}", replace(base, k=sweep.base_k, omega=w)) for w in sweep.omega_values]
-    configs += [(f"method-{m}", replace(base, k=sweep.base_k, method=m)) for m in sweep.methods]
-
+    configs = sweep.configs()
     groups: dict[tuple[float, str], list[int]] = {}
     for i, (_, cfg) in enumerate(configs):
         groups.setdefault((cfg.omega, cfg.method), []).append(i)

@@ -18,8 +18,8 @@ it without scanning the document records:
     trailer_len    u64
 
 Vectors are float32 on disk. ``read_index`` holds the stored float32 values
-in one ``(sum K, dim)`` matrix, checked by ``CorpusIndex.from_columns``;
-scoring arithmetic is float64. Writing what was read reproduces the file
+in one ``(sum K, dim)`` matrix; scoring arithmetic is float64. Every record
+obeys ``types.check_compressed``. Writing what was read reproduces the file
 byte for byte, since the reader takes the trailer's values unconverted. They
 must be a build ``ChunkerConfig`` accepts, so ``store`` imports ``chunker``
 (never the reverse). ``write_records`` is the one writer: it streams
@@ -59,7 +59,7 @@ from .types import (
     PatchEmbeddingSet,
     PatchGrid,
     QueryEmbeddingSet,
-    first_non_unit_row,
+    check_compressed,
 )
 
 __all__ = [
@@ -83,8 +83,6 @@ __all__ = [
 
 MAGIC = b"CCHK"
 FORMAT_VERSION = 1
-# Rows per block when checking chunk norms in float64.
-_CHECK_ROWS = 4096
 
 
 class IndexFormatError(Exception):
@@ -151,10 +149,10 @@ class CorpusIndex:
 
     ``ids`` are the doc ids in order, unique and obeying the dump id rule
     (ValueError otherwise). Document ``i`` owns rows
-    ``offsets[i]:offsets[i + 1]`` of ``chunks``, one ``(sum K, dim)`` matrix
-    of unit-norm chunk vectors, and of ``sizes``, the patches pooled into
-    each chunk. An index built from CompressedDocuments stacks their float64
-    chunks; ``read_index`` keeps the stored float32 values.
+    ``offsets[i]:offsets[i + 1]`` of ``chunks``, one ``(sum K, dim)`` matrix,
+    and of ``sizes``, by ``check_compressed``'s rule. An index built from
+    CompressedDocuments stacks their float64 chunks; ``read_index`` keeps
+    the stored float32 values.
     """
 
     dim: int
@@ -177,18 +175,9 @@ class CorpusIndex:
 
     @classmethod
     def from_columns(cls, dim, ids, offsets, chunks, sizes, build_meta) -> "CorpusIndex":
-        """Wrap the columns as they are, once they are an index: ``offsets``
-        runs from 0 by K >= 1 per id, ``chunks`` is ``(offsets[-1], dim)``,
-        ``sizes`` is ``(offsets[-1],)``, every size is >= 1 and every chunk
-        finite and unit norm; ValueError otherwise."""
-        if len(offsets) != len(ids) + 1 or offsets[0] != 0 or (np.diff(offsets) < 1).any():
-            raise ValueError(f"offsets must run from 0 by K >= 1 for each of {len(ids)} ids")
-        rows = int(offsets[-1])
-        if chunks.shape != (rows, dim) or sizes.shape != (rows,):
-            raise ValueError(
-                f"chunks {chunks.shape} and sizes {sizes.shape} must be {(rows, dim)} and {(rows,)}"
-            )
-        _check_chunks(ids, offsets, chunks, sizes)
+        """Wrap the columns as they are, once ``check_compressed`` accepts them
+        (ValueError otherwise)."""
+        check_compressed(ids, dim, offsets, chunks, sizes)
         index = cls.__new__(cls)
         index._set(dim, ids, offsets, chunks, sizes, build_meta)
         return index
@@ -232,10 +221,10 @@ def write_index(index: CorpusIndex, path: str | Path) -> None:
 def write_records(path: str | Path, dim: int, ids, build_meta: BuildMeta, rows) -> int:
     """Write ``(chunks, sizes)`` records, taken one at a time from ``rows``, under ``ids``.
 
-    Every id is checked before the file is opened, and each record as
-    ``read_index`` will check it, after rounding to the stored float32, just
-    before its bytes are written: a file the reader would reject raises
-    ValueError instead, as does a record count that disagrees with ``ids``.
+    Every id is checked before the file is opened, and each record, of K
+    chunk rows, by ``check_compressed`` after rounding to the stored float32,
+    just before its bytes: a file the reader would reject raises ValueError
+    instead, as does a record count that disagrees with ``ids``.
     The bytes go to a sibling temporary file that replaces ``path`` only once
     complete, so a failed write leaves any previous index intact. Returns the
     chunk rows written.
@@ -257,13 +246,8 @@ def write_records(path: str | Path, dim: int, ids, build_meta: BuildMeta, rows) 
                     raise ValueError(f"cannot write {out}: {len(ids)} ids but {n} records")
                 chunks, sizes = record
                 chunks, sizes = np.ascontiguousarray(chunks, "<f4"), np.asarray(sizes)
-                k = len(sizes)
-                if not k or chunks.shape != (k, dim):
-                    raise ValueError(
-                        f"doc '{doc_id}' has {k} sizes and chunks of shape {chunks.shape}, "
-                        f"expected K >= 1 of each in dim {dim}"
-                    )
-                _check_chunks((doc_id,), (0, k), chunks, sizes)
+                k = len(chunks)
+                check_compressed((doc_id,), dim, (0, k), chunks, sizes)
                 fh.write(struct.pack("<H", len(id_bytes)) + id_bytes + struct.pack("<I", k))
                 fh.write(sizes.astype("<u4"))
                 fh.write(chunks)
@@ -305,12 +289,11 @@ def read_index(path: str | Path) -> CorpusIndex:
     """Parse an index file into columns holding the stored float32 chunks.
 
     Each record's sizes and vectors are read straight into preallocated
-    column arrays. Raises IndexFormatError for anything malformed: wrong
-    magic, unsupported version, truncation, trailing garbage, metadata that
-    ``BuildMeta.from_dict`` refuses, duplicate doc ids or ids that break the id rule, or a
-    document that violates the compressed-document invariants (K >= 1,
-    every size >= 1, finite unit-norm chunks).
-    """
+    column arrays. The reader checks only what bounds its reads: magic,
+    version, dim, truncation and row capacity. The trailer goes through
+    ``BuildMeta.from_dict`` and the columns through ``from_columns`` (the id
+    rule and ``check_compressed``, K = 0 included). Every flaw raises
+    IndexFormatError, with the rule's own message where a rule refused."""
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
         cur = _Reader(fh)
@@ -338,8 +321,6 @@ def read_index(path: str | Path) -> CorpusIndex:
             except UnicodeDecodeError as exc:
                 raise IndexFormatError(f"doc {i} id is not valid UTF-8") from exc
             k = cur.unpack("<I", f"doc '{doc_id}' k")
-            if k < 1:
-                raise IndexFormatError(f"doc '{doc_id}' has invalid k = {k}")
             lo, hi = offsets[-1], offsets[-1] + k
             if hi > capacity:
                 raise IndexFormatError(
@@ -368,26 +349,6 @@ def read_index(path: str | Path) -> CorpusIndex:
         return CorpusIndex.from_columns(dim, ids, offsets, chunks, sizes, meta)
     except ValueError as exc:
         raise IndexFormatError(str(exc)) from exc
-
-
-def _check_chunks(ids, offsets, chunks, sizes) -> None:
-    """Every size >= 1 and every stored float32 chunk finite and unit norm, its
-    norm taken in float64, ``_CHECK_ROWS`` rows at a time; ValueError otherwise."""
-    bad = np.flatnonzero(sizes < 1)
-    if bad.size:
-        doc = int(np.searchsorted(offsets, bad[0], side="right")) - 1
-        raise ValueError(
-            f"doc '{ids[doc]}' violates invariants: every chunk must cover at least one patch"
-        )
-    for start in range(0, len(chunks), _CHECK_ROWS):
-        found = first_non_unit_row(chunks[start : start + _CHECK_ROWS].astype(np.float64))
-        if found is not None:
-            row = start + found[0]
-            doc = int(np.searchsorted(offsets, row, side="right")) - 1
-            raise ValueError(
-                f"doc '{ids[doc]}' violates invariants: chunk {row - offsets[doc]} "
-                f"is not unit norm (|norm - 1| = {found[1]:.3g})"
-            )
 
 
 @dataclass(frozen=True)

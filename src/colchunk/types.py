@@ -5,11 +5,13 @@ bags of token embeddings. Compression replaces each page by a small set of
 unit-norm chunk vectors. Every type checks its invariants at construction
 and raises ValueError on a violation, so an instance that exists is valid.
 Arrays are float64 in memory and made read-only at construction, so no
-caller can break an invariant after the check.
+caller can break an invariant after the check. ``check_compressed`` is the
+one compressed-document rule, shared with ``store``.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,10 +23,13 @@ __all__ = [
     "ChunkAssignment",
     "CompressedDocument",
     "QueryEmbeddingSet",
+    "check_compressed",
     "grid_coords",
 ]
 
 UNIT_NORM_TOL = 1e-6
+# Rows per block when checking chunk norms in float64.
+_CHECK_ROWS = 4096
 
 
 def first_non_unit_row(rows: np.ndarray) -> tuple[int, float] | None:
@@ -37,10 +42,51 @@ def first_non_unit_row(rows: np.ndarray) -> tuple[int, float] | None:
     return (int(bad[0]), float(off[bad[0]])) if bad.size else None
 
 
-def _freeze(obj, name: str, value, dtype=np.float64, ndim: int = 2) -> np.ndarray:
-    """Coerce a field to a read-only ``ndim``-D array of ``dtype`` on a frozen dataclass."""
+def check_compressed(ids, dim: int, offsets, chunks: np.ndarray, sizes: np.ndarray) -> None:
+    """The compressed-document rule. Document ``ids[i]`` owns rows
+    ``offsets[i]:offsets[i + 1]`` of ``chunks`` and of ``sizes`` (patches per
+    chunk). ValueError, naming the document and any chunk, unless ``dim >= 1``,
+    ``offsets`` runs from 0 by K >= 1 per id, ``chunks`` is ``(offsets[-1], dim)``,
+    ``sizes`` is ``(offsets[-1],)``, every size is >= 1 and every chunk finite
+    and unit norm, its norm taken in float64, ``_CHECK_ROWS`` rows at a time."""
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
+    # Python ints: a single document, the common call, skips numpy's per-call cost.
+    bounds = np.asarray(offsets).tolist()
+    if len(bounds) != len(ids) + 1 or bounds[0] != 0:
+        raise ValueError(f"offsets must run from 0 with one entry more than the {len(ids)} ids")
+    ks = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    for doc_id, k in zip(ids, ks):
+        if k < 1:
+            raise ValueError(f"doc '{doc_id}': k must be at least 1, got {k}")
+    rows = bounds[-1]
+    if chunks.shape != (rows, dim) or sizes.shape != (rows,):
+        # Name the first misshaped document; the last owns any rows past the end.
+        cuts = [int(b) for b in bounds[:-1]] + [None]
+        for doc_id, lo, hi, k in zip(ids, cuts, cuts[1:], ks):
+            for name, arr, want in (("chunks", chunks, (k, dim)), ("sizes", sizes, (k,))):
+                if (got := arr[lo:hi].shape if arr.ndim else arr.shape) != want:
+                    raise ValueError(f"doc '{doc_id}': {name} must have shape {want}, got {got}")
+        raise ValueError(f"no documents, so chunks must be {(0, dim)} and sizes (0,), got "
+                         f"{chunks.shape} and {sizes.shape}")
+
+    def chunk(row) -> str:  # the document and chunk owning a row
+        doc = bisect.bisect_right(bounds, row) - 1
+        return f"doc '{ids[doc]}': chunk {row - bounds[doc]}"
+
+    if sizes.min(initial=1) < 1:
+        row = int(np.argmax(sizes < 1))
+        raise ValueError(f"{chunk(row)} must cover at least one patch, got {sizes[row]}")
+    for lo in range(0, len(chunks), _CHECK_ROWS):
+        block = chunks[lo : lo + _CHECK_ROWS].astype(np.float64, copy=False)
+        if (bad := first_non_unit_row(block)) is not None:
+            raise ValueError(f"{chunk(lo + bad[0])} is not unit norm (|norm - 1| = {bad[1]:.3g})")
+
+
+def _freeze(obj, name: str, value, dtype=np.float64, ndim: int | None = 2) -> np.ndarray:
+    """Coerce a frozen dataclass's field to a read-only ``ndim``-D (any if None) array."""
     arr = np.array(value, dtype=dtype, copy=True)
-    if arr.ndim != ndim:
+    if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
     arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
@@ -172,7 +218,7 @@ class ChunkAssignment:
 
 @dataclass(frozen=True, eq=False)
 class CompressedDocument:
-    """The retained representation of one page: ``k`` unit-norm chunk vectors."""
+    """One page's ``k`` chunk vectors and their patch counts, by ``check_compressed``."""
 
     doc_id: str
     k: int
@@ -181,17 +227,9 @@ class CompressedDocument:
     chunk_sizes: np.ndarray
 
     def __post_init__(self):
-        chunks = _freeze(self, "chunks", self.chunks)
-        sizes = _freeze(self, "chunk_sizes", self.chunk_sizes, np.int64, 1)
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
-        if chunks.shape != (self.k, self.dim):
-            raise ValueError(f"expected chunks of shape ({self.k}, {self.dim}), got {chunks.shape}")
-        if sizes.shape[0] != self.k or (sizes < 1).any():
-            raise ValueError("every chunk must cover at least one patch")
-        bad = first_non_unit_row(chunks)
-        if bad is not None:
-            raise ValueError(f"chunk {bad[0]} is not unit norm (|norm - 1| = {bad[1]:.3g})")
+        chunks = _freeze(self, "chunks", self.chunks, ndim=None)
+        sizes = _freeze(self, "chunk_sizes", self.chunk_sizes, np.int64, None)
+        check_compressed((self.doc_id,), self.dim, (0, self.k), chunks, sizes)
 
 
 @dataclass(frozen=True, eq=False)

@@ -66,7 +66,7 @@ class TestCompress:
         # just before writing its bytes)
         events = []
         read_pages, compress_page = cli.ingest_dump, chunker.compress
-        check_record = store._check_chunks
+        check_record = store.check_compressed
 
         def spy_ingest(manifest):
             for pset in read_pages(manifest):
@@ -83,7 +83,7 @@ class TestCompress:
 
         monkeypatch.setattr(cli, "ingest_dump", spy_ingest)
         monkeypatch.setattr(chunker, "compress", spy_compress)
-        monkeypatch.setattr(store, "_check_chunks", spy_check)
+        monkeypatch.setattr(store, "check_compressed", spy_check)
         argv = ["compress", str(dataset.doc_manifest), str(tmp_path / "s.cchk"), "--k", "4"]
         assert cli.main(argv) == 0
         assert "docs: 6" in capsys.readouterr().out
@@ -508,6 +508,13 @@ CLI_ERROR_CASES = {
                                 "non_utf8.json"),
     "query-space-in-query-id": (["query", "{index}", "{space_query_id}", "--out",
                                  "{out}/run.txt"], "query manifest entry 0: query_id 'q 1'"),
+    # a run tag is the sixth field of every run line, so it obeys the id rule;
+    # refused before retrieval
+    "query-space-in-run-tag": (["query", "{index}", "{queries}", "--out", "{out}/run.txt",
+                                "--run-tag", "my tag"],
+                               "query: --run-tag 'my tag' is empty or holds whitespace"),
+    "query-empty-run-tag": (["query", "{index}", "{queries}", "--out", "{out}/run.txt",
+                             "--run-tag", ""], "query: --run-tag '' is empty or holds whitespace"),
     "eval-missing-run": (["eval", "{missing}", "{qrels}"], "missing"),
     "eval-empty-run": (["eval", "{empty_run}", "{qrels}"], "run file is empty"),
     "eval-repeated-run-pair": (["eval", "{repeated_run}", "{qrels}"], "run line 2"),
@@ -533,6 +540,14 @@ class TestErrorPaths:
             return compress_page(pset, cfg)
 
         monkeypatch.setattr(chunker, "compress", spy_compress)
+        retrieved = []
+        retrieve = cli.retrieve_many
+
+        def spy_retrieve(queries, index, top_k):
+            retrieved.append(len(queries))
+            return retrieve(queries, index, top_k=top_k)
+
+        monkeypatch.setattr(cli, "retrieve_many", spy_retrieve)
         out = tmp_path / "out"
         out.mkdir()
         code = cli.main([arg.format_map({"out": out, **bad_inputs}) for arg in argv])
@@ -546,6 +561,8 @@ class TestErrorPaths:
             assert compressed == []
         if case == "compress-bad-last-page":
             assert len(compressed) == 5
+        if case.endswith("run-tag"):
+            assert retrieved == []
 
     @pytest.mark.parametrize("kind", ["doc", "query"])
     def test_space_in_id_stops_the_pipeline(self, dataset, tmp_path, capsys, kind):

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,15 @@ class TestRunFiles:
         write_run(hits, buf, run_tag="trial")
         lines = buf.getvalue().splitlines()
         assert lines == ["q1 Q0 dA 1 1.234568 trial", "q1 Q0 dB 2 -0.500000 trial"]
+
+    @pytest.mark.parametrize("tag", ["my tag", ""], ids=["space", "empty"])
+    def test_tag_obeys_the_id_rule(self, tag):
+        # such a tag gives run lines of 7 or 5 fields, which read_run refuses
+        hits = {"q1": [ScoredHit(doc_id="dA", score=1.0, rank=1)]}
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=re.escape(f"run: run_tag {tag!r} is empty or holds")):
+            write_run(hits, buf, run_tag=tag)
+        assert buf.getvalue() == ""
 
     def test_read_roundtrip(self, tmp_path):
         hits = {"q1": [ScoredHit(doc_id="dA", score=2.0, rank=1)],

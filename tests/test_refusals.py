@@ -59,7 +59,7 @@ REFUSALS = {
         ValueError, "dim must be at least 1, got 0"),
     "write-records-misshaped-record": (
         lambda tmp: write_records(tmp / "x.cchk", 4, ["d"], META, [(np.eye(2, 4), [1])]),
-        ValueError, "doc 'd' has 1 sizes and chunks of shape (2, 4), expected K >= 1 of each"),
+        ValueError, "doc 'd': sizes must have shape (2,), got (1,)"),
     "manifest-without-entries": (
         manifest_without_entries, ManifestError, "is missing dim or entries"),
     "empty-dump": (
@@ -73,11 +73,11 @@ REFUSALS = {
     "compressed-doc-k-0": (
         lambda tmp: CompressedDocument(doc_id="d", k=0, dim=4, chunks=np.empty((0, 4)),
                                        chunk_sizes=np.empty(0)),
-        ValueError, "k must be at least 1, got 0"),
+        ValueError, "doc 'd': k must be at least 1, got 0"),
     "compressed-doc-misshaped-chunks": (
         lambda tmp: CompressedDocument(doc_id="d", k=2, dim=4, chunks=np.eye(2, 3),
                                        chunk_sizes=np.ones(2)),
-        ValueError, "expected chunks of shape (2, 4), got (2, 3)"),
+        ValueError, "doc 'd': chunks must have shape (2, 4), got (2, 3)"),
     "hac-k-0": (lambda tmp: cluster_hac(feats(3), 0), ValueError, "k must be at least 1, got 0"),
     "hac-empty-set": (
         lambda tmp: cluster_hac(feats(0), 1), ValueError, "cannot cluster an empty feature set"),
@@ -98,6 +98,20 @@ REFUSALS = {
         ValueError, "query_tokens must be at least 1"),
     "ablation-without-docs": (
         ablation_without_docs, ValueError, "ablation needs at least one document and one query"),
+    # A sweep checks every value through ChunkerConfig, used by a row or not.
+    "sweep-negative-base-k": (
+        lambda tmp: SweepSpec(base_k=-5), ValueError, "k must be at least 1, got -5"),
+    "sweep-unused-base-k-0": (
+        lambda tmp: SweepSpec(base_k=0, k_values=(2,)), ValueError, "k must be at least 1, got 0"),
+    "sweep-base-omega-above-1": (
+        lambda tmp: SweepSpec(base_omega=1.5), ValueError, "omega must lie in [0, 1], got 1.5"),
+    "sweep-k-0": (
+        lambda tmp: SweepSpec(k_values=(4, 0)), ValueError, "k must be at least 1, got 0"),
+    "sweep-omega-7": (
+        lambda tmp: SweepSpec(omega_values=(7.0,)), ValueError, "omega must lie in [0, 1], got 7.0"),
+    "sweep-unknown-method": (
+        lambda tmp: SweepSpec(methods=("bogus",)), ValueError,
+        "method must be one of ('hac_ward', 'kmeans'), got 'bogus'"),
 }
 
 

@@ -140,7 +140,7 @@ class TestIndexRoundTrip:
         good = make_index(rng, n_docs=1, dim=4)
         bad = np.eye(1, 4) * np.nan
         rows = [(good.chunks, good.sizes), (bad, np.array([1]))]
-        with pytest.raises(ValueError, match="doc 'bad' violates invariants"):
+        with pytest.raises(ValueError, match=re.escape("doc 'bad': chunk 0 is not unit norm")):
             write_records(path, 4, ["good", "bad"], make_meta(), rows)
         assert path.read_bytes() == before
         assert len(read_index(path)) == 3
@@ -163,12 +163,12 @@ class TestIndexRoundTrip:
 
     # Columns of make_index's 3 docs (dim 8, K 4), each case breaking one rule.
     @pytest.mark.parametrize("case,fragment", [
-        ("two-ids-three-docs", "offsets must run from 0 by K >= 1 for each of 2 ids"),
-        ("width-5-in-dim-4", "chunks (12, 5) and sizes (12,) must be (12, 4) and (12,)"),
-        ("norm-3", "doc 'doc0' violates invariants: chunk 0 is not unit norm"),
+        ("two-ids-three-docs", "offsets must run from 0 with one entry more than the 2 ids"),
+        ("width-5-in-dim-4", "doc 'doc0': chunks must have shape (4, 4), got (4, 5)"),
+        ("norm-3", "doc 'doc0': chunk 0 is not unit norm"),
         ("offsets-from-1", "offsets must run from 0"),
-        ("zero-k", "offsets must run from 0 by K >= 1"),
-        ("short-sizes", "must be (12, 8) and (12,)"),
+        ("zero-k", "doc 'doc1': k must be at least 1, got 0"),
+        ("short-sizes", "doc 'doc2': sizes must have shape (4,), got (3,)"),
     ], ids=["two-ids-three-docs", "width-5-in-dim-4", "norm-3", "offsets-from-1", "zero-k",
             "short-sizes"])
     def test_from_columns_checks_what_it_wraps(self, rng, case, fragment):
@@ -294,7 +294,7 @@ class TestIndexCorruption:
             + struct.pack("<I", 0) + trailer + struct.pack("<Q", len(trailer))
         )
         path.write_bytes(blob)
-        with pytest.raises(IndexFormatError, match="invalid k"):
+        with pytest.raises(IndexFormatError, match="doc 'd': k must be at least 1, got 0"):
             read_index(path)
 
     # In-place edits of the good file (docs doc0..doc2, dim 8, K 4): the
@@ -323,7 +323,8 @@ class TestIndexCorruption:
         floats = np.frombuffer(bytes(raw[off : off + 4 * 4 * 8]), dtype="<f4") * 3.0
         raw[off : off + 4 * 4 * 8] = floats.astype("<f4").tobytes()
         good_file.write_bytes(bytes(raw))
-        with pytest.raises(IndexFormatError, match="invariants"):
+        message = "doc 'doc0': chunk 0 is not unit norm"
+        with pytest.raises(IndexFormatError, match=re.escape(message)):
             read_index(good_file)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -333,7 +334,8 @@ class TestIndexCorruption:
         off = 20 + 2 + 4 + 4 + 16 + 4
         raw[off : off + 4] = np.array([bad], dtype="<f4").tobytes()
         good_file.write_bytes(bytes(raw))
-        with pytest.raises(IndexFormatError, match="invariants"):
+        message = f"doc 'doc0': chunk 0 is not unit norm (|norm - 1| = {abs(bad)})"
+        with pytest.raises(IndexFormatError, match=re.escape(message)):
             read_index(good_file)
 
     @pytest.mark.parametrize(
@@ -661,13 +663,14 @@ class TestManifestStrings:
                 load(manifest)
 
 
-def one_doc_index(doc_id: str) -> bytes:
-    """An index file image of one dim-4, K=1 doc under ``doc_id``, however bad."""
+def one_doc_index(doc_id: str, chunks=np.eye(1, 4), sizes=(1,)) -> bytes:
+    """An index file image of one dim-4 doc under ``doc_id`` holding a record
+    of ``len(chunks)`` chunks and their ``sizes``, however bad."""
     id_bytes = doc_id.encode("utf-8")
     trailer = json.dumps(asdict(make_meta()), sort_keys=True, separators=(",", ":")).encode()
     return (MAGIC + struct.pack("<IIQH", FORMAT_VERSION, 4, 1, len(id_bytes)) + id_bytes
-            + struct.pack("<II", 1, 1) + np.eye(1, 4, dtype="<f4").tobytes()
-            + trailer + struct.pack("<Q", len(trailer)))
+            + struct.pack("<I", len(chunks)) + np.asarray(sizes, dtype="<u4").tobytes()
+            + np.asarray(chunks, dtype="<f4").tobytes() + trailer + struct.pack("<Q", len(trailer)))
 
 
 def id_rule_messages(rng, tmp_path, doc_id) -> dict[str, str]:
@@ -709,6 +712,60 @@ def test_one_id_rule_one_message(rng, tmp_path, doc_id):
     for name, message in messages.items():
         field = "query_id" if name == "write_query_dump" else "doc_id"
         assert message.endswith(f": {field} {rule}"), (name, message)
+
+
+def nan_in_chunk_1():
+    chunks = np.eye(2, 4)
+    chunks[1, 0] = np.nan
+    return chunks
+
+
+# violation -> (chunks, sizes, message) of one record of doc 'd' in dim 4,
+# each breaking one clause of the compressed-document rule
+CHUNK_RULE_CASES = {
+    "k-0": (np.empty((0, 4)), np.empty(0, dtype=np.int64),
+            "doc 'd': k must be at least 1, got 0"),
+    "width-3-in-dim-4": (np.eye(2, 3), np.ones(2, dtype=np.int64),
+                         "doc 'd': chunks must have shape (2, 4), got (2, 3)"),
+    "one-size-for-two-chunks": (np.eye(2, 4), np.ones(1, dtype=np.int64),
+                                "doc 'd': sizes must have shape (2,), got (1,)"),
+    "column-of-sizes": (np.eye(2, 4), np.ones((2, 1), dtype=np.int64),
+                        "doc 'd': sizes must have shape (2,), got (2, 1)"),
+    "size-0": (np.eye(2, 4), np.array([1, 0]),
+               "doc 'd': chunk 1 must cover at least one patch, got 0"),
+    "nan-chunk": (nan_in_chunk_1(), np.ones(2, dtype=np.int64),
+                  "doc 'd': chunk 1 is not unit norm (|norm - 1| = nan)"),
+    "norm-2-chunk": (np.eye(2, 4) * [[1.0], [2.0]], np.ones(2, dtype=np.int64),
+                     "doc 'd': chunk 1 is not unit norm (|norm - 1| = 1)"),
+}
+
+
+@pytest.mark.parametrize("case", list(CHUNK_RULE_CASES))
+def test_one_chunk_rule_one_message(tmp_path, case):
+    chunks, sizes, message = CHUNK_RULE_CASES[case]
+    k = len(chunks)  # declared to CompressedDocument and from_columns; the writer counts rows
+    actions = {
+        "CompressedDocument": (ValueError, lambda: CompressedDocument(
+            doc_id="d", k=k, dim=4, chunks=chunks, chunk_sizes=sizes)),
+        "from_columns": (ValueError, lambda: CorpusIndex.from_columns(
+            4, ("d",), np.array([0, k]), chunks, sizes, make_meta())),
+        "write_records": (ValueError, lambda: write_records(
+            tmp_path / "x.cchk", 4, ["d"], make_meta(), [(chunks, sizes)])),
+    }
+    # A record holds K sizes and K x dim floats, so only a well-shaped one
+    # can be put in a file.
+    if chunks.shape[1:] == (4,) and sizes.shape == (k,):
+        (tmp_path / "bad.cchk").write_bytes(one_doc_index("d", chunks, sizes))
+        actions["read_index"] = (IndexFormatError, lambda: read_index(tmp_path / "bad.cchk"))
+    assert len(actions) == (3 if "shape" in message else 4)
+    for name, (error, action) in actions.items():
+        with pytest.raises(error) as info:
+            action()
+        assert type(info.value) is error, name
+        assert str(info.value) == message, name
+    assert message.startswith("doc 'd': ")
+    # the writer left neither the index nor its temporary file behind
+    assert [f.name for f in tmp_path.iterdir()] == (["bad.cchk"] if len(actions) == 4 else [])
 
 
 class TestQueryDump:
