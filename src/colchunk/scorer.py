@@ -13,11 +13,16 @@ and returns, for each query, exactly what scoring every document with
    query tokens (whole queries only; a longer query is a pass of its own)
    into one float32 matrix. It scores blocks of whole documents, at most
    ``BLOCK_ROWS`` chunk rows each, with one float32 matrix product per
-   block, a max over each document's rows (``np.maximum.reduceat`` over the
-   document offsets) and a float64 sum over each query's tokens
-   (``np.add.reduceat`` over the token offsets). Each query keeps every
-   document whose approximate score is at least its own k-th best
-   approximate score minus its own
+   block and a max over each document's rows. When every document of a
+   block has the same K (``compress`` emits K = min(k, n), so a corpus of
+   one grid has one K) the product is rows x tokens and the max is a
+   reshape to ``(docs, K, tokens)`` and a max over K, as ColBERT max-pools
+   a stack of documents; otherwise it is tokens x rows and
+   ``np.maximum.reduceat`` over the document offsets. The max is exact
+   either way. A float64 sum over each query's tokens (``np.add.reduceat``
+   over the token offsets) follows. Each query keeps every document whose
+   approximate score is at least its own k-th best approximate score minus
+   its own
 
        slack = 4 * T * (dim + T + 2) * eps32      (T query tokens)
 
@@ -33,9 +38,10 @@ and returns, for each query, exactly what scoring every document with
    chunk rows upcast to float64, and the candidates are sorted by descending
    score, ties broken by ascending doc_id.
 
-Memory of a pass: the similarity block is at most ``MAX_PASS_TOKENS x
-BLOCK_ROWS`` float32 (16 MiB), and the approximate scores hold one float64
-per (query in the pass, document).
+Memory of a pass: one similarity buffer, reused by every block in either
+orientation, of at most ``MAX_PASS_TOKENS x BLOCK_ROWS`` float32 (16 MiB)
+unless one document is longer, and the approximate scores, one float64 per
+(query in the pass, document).
 """
 
 from __future__ import annotations
@@ -115,10 +121,21 @@ def _approx_scores(
     ``(queries, docs)`` result holds query ``j``'s scores, summed in float64.
     """
     scores = np.empty((len(token_offsets) - 1, len(offsets) - 1))
+    ks = np.diff(offsets)
+    # Each block's product is written into one buffer per pass: a fresh
+    # product per block cost ragged blocks about 12%. A block spans at most
+    # BLOCK_ROWS rows or is a single document.
+    buf = np.empty(max(min(BLOCK_ROWS, offsets[-1]), ks.max()) * len(q32), np.float32)
     for start, stop in _runs(offsets, BLOCK_ROWS):
         lo, hi = offsets[start], offsets[stop]
-        sims = q32 @ chunks[lo:hi].astype(np.float32, copy=False).T
-        best = np.maximum.reduceat(sims, offsets[start:stop] - lo, axis=1)
+        block = chunks[lo:hi].astype(np.float32, copy=False)
+        out = buf[: (hi - lo) * len(q32)]
+        if (ks[start:stop] == ks[start]).all():
+            sims = np.matmul(block, q32.T, out=out.reshape(hi - lo, -1))
+            best = sims.reshape(stop - start, ks[start], -1).max(axis=1).T
+        else:
+            sims = np.matmul(q32, block.T, out=out.reshape(-1, hi - lo))
+            best = np.maximum.reduceat(sims, offsets[start:stop] - lo, axis=1)
         scores[:, start:stop] = np.add.reduceat(best, token_offsets[:-1], axis=0,
                                                 dtype=np.float64)
     return scores

@@ -47,8 +47,9 @@ def check_compressed(ids, dim: int, offsets, chunks: np.ndarray, sizes: np.ndarr
     ``offsets[i]:offsets[i + 1]`` of ``chunks`` and of ``sizes`` (patches per
     chunk). ValueError, naming the document and any chunk, unless ``dim >= 1``,
     ``offsets`` runs from 0 by K >= 1 per id, ``chunks`` is ``(offsets[-1], dim)``,
-    ``sizes`` is ``(offsets[-1],)``, every size is >= 1 and every chunk finite
-    and unit norm, its norm taken in float64, ``_CHECK_ROWS`` rows at a time."""
+    ``sizes`` is ``(offsets[-1],)``, every size is a whole number >= 1 and every
+    chunk finite and unit norm, its norm taken in float64, ``_CHECK_ROWS`` rows
+    at a time."""
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
     # Python ints: a single document, the common call, skips numpy's per-call cost.
@@ -74,6 +75,12 @@ def check_compressed(ids, dim: int, offsets, chunks: np.ndarray, sizes: np.ndarr
         doc = bisect.bisect_right(bounds, row) - 1
         return f"doc '{ids[doc]}': chunk {row - bounds[doc]}"
 
+    if sizes.dtype.kind not in "iu":
+        with np.errstate(invalid="ignore"):  # NaN, inf and out-of-range casts
+            whole = sizes.astype(np.int64) == sizes
+        if not whole.all():
+            row = int(np.argmin(whole))
+            raise ValueError(f"{chunk(row)} must cover a whole number of patches, got {sizes[row]}")
     if sizes.min(initial=1) < 1:
         row = int(np.argmax(sizes < 1))
         raise ValueError(f"{chunk(row)} must cover at least one patch, got {sizes[row]}")
@@ -228,8 +235,10 @@ class CompressedDocument:
 
     def __post_init__(self):
         chunks = _freeze(self, "chunks", self.chunks, ndim=None)
-        sizes = _freeze(self, "chunk_sizes", self.chunk_sizes, np.int64, None)
-        check_compressed((self.doc_id,), self.dim, (0, self.k), chunks, sizes)
+        # Checked before the int64 copy, which would truncate a fraction.
+        check_compressed((self.doc_id,), self.dim, (0, self.k), chunks,
+                         np.asarray(self.chunk_sizes))
+        _freeze(self, "chunk_sizes", self.chunk_sizes, np.int64, None)
 
 
 @dataclass(frozen=True, eq=False)

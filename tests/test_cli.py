@@ -475,6 +475,14 @@ CLI_ERROR_CASES = {
     # MAX_HAC_PATCHES is lowered below the dataset's 16 patches a page
     "compress-oversized-page": (["compress", "{manifest}", "{out}/x.cchk", "--k", "4"],
                                 "MAX_HAC_PATCHES = 15"),
+    # numpy's own message for a negative k-means seed names no flag
+    "compress-kmeans-negative-seed": (["compress", "{manifest}", "{out}/x.cchk", "--k", "4",
+                                       "--method", "kmeans", "--seed", "-1"],
+                                      "seed must be a non-negative integer, got -1"),
+    # HAC never draws from the seed, but the same rule holds for every method
+    "compress-hac-negative-seed": (["compress", "{manifest}", "{out}/x.cchk", "--k", "4",
+                                    "--method", "hac", "--seed", "-1"],
+                                   "seed must be a non-negative integer, got -1"),
     # refused before any page is compressed
     "compress-oversized-doc-id": (["compress", "{long_doc_id}", "{out}/x.cchk", "--k", "4"],
                                   "exceeds the u16 length field"),
@@ -520,6 +528,8 @@ CLI_ERROR_CASES = {
     "eval-repeated-run-pair": (["eval", "{repeated_run}", "{qrels}"], "run line 2"),
     "eval-non-utf8-run": (["eval", "{non_utf8_run}", "{qrels}"], "is not UTF-8"),
     "eval-conflicting-qrels": (["eval", "{run}", "{conflicting_qrels}"], "qrels line 2"),
+    "bench-negative-seed": (["bench", "--seed", "-1", "--out", "{out}/b.csv"],
+                            "seed must be a non-negative integer, got -1"),
     "bench-more-queries-than-docs": (["bench", "--num-docs", "2", "--num-queries", "3",
                                       "--out", "{out}/b.csv"], "its own relevant document"),
 }
@@ -557,7 +567,8 @@ class TestErrorPaths:
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert list(out.iterdir()) == []
-        if case == "compress-oversized-doc-id":
+        if case in ("compress-oversized-doc-id", "compress-kmeans-negative-seed",
+                    "compress-hac-negative-seed"):
             assert compressed == []
         if case == "compress-bad-last-page":
             assert len(compressed) == 5

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from colchunk.chunker import cluster_hac, cluster_kmeans
+from colchunk.chunker import ChunkerConfig, cluster_hac, cluster_kmeans
 from colchunk.evaluation import Qrels, SweepSpec, SyntheticSpec, evaluate_run, run_ablation
 from colchunk.posenc import encode_batch
 from colchunk.store import (
@@ -109,6 +109,11 @@ REFUSALS = {
         lambda tmp: SweepSpec(k_values=(4, 0)), ValueError, "k must be at least 1, got 0"),
     "sweep-omega-7": (
         lambda tmp: SweepSpec(omega_values=(7.0,)), ValueError, "omega must lie in [0, 1], got 7.0"),
+    "sweep-negative-seed": (
+        lambda tmp: SweepSpec(seed=-1), ValueError, "seed must be a non-negative integer, got -1"),
+    "config-bool-seed": (
+        lambda tmp: ChunkerConfig(seed=True), ValueError,
+        "seed must be a non-negative integer, got True"),
     "sweep-unknown-method": (
         lambda tmp: SweepSpec(methods=("bogus",)), ValueError,
         "method must be one of ('hac_ward', 'kmeans'), got 'bogus'"),

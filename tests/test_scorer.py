@@ -190,6 +190,34 @@ def tie_batch(rng):
     return queries, docs
 
 
+def k_corpus(rng, ks, dim=8):
+    """Docs of K ``ks[i]`` each; the second and third copy the first's chunks,
+    so their scores tie exactly and doc_id orders them."""
+    chunks = [unit_rows(rng.normal(size=(k, dim))) for k in ks]
+    chunks[1:3] = [chunks[0]] * 2
+    return [CompressedDocument(doc_id=f"d{i:05d}", k=len(c), dim=dim, chunks=c,
+                               chunk_sizes=np.ones(len(c), dtype=np.int64))
+            for i, c in enumerate(chunks)]
+
+
+def equal_and_ragged(k, block_rows):
+    """Two blocks' worth of K=k docs, a few ragged ones, then two blocks' worth
+    of K=k+1 docs: blocks of one K on either side of ragged blocks."""
+    return ([k] * (block_rows // k * 2) + [1, 3, 2, 5, 1, 4]
+            + [k + 1] * (block_rows // (k + 1) * 2) + [6, 1])
+
+
+# Per-document K of each corpus, given the block size in chunk rows: the
+# candidate pass takes its reshape path on blocks of one K and reduceat on
+# the rest.
+K_CORPORA = {
+    "equal-k40": lambda block_rows: [40] * 12,
+    "uniform-k1": lambda block_rows: [1] * 30,
+    "equal-and-ragged": lambda block_rows: equal_and_ragged(block_rows // 64 + 2, block_rows),
+    "doc-longer-than-block": lambda block_rows: [4] * 5 + [block_rows + 3] + [4] * 5,
+}
+
+
 class TestRetrieveEquivalence:
     """``retrieve`` and ``retrieve_many`` return the ids, score bits and ranks of the
     per-document loop."""
@@ -212,6 +240,32 @@ class TestRetrieveEquivalence:
                 got = [(h.doc_id, h.score.hex(), h.rank) for h in retrieve(q, index, top_k)]
                 want = [(d, s.hex(), r) for d, s, r in naive_retrieve(q, reference, top_k)]
                 assert got == want, (type(index).__name__, top_k)
+
+    @pytest.mark.parametrize("block_rows", [7, scorer.BLOCK_ROWS])
+    @pytest.mark.parametrize("corpus", K_CORPORA)
+    def test_equal_k_blocks_match_per_document_loop(self, rng, tmp_path, monkeypatch,
+                                                    block_rows, corpus):
+        monkeypatch.setattr(scorer, "BLOCK_ROWS", block_rows)
+        ks = K_CORPORA[corpus](block_rows)
+        offsets = np.cumsum([0] + ks)
+        equal = {len(set(ks[start:stop])) == 1 for start, stop in scorer._runs(offsets, block_rows)}
+        assert equal == ({True, False} if corpus == "equal-and-ragged" else {True})
+        docs = k_corpus(rng, ks)
+        queries = [QueryEmbeddingSet(query_id=f"q{t}", dim=8, vectors=rng.normal(size=(t, 8)))
+                   for t in (1, 3, 8)]
+        memory = index_of(docs)
+        write_index(memory, tmp_path / "t.cchk")
+        disk = read_index(tmp_path / "t.cchk")
+        n = len(docs)
+        for index, reference in ((memory, docs), (disk, disk.docs)):
+            full = [[(d, s.hex(), r) for d, s, r in naive_retrieve(q, reference, n)]
+                    for q in queries]
+            for top_k in (1, 2, 5, n - 1, n, n + 1):
+                got = [[(h.doc_id, h.score.hex(), h.rank) for h in retrieve(q, index, top_k)]
+                       for q in queries]
+                assert got == [ranking[:top_k] for ranking in full], (type(index).__name__, top_k)
+                assert retrieve_many(queries, index, top_k) == [retrieve(q, index, top_k)
+                                                                for q in queries]
 
     @pytest.mark.parametrize("tokens", [1, 8, 64])
     def test_any_candidate_pass_within_the_error_bound_is_exact(self, rng, monkeypatch, tokens):

@@ -146,6 +146,18 @@ class TestIndexRoundTrip:
         assert len(read_index(path)) == 3
         assert [f.name for f in tmp_path.iterdir()] == ["t.cchk"]
 
+    @pytest.mark.parametrize("size", [2**32, 2**32 + 7])
+    def test_oversized_chunk_size_rejected_on_write(self, tmp_path, size):
+        # a record's sizes are u32: 2**32 + 7 would read back as 7
+        path = tmp_path / "t.cchk"
+        rows = [(np.eye(1, 4), [1]), (np.eye(2, 4), [3, size])]
+        with pytest.raises(ValueError, match=re.escape(
+                f"doc 'big': chunk 1 of {size} patches exceeds the u32 size field")):
+            write_records(path, 4, ["small", "big"], make_meta(), rows)
+        assert list(tmp_path.iterdir()) == []
+        write_records(path, 4, ["edge"], make_meta(), [(np.eye(1, 4), [2**32 - 1])])
+        assert read_index(path).sizes.tolist() == [2**32 - 1]
+
     @pytest.mark.parametrize("n_rows", [1, 3])
     def test_record_count_must_match_ids(self, rng, tmp_path, n_rows):
         index = make_index(rng, n_docs=3, dim=4, k=2)

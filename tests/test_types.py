@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,21 @@ class TestCompressedDocument:
             CompressedDocument(
                 doc_id="d", k=2, dim=8, chunks=chunks, chunk_sizes=np.array([3, 0])
             )
+
+    @pytest.mark.parametrize("sizes,shown", [([1.9, 2.5], "1.9"), ([3.0, 2.5], "2.5"),
+                                             ([2.0, np.nan], "nan"), ([2.0, np.inf], "inf"),
+                                             ([1.0, 1e30], "1e+30")])
+    def test_rejects_fractional_sizes(self, rng, sizes, shown):
+        # truncating to int64 would store [1, 2] for [1.9, 2.5] without a word
+        chunks = rng.normal(size=(2, 8))
+        chunks /= np.linalg.norm(chunks, axis=1, keepdims=True)
+        row = 0 if sizes[0] % 1 else 1
+        with pytest.raises(ValueError, match=re.escape(
+                f"doc 'page-7': chunk {row} must cover a whole number of patches, got {shown}")):
+            CompressedDocument(doc_id="page-7", k=2, dim=8, chunks=chunks, chunk_sizes=sizes)
+        doc = CompressedDocument(doc_id="page-7", k=2, dim=8, chunks=chunks,
+                                 chunk_sizes=[3.0, 2.0])
+        assert doc.chunk_sizes.dtype == np.int64 and doc.chunk_sizes.tolist() == [3, 2]
 
 
 class TestQueryEmbeddingSet:
