@@ -222,10 +222,9 @@ def write_records(path: str | Path, dim: int, ids, build_meta: BuildMeta, rows) 
     """Write ``(chunks, sizes)`` records, taken one at a time from ``rows``, under ``ids``.
 
     Every id is checked before the file is opened, and each record, of K
-    chunk rows, by ``check_compressed`` after rounding to the stored float32
-    and for sizes that fit the u32 field, just before its bytes: a file the
-    reader would reject, or a size it would read back wrapped, raises
-    ValueError instead, as does a record count that disagrees with ``ids``.
+    chunk rows, by ``check_compressed`` after rounding to the stored float32,
+    just before its bytes: a file the reader would reject raises ValueError
+    instead, as does a record count that disagrees with ``ids``.
     The bytes go to a sibling temporary file that replaces ``path`` only once
     complete, so a failed write leaves any previous index intact. Returns the
     chunk rows written.
@@ -249,10 +248,6 @@ def write_records(path: str | Path, dim: int, ids, build_meta: BuildMeta, rows) 
                 chunks, sizes = np.ascontiguousarray(chunks, "<f4"), np.asarray(sizes)
                 k = len(chunks)
                 check_compressed((doc_id,), dim, (0, k), chunks, sizes)
-                if sizes.max(initial=0) > 0xFFFFFFFF:
-                    j = int(np.argmax(sizes > 0xFFFFFFFF))
-                    raise ValueError(f"doc '{doc_id}': chunk {j} of {sizes[j]} patches "
-                                     "exceeds the u32 size field")
                 fh.write(struct.pack("<H", len(id_bytes)) + id_bytes + struct.pack("<I", k))
                 fh.write(sizes.astype("<u4"))
                 fh.write(chunks)

@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 UNIT_NORM_TOL = 1e-6
+# The largest chunk size: the index stores each size as a u32.
+MAX_CHUNK_SIZE = 0xFFFFFFFF
 # Rows per block when checking chunk norms in float64.
 _CHECK_ROWS = 4096
 
@@ -47,9 +49,9 @@ def check_compressed(ids, dim: int, offsets, chunks: np.ndarray, sizes: np.ndarr
     ``offsets[i]:offsets[i + 1]`` of ``chunks`` and of ``sizes`` (patches per
     chunk). ValueError, naming the document and any chunk, unless ``dim >= 1``,
     ``offsets`` runs from 0 by K >= 1 per id, ``chunks`` is ``(offsets[-1], dim)``,
-    ``sizes`` is ``(offsets[-1],)``, every size is a whole number >= 1 and every
-    chunk finite and unit norm, its norm taken in float64, ``_CHECK_ROWS`` rows
-    at a time."""
+    ``sizes`` is ``(offsets[-1],)``, every size is a whole number from 1 to
+    ``MAX_CHUNK_SIZE`` and every chunk finite and unit norm, its norm taken in
+    float64, ``_CHECK_ROWS`` rows at a time."""
     if dim < 1:
         raise ValueError(f"dim must be at least 1, got {dim}")
     # Python ints: a single document, the common call, skips numpy's per-call cost.
@@ -75,15 +77,21 @@ def check_compressed(ids, dim: int, offsets, chunks: np.ndarray, sizes: np.ndarr
         doc = bisect.bisect_right(bounds, row) - 1
         return f"doc '{ids[doc]}': chunk {row - bounds[doc]}"
 
+    # The bounds come first, by masks a NaN cannot hide from (max and min
+    # would return the NaN), so the whole-number test casts only values in
+    # [1, MAX_CHUNK_SIZE], or NaN, to int64.
+    if (over := sizes > MAX_CHUNK_SIZE).any():
+        row = int(np.argmax(over))
+        raise ValueError(f"{chunk(row)} of {sizes[row]} patches exceeds the u32 size field")
+    if (under := sizes < 1).any():
+        row = int(np.argmax(under))
+        raise ValueError(f"{chunk(row)} must cover at least one patch, got {sizes[row]}")
     if sizes.dtype.kind not in "iu":
-        with np.errstate(invalid="ignore"):  # NaN, inf and out-of-range casts
+        with np.errstate(invalid="ignore"):  # NaN
             whole = sizes.astype(np.int64) == sizes
         if not whole.all():
             row = int(np.argmin(whole))
             raise ValueError(f"{chunk(row)} must cover a whole number of patches, got {sizes[row]}")
-    if sizes.min(initial=1) < 1:
-        row = int(np.argmax(sizes < 1))
-        raise ValueError(f"{chunk(row)} must cover at least one patch, got {sizes[row]}")
     for lo in range(0, len(chunks), _CHECK_ROWS):
         block = chunks[lo : lo + _CHECK_ROWS].astype(np.float64, copy=False)
         if (bad := first_non_unit_row(block)) is not None:
@@ -235,7 +243,8 @@ class CompressedDocument:
 
     def __post_init__(self):
         chunks = _freeze(self, "chunks", self.chunks, ndim=None)
-        # Checked before the int64 copy, which would truncate a fraction.
+        # Checked before the int64 copy, which would truncate a fraction or
+        # wrap a size past int64.
         check_compressed((self.doc_id,), self.dim, (0, self.k), chunks,
                          np.asarray(self.chunk_sizes))
         _freeze(self, "chunk_sizes", self.chunk_sizes, np.int64, None)

@@ -181,8 +181,9 @@ class TestIndexRoundTrip:
         ("offsets-from-1", "offsets must run from 0"),
         ("zero-k", "doc 'doc1': k must be at least 1, got 0"),
         ("short-sizes", "doc 'doc2': sizes must have shape (4,), got (3,)"),
+        ("size-past-u32", "doc 'doc1': chunk 1 of 4294967296 patches exceeds the u32 size field"),
     ], ids=["two-ids-three-docs", "width-5-in-dim-4", "norm-3", "offsets-from-1", "zero-k",
-            "short-sizes"])
+            "short-sizes", "size-past-u32"])
     def test_from_columns_checks_what_it_wraps(self, rng, case, fragment):
         good = make_index(rng)
         cols = dict(dim=good.dim, ids=good.ids, offsets=good.offsets.copy(),
@@ -199,6 +200,8 @@ class TestIndexRoundTrip:
             cols["offsets"] = good.offsets + 1
         elif case == "zero-k":
             cols["offsets"] = np.array([0, 4, 4, 12])
+        elif case == "size-past-u32":
+            cols["sizes"][5] = 2**32
         else:
             cols["sizes"] = good.sizes[:-1]
         with pytest.raises(ValueError, match=re.escape(fragment)):

@@ -196,8 +196,7 @@ class TestCompressedDocument:
             )
 
     @pytest.mark.parametrize("sizes,shown", [([1.9, 2.5], "1.9"), ([3.0, 2.5], "2.5"),
-                                             ([2.0, np.nan], "nan"), ([2.0, np.inf], "inf"),
-                                             ([1.0, 1e30], "1e+30")])
+                                             ([2.0, np.nan], "nan")])
     def test_rejects_fractional_sizes(self, rng, sizes, shown):
         # truncating to int64 would store [1, 2] for [1.9, 2.5] without a word
         chunks = rng.normal(size=(2, 8))
@@ -209,6 +208,29 @@ class TestCompressedDocument:
         doc = CompressedDocument(doc_id="page-7", k=2, dim=8, chunks=chunks,
                                  chunk_sizes=[3.0, 2.0])
         assert doc.chunk_sizes.dtype == np.int64 and doc.chunk_sizes.tolist() == [3, 2]
+
+    @pytest.mark.parametrize("sizes,row,shown", [
+        (np.array([1, 2**63], np.uint64), 1, "9223372036854775808"),
+        (np.array([2**32, 1]), 0, "4294967296"),
+        ([2.0, np.inf], 1, "inf"),
+        ([1.0, 1e30], 1, "1e+30"),
+        ([np.nan, 1e30], 1, "1e+30"),
+    ])
+    def test_rejects_sizes_past_u32(self, rng, sizes, row, shown):
+        # int64 would wrap 2**63 to -2**63; an index would read 2**32 back as 0
+        chunks = rng.normal(size=(2, 8))
+        chunks /= np.linalg.norm(chunks, axis=1, keepdims=True)
+        with pytest.raises(ValueError, match=re.escape(
+                f"doc 'page-7': chunk {row} of {shown} patches exceeds the u32 size field")):
+            CompressedDocument(doc_id="page-7", k=2, dim=8, chunks=chunks, chunk_sizes=sizes)
+        for below in ([2.0, -1e30], [np.nan, -1e30]):
+            with pytest.raises(ValueError, match=re.escape(
+                    "chunk 1 must cover at least one patch, got -1e+30")):
+                CompressedDocument(doc_id="page-7", k=2, dim=8, chunks=chunks,
+                                   chunk_sizes=below)
+        doc = CompressedDocument(doc_id="page-7", k=2, dim=8, chunks=chunks,
+                                 chunk_sizes=np.array([2**32 - 1, 1], np.uint64))
+        assert doc.chunk_sizes.tolist() == [2**32 - 1, 1]
 
 
 class TestQueryEmbeddingSet:
