@@ -62,6 +62,13 @@ KMEANS_MAX_ITER = 100
 KMEANS_TOL = 1e-6
 
 
+def _check_seed(seed) -> None:
+    """The seed rule, for a build and a synthetic corpus alike: a non-negative
+    integer, never a bool, so numpy's generator never refuses it unnamed."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class ChunkerConfig:
     k: int = 40
@@ -76,9 +83,7 @@ class ChunkerConfig:
             raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        _check_seed(self.seed)
 
 
 def fuse(pset: PatchEmbeddingSet, cfg: ChunkerConfig) -> FusedFeatureSet:

@@ -17,15 +17,16 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .chunker import ChunkerConfig, compress_ks
+from . import chunker
+from .chunker import ChunkerConfig, _check_seed, compress_ks
 from .scorer import retrieve_many
 from .store import (
     BuildMeta,
-    CorpusIndex,
     _check_id,
+    read_index,
     write_embedding_dump,
-    write_index,
     write_query_dump,
+    write_records,
 )
 from .types import CompressedDocument, PatchEmbeddingSet, PatchGrid, QueryEmbeddingSet
 
@@ -236,12 +237,20 @@ class SyntheticSpec:
             raise ValueError("every query needs its own relevant document")
         if self.dim < 4 or self.dim % 4 != 0:
             raise ValueError("dim must be a positive multiple of 4")
+        # Every bench runs the Ward baseline row, so a page Ward refuses is
+        # refused here, before anything is drawn.
+        if self.grid.n_patches > chunker.MAX_HAC_PATCHES:
+            raise ValueError(
+                f"a {self.grid.rows}x{self.grid.cols} grid of {self.grid.n_patches} patches "
+                f"exceeds MAX_HAC_PATCHES = {chunker.MAX_HAC_PATCHES}"
+            )
         if not 1 <= self.signal_patches <= self.grid.n_patches:
             raise ValueError("signal_patches must fit in the grid")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise ValueError(f"noise_sigma must be non-negative and finite, got {self.noise_sigma}")
         if self.query_tokens < 1:
             raise ValueError("query_tokens must be at least 1")
+        _check_seed(self.seed)
         _block_shape(self.signal_patches, self.grid)  # fail fast if impossible
 
 
@@ -384,19 +393,18 @@ def _measure_config(
     scratch: Path,
     compress_ms: float,
 ) -> AblationRow:
-    """Index, retrieve and score one configuration's compressed pages.
+    """Write one configuration's compressed pages as an index file, read it
+    back and rank and score it, as ``compress``, ``query`` and ``eval`` do.
 
     The row's ``wall_ms`` is ``compress_ms`` plus the time spent here.
     """
     start = time.perf_counter()
     meta = BuildMeta.for_config(cfg, "synthetic")
-    index = CorpusIndex(dim=compressed[0].dim, docs=tuple(compressed), build_meta=meta)
     index_path = scratch / f"{config_id}.cchk"
-    write_index(index, index_path)
-    run = {
-        q.query_id: [h.doc_id for h in hits]
-        for q, hits in zip(queries, retrieve_many(queries, index, top_k=NDCG_CUTOFF))
-    }
+    records = ((d.chunks, d.chunk_sizes) for d in compressed)
+    write_records(index_path, compressed[0].dim, [d.doc_id for d in compressed], meta, records)
+    hits = retrieve_many(queries, read_index(index_path), top_k=NDCG_CUTOFF)
+    run = {q.query_id: [h.doc_id for h in q_hits] for q, q_hits in zip(queries, hits)}
     _, mean = evaluate_run(run, qrels, k=NDCG_CUTOFF)
     wall_ms = compress_ms + (time.perf_counter() - start) * 1000.0
     return AblationRow(
@@ -420,8 +428,8 @@ def run_ablation(
 ) -> list[AblationRow]:
     """Compress, index, retrieve, and score one row per swept configuration.
 
-    Emits one row per ``sweep.configs()`` entry, in that order. Index sizes
-    are measured on real files written under ``scratch_dir``.
+    Emits one row per ``sweep.configs()`` entry, in that order. Each row's
+    index is a real file under ``scratch_dir``, ranked as read back.
 
     Configurations sharing (omega, method) are compressed together, page by
     page with ``compress_ks``: one fusion and, for Ward, one dendrogram per

@@ -23,8 +23,9 @@ obeys ``types.check_compressed``. Writing what was read reproduces the file
 byte for byte, since the reader takes the trailer's values unconverted. They
 must be a build ``ChunkerConfig`` accepts, so ``store`` imports ``chunker``
 (never the reverse). ``write_records`` is the one writer: it streams
-records, so ``compress`` holds one page at a time, and ``write_index`` feeds
-it an in-memory ``CorpusIndex``, the form ``retrieve`` takes.
+records, so ``compress`` holds one page at a time, and the ablation writes
+each configuration's file through it too. ``write_index`` feeds it an
+in-memory ``CorpusIndex``, for library callers that built one.
 
 Embedding dumps are the ingestion side: a JSON manifest describing per-page
 raw vector files (flat float32 little-endian, row-major). Query dumps use

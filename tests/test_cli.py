@@ -349,6 +349,45 @@ class TestBench:
         proc = run_cli("bench", *self.BENCH_ARGS, "--methods", "spectral")
         assert proc.returncode == 2
 
+    # Each dump has the baseline, k, omega (1.0 among them) and method-kmeans
+    # rows; the first clamps K = 40 to a page's 16 patches and clusters the
+    # base row at omega = 1, where Ward meets many exact ties.
+    @pytest.mark.parametrize("argv", [
+        ["--num-docs", "8", "--num-queries", "4", "--grid-rows", "4", "--grid-cols", "4",
+         "--dim", "16", "--signal-patches", "4", "--query-tokens", "8", "--seed", "2",
+         "--sweep-k", "2,3,16,40", "--sweep-omega", "0,1", "--methods", "kmeans",
+         "--k", "5", "--omega", "1"],
+        ["--num-docs", "12", "--num-queries", "4", "--grid-rows", "6", "--grid-cols", "4",
+         "--dim", "32", "--signal-patches", "4", "--query-tokens", "8", "--noise-sigma", "0.4",
+         "--seed", "5", "--sweep-k", "4,8", "--sweep-omega", "0.5,1",
+         "--methods", "kmeans,hac_ward", "--k", "6"],
+    ], ids=["tie-heavy-and-clamped", "two-methods"])
+    def test_rows_are_the_pipelines_result(self, tmp_path, capsys, argv):
+        # A bench row is what compress, query --top-k 5 and eval give on
+        # its dump: the same nDCG@5 as printed, and its index file's size.
+        work, table = tmp_path / "work", tmp_path / "bench.csv"
+        assert cli.main(["bench", *argv, "--workdir", str(work), "--out", str(table)]) == 0
+        seed = argv[argv.index("--seed") + 1]
+        header, *lines = table.read_text(encoding="utf-8").splitlines()
+        assert header.split(",")[4:7] == ["mean_ndcg_at_5", "vectors_per_doc", "index_bytes"]
+        assert {"baseline-k1", "omega1", "method-kmeans"} <= {ln.split(",")[0] for ln in lines}
+        for line in lines:
+            config_id, method, k, omega, ndcg, _, index_bytes, _ = line.split(",")
+            index, run = tmp_path / f"{config_id}.cchk", tmp_path / f"{config_id}.txt"
+            steps = [
+                ["compress", str(work / "manifest.json"), str(index), "--k", k,
+                 "--omega", omega, "--method", method, "--seed", seed],
+                ["query", str(index), str(work / "queries.json"), "--top-k", "5",
+                 "--out", str(run)],
+                ["eval", str(run), str(work / "qrels.txt")],
+            ]
+            capsys.readouterr()
+            for step in steps:
+                assert cli.main(step) == 0, (config_id, step[0])
+            printed = capsys.readouterr().out.splitlines()
+            assert printed[-1] == f"all,{ndcg}", config_id
+            assert index.stat().st_size == int(index_bytes), config_id
+
 
 class TestTopLevel:
     def test_no_command_is_usage_error(self):
@@ -532,6 +571,16 @@ CLI_ERROR_CASES = {
                             "seed must be a non-negative integer, got -1"),
     "bench-more-queries-than-docs": (["bench", "--num-docs", "2", "--num-queries", "3",
                                       "--out", "{out}/b.csv"], "its own relevant document"),
+    # the generator would write non-finite vectors, refused under a document's name
+    "bench-nan-noise": (["bench", "--noise-sigma", "nan", "--out", "{out}/b.csv"],
+                        "noise_sigma must be non-negative and finite, got nan"),
+    "bench-inf-noise": (["bench", "--noise-sigma", "inf", "--out", "{out}/b.csv"],
+                        "noise_sigma must be non-negative and finite, got inf"),
+    # refused when the spec is built, before a single vector is drawn: the
+    # Ward baseline row could never cluster such a page
+    "bench-oversized-grid": (["bench", "--grid-rows", "100000", "--grid-cols", "100000",
+                              "--out", "{out}/b.csv"],
+                             "grid of 10000000000 patches exceeds MAX_HAC_PATCHES = 8192"),
 }
 
 

@@ -25,7 +25,7 @@ from colchunk.evaluation import (
 )
 from colchunk.posenc import BASE
 from colchunk.scorer import ScoredHit, retrieve
-from colchunk.store import BuildMeta, CorpusIndex, ingest_dump, ingest_queries
+from colchunk.store import BuildMeta, CorpusIndex, ingest_dump, ingest_queries, write_index
 from colchunk.types import PatchGrid
 
 from oracles import naive_maxsim, naive_ndcg
@@ -418,11 +418,15 @@ class TestRunAblation:
     ], ids=["tie-heavy", "repeats-and-clamps"])
     def test_rows_match_per_config_compress_many(self, tmp_path, monkeypatch, sweep, threads):
         written = {}
-        real_write = evaluation.write_index
+        real_write = evaluation.write_records
 
-        def spy(index, path):
-            written[Path(path).stem] = index
-            real_write(index, path)
+        # ``rows`` is a generator, so it is materialised before it is passed on;
+        # the file's bytes are kept, since the ablation's scratch directory goes.
+        def spy(path, dim, ids, meta, rows):
+            rows = list(rows)
+            total = real_write(path, dim, ids, meta, rows)
+            written[Path(path).stem] = (list(ids), rows, Path(path).read_bytes())
+            return total
 
         ablations = []
 
@@ -432,7 +436,7 @@ class TestRunAblation:
             ablations.append((docs, queries, qrels, rows))
             return rows
 
-        monkeypatch.setattr(evaluation, "write_index", spy)
+        monkeypatch.setattr(evaluation, "write_records", spy)
         monkeypatch.setattr(cli, "run_ablation", recording_ablation)
         out = tmp_path / "ablation.csv"
         # the tiny_corpus shape, generated and ingested by bench itself
@@ -451,17 +455,21 @@ class TestRunAblation:
         assert out.read_text(encoding="utf-8") == buf.getvalue()
         assert set(written) == {r.config_id for r in rows}
         for row in rows:
-            index = written[row.config_id]
+            ids, records, blob = written[row.config_id]
             cfg = ChunkerConfig(k=row.k, omega=row.omega, method=row.method, seed=sweep.seed)
             meta = BuildMeta(omega=cfg.omega, k_target=cfg.k, method=cfg.method,
                              posenc_base=BASE, tool_version=__version__,
                              embedding_location="synthetic")
             ref = CorpusIndex(dim=docs[0].dim, docs=compress_many(docs, cfg), build_meta=meta)
-            assert index.chunks.tobytes() == ref.chunks.tobytes(), row.config_id
-            assert np.array_equal(index.sizes, ref.sizes)
-            assert np.array_equal(index.offsets, ref.offsets)
+            chunks = np.concatenate([c for c, _ in records])
+            assert ids == list(ref.ids)
+            assert chunks.dtype == np.float64
+            assert chunks.tobytes() == ref.chunks.tobytes(), row.config_id
+            assert np.array_equal(np.concatenate([s for _, s in records]), ref.sizes)
+            assert np.array_equal(np.cumsum([0] + [len(c) for c, _ in records]), ref.offsets)
             ref_path = tmp_path / f"{row.config_id}.cchk"
-            real_write(ref, ref_path)
+            write_index(ref, ref_path)
+            assert blob == ref_path.read_bytes(), row.config_id
             run = {q.query_id: [h.doc_id for h in retrieve(q, ref, top_k=5)] for q in queries}
             assert row.mean_ndcg_at_5 == evaluate_run(run, qrels, k=5)[1]
             assert row.vectors_per_doc == float(np.mean(np.diff(ref.offsets)))

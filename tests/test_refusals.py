@@ -92,6 +92,15 @@ REFUSALS = {
         lambda tmp: SyntheticSpec(num_docs=2, num_queries=1, grid=PatchGrid(2, 2), dim=4,
                                   signal_patches=1, noise_sigma=-0.1),
         ValueError, "noise_sigma must be non-negative"),
+    # one seed rule, and one message, for a build and a synthetic corpus
+    "synthetic-negative-seed": (
+        lambda tmp: SyntheticSpec(num_docs=2, num_queries=1, grid=PatchGrid(2, 2), dim=4,
+                                  signal_patches=1, seed=-1),
+        ValueError, "seed must be a non-negative integer, got -1"),
+    "synthetic-bool-seed": (
+        lambda tmp: SyntheticSpec(num_docs=2, num_queries=1, grid=PatchGrid(2, 2), dim=4,
+                                  signal_patches=1, seed=True),
+        ValueError, "seed must be a non-negative integer, got True"),
     "synthetic-zero-query-tokens": (
         lambda tmp: SyntheticSpec(num_docs=2, num_queries=1, grid=PatchGrid(2, 2), dim=4,
                                   signal_patches=1, query_tokens=0),
