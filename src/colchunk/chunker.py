@@ -25,6 +25,7 @@ from .types import (
     CompressedDocument,
     FusedFeatureSet,
     PatchEmbeddingSet,
+    check_count,
     grid_coords,
 )
 
@@ -77,8 +78,7 @@ class ChunkerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
+        object.__setattr__(self, "k", check_count(self.k, "k"))
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
         if self.method not in METHODS:
@@ -102,16 +102,15 @@ def fuse(pset: PatchEmbeddingSet, cfg: ChunkerConfig) -> FusedFeatureSet:
 def _pairwise_sq(x: np.ndarray) -> np.ndarray:
     """Dense squared Euclidean distances with +inf on the diagonal.
 
-    Works in place, so at most two n x n matrices are live. Each entry is
-    ``(sq_i + sq_j) - 2 * ((g_ij + g_ji) * 0.5)``, rounded step by step in
-    that order.
+    Works in place, so at most two n x n matrices are live. For the Gram
+    matrix ``g``, each entry is ``(sq_i + sq_j) - (g_ij + g_ji)`` with
+    ``sq_i = g_ii``, rounded step by step in that order, so it is exactly
+    symmetric.
     """
     g = x @ x.T
     g = g + g.T
-    g *= 0.5
-    sq = np.diag(g).copy()
+    sq = np.diag(g) * 0.5
     d2 = np.add.outer(sq, sq)
-    g *= 2.0
     d2 -= g
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, np.inf)
@@ -152,8 +151,7 @@ def cluster_hac(feats: FusedFeatureSet, k: int) -> tuple[ChunkAssignment, np.nda
         Patches are nodes ``0 .. n-1`` and row ``t`` creates node ``n + t``.
         Distances are non-decreasing (Ward linkage is monotone).
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    k = check_count(k, "k")
     x = feats.vectors
     n = x.shape[0]
     if n == 0:
@@ -323,8 +321,7 @@ def cluster_kmeans(feats: FusedFeatureSet, k: int, seed: int = 0) -> ChunkAssign
     reassigning the single point farthest from its own centroid. Requires
     ``k`` not to exceed the number of points.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    k = check_count(k, "k")
     x = feats.vectors
     n = x.shape[0]
     if k > n:

@@ -183,7 +183,7 @@ def cmd_compress(args) -> int:
 
 def cmd_query(args) -> int:
     # Refused before any work, so no run file is left behind.
-    _check_id(args.run_tag, "query", "--run-tag", ValueError)
+    _check_id(args.run_tag, "query", "--run-tag")
     index = read_index(args.index)
     queries = list(ingest_queries(args.queries))
     if not queries:

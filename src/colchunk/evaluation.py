@@ -28,7 +28,7 @@ from .store import (
     write_query_dump,
     write_records,
 )
-from .types import CompressedDocument, PatchEmbeddingSet, PatchGrid, QueryEmbeddingSet
+from .types import CompressedDocument, PatchEmbeddingSet, PatchGrid, QueryEmbeddingSet, check_count
 
 __all__ = [
     "EvalInputError",
@@ -143,8 +143,7 @@ def ndcg_at_k(ranking: Sequence[str], judged: Mapping[str, int], k: int) -> floa
     so a perfect but short ranking still scores 1.0. Queries with no positive
     judgments score 0 by convention.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    k = check_count(k, "k")
     gains = [float(judged.get(doc_id, 0)) for doc_id in ranking]
     ideal = sorted((float(g) for g in judged.values()), reverse=True)
     idcg = dcg(ideal, k)
@@ -169,7 +168,7 @@ def evaluate_run(
 def write_run(hits_by_query: Mapping[str, Sequence], fh, run_tag: str = "colchunk") -> None:
     """Emit TREC run lines: ``query_id Q0 doc_id rank score tag``. A ``run_tag``
     that breaks the id rule raises ValueError before any line is written."""
-    _check_id(run_tag, "run", "run_tag", ValueError)
+    _check_id(run_tag, "run", "run_tag")
     for qid in hits_by_query:
         for hit in hits_by_query[qid]:
             fh.write(f"{qid} Q0 {hit.doc_id} {hit.rank} {hit.score:.6f} {run_tag}\n")
@@ -231,11 +230,11 @@ class SyntheticSpec:
     query_tokens: int = 64
 
     def __post_init__(self):
-        if self.num_docs < 1 or self.num_queries < 1:
-            raise ValueError("need at least one document and one query")
+        for name in ("num_docs", "num_queries", "dim", "signal_patches", "query_tokens"):
+            check_count(getattr(self, name), name)
         if self.num_queries > self.num_docs:
             raise ValueError("every query needs its own relevant document")
-        if self.dim < 4 or self.dim % 4 != 0:
+        if self.dim % 4 != 0:
             raise ValueError("dim must be a positive multiple of 4")
         # Every bench runs the Ward baseline row, so a page Ward refuses is
         # refused here, before anything is drawn.
@@ -244,12 +243,10 @@ class SyntheticSpec:
                 f"a {self.grid.rows}x{self.grid.cols} grid of {self.grid.n_patches} patches "
                 f"exceeds MAX_HAC_PATCHES = {chunker.MAX_HAC_PATCHES}"
             )
-        if not 1 <= self.signal_patches <= self.grid.n_patches:
+        if self.signal_patches > self.grid.n_patches:
             raise ValueError("signal_patches must fit in the grid")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
             raise ValueError(f"noise_sigma must be non-negative and finite, got {self.noise_sigma}")
-        if self.query_tokens < 1:
-            raise ValueError("query_tokens must be at least 1")
         _check_seed(self.seed)
         _block_shape(self.signal_patches, self.grid)  # fail fast if impossible
 

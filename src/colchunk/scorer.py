@@ -52,7 +52,7 @@ from typing import Sequence
 import numpy as np
 
 from .store import CorpusIndex
-from .types import CompressedDocument, QueryEmbeddingSet
+from .types import CompressedDocument, QueryEmbeddingSet, check_count
 
 __all__ = ["ScoredHit", "maxsim", "retrieve", "retrieve_many"]
 
@@ -153,8 +153,7 @@ def retrieve_many(
     alone: descending score, ties broken by ascending doc_id, ranks from 1
     to ``min(top_k, corpus size)``, scores equal to ``maxsim`` bit for bit.
     """
-    if top_k < 1:
-        raise ValueError(f"top_k must be at least 1, got {top_k}")
+    top_k = check_count(top_k, "top_k")
     for query in queries:
         if query.dim != index.dim:
             raise ValueError(

@@ -30,15 +30,17 @@ in-memory ``CorpusIndex``, for library callers that built one.
 Embedding dumps are the ingestion side: a JSON manifest describing per-page
 raw vector files (flat float32 little-endian, row-major). Query dumps use
 the same shape minus the grid fields. Ids, paths and ``location`` are JSON
-strings. The loader, the writers and ``CorpusIndex`` (so ``read_index`` too)
-check ids by one rule, ``_check_id``: non-empty with no whitespace, since
-run and qrels lines are whitespace-separated fields; ``_check_unique``
-refuses repeats. The writers name each raw file after its id, so after the
-id rule they reject ids that are not safe file names: ``.``, ``..`` and any
-id holding ``/``, ``\\`` or NUL. The loader rejects entry paths that are
-absolute or have a ``..`` component, and raises ManifestError for any
-malformed manifest, such as one that is not UTF-8, ``entries`` that is not a
-list or a count that JSON reads as infinity (``1e400``). Vectors that their
+strings; ``dim``, ``n_vectors``, ``rows`` and ``cols`` are counts by
+``types.check_count``, so a float (``4.0``, or ``1e400``, which JSON reads as
+infinity), a string or a bool is refused, never converted. The loader, the
+writers and ``CorpusIndex`` (so ``read_index`` too) check ids by one rule,
+``_check_id``: non-empty with no whitespace, since run and qrels lines are
+whitespace-separated fields; ``_check_unique`` refuses repeats. The writers
+name each raw file after its id, so after the id rule they reject ids that
+are not safe file names: ``.``, ``..`` and any id holding ``/``, ``\\`` or
+NUL. The loader rejects entry paths that are absolute or have a ``..``
+component; it raises ManifestError for any malformed manifest, such as one
+that is not UTF-8 or ``entries`` that is not a list. Vectors that their
 type rejects (non-finite or zero-norm) raise ManifestError on ingest too.
 """
 
@@ -61,6 +63,7 @@ from .types import (
     PatchGrid,
     QueryEmbeddingSet,
     check_compressed,
+    check_count,
 )
 
 __all__ = [
@@ -99,8 +102,8 @@ class BuildMeta:
     """Provenance of an index, persisted verbatim in the JSON trailer.
 
     Construction raises ValueError unless ``omega`` and ``posenc_base`` are
-    finite numbers, ``k_target`` a count and the rest strings, by the
-    manifest's rules, and unless ``ChunkerConfig(k_target, omega, method)``
+    finite JSON numbers, ``k_target`` a count (stored as an int) and the rest
+    JSON strings, and unless ``ChunkerConfig(k_target, omega, method)``
     accepts the build, so every instance writes a trailer the reader accepts.
     """
 
@@ -117,9 +120,9 @@ class BuildMeta:
             value = getattr(self, name)
             if not (type(value) is int or isinstance(value, float) and math.isfinite(value)):
                 raise ValueError(f"{where}: {name} must be a finite JSON number, got {value!r:.40}")
-        _count(self.k_target, where, "k_target", ValueError)
+        object.__setattr__(self, "k_target", check_count(self.k_target, f"{where}: k_target"))
         for name in ("method", "tool_version", "embedding_location"):
-            _string(getattr(self, name), where, name, ValueError)
+            _string(getattr(self, name), where, name)
         try:
             ChunkerConfig(self.k_target, self.omega, self.method)
         except ValueError as exc:
@@ -164,6 +167,7 @@ class CorpusIndex:
     build_meta: BuildMeta
 
     def __init__(self, dim: int, docs, build_meta: BuildMeta):
+        dim = check_count(dim, "dim")
         docs = tuple(docs)
         for doc in docs:
             if doc.dim != dim:
@@ -184,8 +188,6 @@ class CorpusIndex:
         return index
 
     def _set(self, dim, ids, offsets, chunks, sizes, build_meta) -> None:
-        if dim < 1:
-            raise ValueError(f"dim must be at least 1, got {dim}")
         _encoded_ids(ids)
         for arr in (offsets, chunks, sizes):
             arr.setflags(write=False)
@@ -232,8 +234,7 @@ def write_records(path: str | Path, dim: int, ids, build_meta: BuildMeta, rows) 
     """
     ids = list(ids)
     encoded = _encoded_ids(ids)
-    if dim < 1:
-        raise ValueError(f"dim must be at least 1, got {dim}")
+    dim = check_count(dim, "dim")
     out = Path(path)
     tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
     total = 0
@@ -372,27 +373,27 @@ class EmbeddingDumpManifest:
     root: Path = field(default_factory=Path)
 
 
-def _string(value, where: str, field: str, error: type[Exception] = ManifestError) -> str:
+def _string(value, where: str, field: str) -> str:
     if not isinstance(value, str):
-        raise error(f"{where}: {field} must be a JSON string, got {value!r:.40}")
+        raise ValueError(f"{where}: {field} must be a JSON string, got {value!r:.40}")
     return value
 
 
-def _check_id(item_id, where: str, field: str, error: type[Exception] = ManifestError) -> str:
+def _check_id(item_id, where: str, field: str) -> str:
     """The id rule, for doc and query ids alike: a string, non-empty and with
     no whitespace, which would split the id across fields of a run or qrels
     line (``str.split`` splits on ``str.isspace``)."""
-    if _string(item_id, where, field, error).split() != [item_id]:
-        raise error(f"{where}: {field} {item_id!r:.40} is empty or holds whitespace")
+    if _string(item_id, where, field).split() != [item_id]:
+        raise ValueError(f"{where}: {field} {item_id!r:.40} is empty or holds whitespace")
     return item_id
 
 
-def _check_unique(ids, field: str, where: str, error: type[Exception] = ManifestError) -> None:
+def _check_unique(ids, field: str, where: str) -> None:
     """The uniqueness rule: no id repeats; the error names the first repeat."""
     seen: set[str] = set()
     for item_id in ids:
         if item_id in seen:
-            raise error(f"duplicate {field} '{item_id}' in {where}")
+            raise ValueError(f"duplicate {field} '{item_id}' in {where}")
         seen.add(item_id)
 
 
@@ -401,34 +402,26 @@ def _encoded_ids(ids) -> list[bytes]:
     is unique and fits the record's u16 length; ValueError otherwise."""
     encoded = []
     for doc_id in ids:
-        id_bytes = _check_id(doc_id, "index", "doc_id", ValueError).encode("utf-8")
+        id_bytes = _check_id(doc_id, "index", "doc_id").encode("utf-8")
         if len(id_bytes) > 0xFFFF:
             raise ValueError(
                 f"doc_id {doc_id!r:.40} of {len(id_bytes)} bytes exceeds the u16 length field"
             )
         encoded.append(id_bytes)
-    _check_unique(ids, "doc_id", "the index", ValueError)
+    _check_unique(ids, "doc_id", "the index")
     return encoded
 
 
 def _check_file_name(item_id, where: str, field: str) -> None:
     """A writer's id: the id rule, then a safe name for the raw file named after it."""
-    _check_id(item_id, where, field, ValueError)
+    _check_id(item_id, where, field)
     if item_id in (".", "..") or any(c in item_id for c in "/\\\0"):
         raise ValueError(f"{where}: {field} {item_id!r} is not a safe file name")
 
 
-def _count(value, where: str, field: str, error: type[Exception] = ManifestError) -> int:
-    """A count: a JSON integer of at least 1, never a bool, float or string."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise error(
-            f"{where}: {field} must be a JSON integer of at least 1, got {value!r:.40}"
-        )
-    return value
-
-
 def _load(path: str | Path, id_key: str) -> EmbeddingDumpManifest:
-    """Parse a page dump (``id_key`` "doc_id", grids required) or a query dump."""
+    """Parse a page dump (``id_key`` "doc_id", grids required) or a query dump;
+    every flaw raises ManifestError, with the refusing rule's own message."""
     kind = id_key.removesuffix("_id")
     p = Path(path)
     try:
@@ -436,44 +429,45 @@ def _load(path: str | Path, id_key: str) -> EmbeddingDumpManifest:
     except (OSError, ValueError, RecursionError) as exc:
         raise ManifestError(f"cannot parse {kind} manifest {p}: {exc}") from exc
     try:
-        dim, raw_entries = data["dim"], data["entries"]
-    except (KeyError, TypeError) as exc:
-        raise ManifestError(f"{kind} manifest {p} is missing dim or entries") from exc
-    dim = _count(dim, f"{kind} manifest {p}", "dim")
-    if not isinstance(raw_entries, list):
-        raise ManifestError(f"{kind} manifest {p}: entries must be a list")
-    entries = []
-    for i, e in enumerate(raw_entries):
-        try:
-            item_id, n_vectors, rel = e[id_key], e["n_vectors"], e["path"]
-            rows_cols = (e["rows"], e["cols"]) if id_key == "doc_id" else None
-        except (KeyError, TypeError) as exc:
-            raise ManifestError(f"{kind} manifest entry {i} is malformed: {exc}") from exc
-        where = f"{kind} manifest entry {i}"
-        item_id = _check_id(item_id, where, id_key)
-        rel = _string(rel, where, "path")
-        n_vectors = _count(n_vectors, where, "n_vectors")
-        if rows_cols:
-            rows_cols = (_count(rows_cols[0], where, "rows"), _count(rows_cols[1], where, "cols"))
-        grid = PatchGrid(*rows_cols) if rows_cols else None
-        if grid and n_vectors != grid.n_patches:
-            raise ManifestError(
-                f"{kind} '{item_id}': n_vectors {n_vectors} != {grid.rows}x{grid.cols} grid"
-            )
-        if Path(rel).is_absolute() or ".." in Path(rel).parts:
-            raise ManifestError(f"{kind} '{item_id}': path {rel} leaves the manifest directory")
-        entries.append(DumpEntry(id=item_id, n_vectors=n_vectors, path=rel, grid=grid))
-    _check_unique([entry.id for entry in entries], id_key, f"{kind} manifest {p}")
-    root = p.parent
-    for entry in entries:
-        try:
-            found = (root / entry.path).is_file()
-        except OSError:  # a path the file system refuses, such as a name too long
-            found = False
-        if not found:
-            raise ManifestError(f"{kind} '{entry.id}': raw file {entry.path} not found")
-    location = _string(data.get("location", ""), f"{kind} manifest {p}", "location")
-    return EmbeddingDumpManifest(dim=dim, entries=tuple(entries), location=location, root=root)
+        if not (isinstance(data, dict) and {"dim", "entries"} <= data.keys()):
+            raise ValueError(f"{kind} manifest {p} is missing dim or entries")
+        dim = check_count(data["dim"], f"{kind} manifest {p}: dim")
+        if not isinstance(data["entries"], list):
+            raise ValueError(f"{kind} manifest {p}: entries must be a list")
+        entries = []
+        for i, e in enumerate(data["entries"]):
+            try:
+                item_id, n_vectors, rel = e[id_key], e["n_vectors"], e["path"]
+                rows_cols = (e["rows"], e["cols"]) if id_key == "doc_id" else None
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"{kind} manifest entry {i} is malformed: {exc}") from exc
+            where = f"{kind} manifest entry {i}"
+            item_id = _check_id(item_id, where, id_key)
+            rel = _string(rel, where, "path")
+            n_vectors = check_count(n_vectors, f"{where}: n_vectors")
+            if rows_cols:
+                rows_cols = (check_count(rows_cols[0], f"{where}: rows"),
+                             check_count(rows_cols[1], f"{where}: cols"))
+            grid = PatchGrid(*rows_cols) if rows_cols else None
+            if grid and n_vectors != grid.n_patches:
+                raise ValueError(
+                    f"{kind} '{item_id}': n_vectors {n_vectors} != {grid.rows}x{grid.cols} grid"
+                )
+            if Path(rel).is_absolute() or ".." in Path(rel).parts:
+                raise ValueError(f"{kind} '{item_id}': path {rel} leaves the manifest directory")
+            entries.append(DumpEntry(id=item_id, n_vectors=n_vectors, path=rel, grid=grid))
+        _check_unique([entry.id for entry in entries], id_key, f"{kind} manifest {p}")
+        for entry in entries:
+            try:
+                found = (p.parent / entry.path).is_file()
+            except OSError:  # a path the file system refuses, such as a name too long
+                found = False
+            if not found:
+                raise ValueError(f"{kind} '{entry.id}': raw file {entry.path} not found")
+        location = _string(data.get("location", ""), f"{kind} manifest {p}", "location")
+    except ValueError as exc:
+        raise ManifestError(str(exc)) from exc
+    return EmbeddingDumpManifest(dim=dim, entries=tuple(entries), location=location, root=p.parent)
 
 
 def load_manifest(path: str | Path) -> EmbeddingDumpManifest:
@@ -547,7 +541,7 @@ def _write_dump(
         _check_file_name(item_id, f"{kind} dump entry {i}", id_key)
         if item_dim != dim:
             raise ValueError(f"{kind} '{item_id}' has dim {item_dim}, dump expects {dim}")
-    _check_unique([item[0] for item in items], id_key, f"the {kind} dump", ValueError)
+    _check_unique([item[0] for item in items], id_key, f"the {kind} dump")
     out = Path(out_dir)
     (out / subdir).mkdir(parents=True, exist_ok=True)
     entries = []

@@ -6,7 +6,8 @@ unit-norm chunk vectors. Every type checks its invariants at construction
 and raises ValueError on a violation, so an instance that exists is valid.
 Arrays are float64 in memory and made read-only at construction, so no
 caller can break an invariant after the check. ``check_compressed`` is the
-one compressed-document rule, shared with ``store``.
+one compressed-document rule, shared with ``store``; ``check_count`` is the
+one rule for every count: k, top_k, dim, grid sides and manifest counts.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "CompressedDocument",
     "QueryEmbeddingSet",
     "check_compressed",
+    "check_count",
     "grid_coords",
 ]
 
@@ -44,16 +46,25 @@ def first_non_unit_row(rows: np.ndarray) -> tuple[int, float] | None:
     return (int(bad[0]), float(off[bad[0]])) if bad.size else None
 
 
+def check_count(value, name: str) -> int:
+    """The count rule: an integer of at least 1, a Python or numpy one but never
+    a bool, returned as a Python int; ValueError naming ``name`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r:.40}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return int(value)
+
+
 def check_compressed(ids, dim: int, offsets, chunks: np.ndarray, sizes: np.ndarray) -> None:
     """The compressed-document rule. Document ``ids[i]`` owns rows
     ``offsets[i]:offsets[i + 1]`` of ``chunks`` and of ``sizes`` (patches per
-    chunk). ValueError, naming the document and any chunk, unless ``dim >= 1``,
-    ``offsets`` runs from 0 by K >= 1 per id, ``chunks`` is ``(offsets[-1], dim)``,
+    chunk). ValueError, naming the document and any chunk, unless ``dim`` is a
+    count, ``offsets`` runs from 0 by K >= 1 per id, ``chunks`` is ``(offsets[-1], dim)``,
     ``sizes`` is ``(offsets[-1],)``, every size is a whole number from 1 to
     ``MAX_CHUNK_SIZE`` and every chunk finite and unit norm, its norm taken in
     float64, ``_CHECK_ROWS`` rows at a time."""
-    if dim < 1:
-        raise ValueError(f"dim must be at least 1, got {dim}")
+    check_count(dim, "dim")
     # Python ints: a single document, the common call, skips numpy's per-call cost.
     bounds = np.asarray(offsets).tolist()
     if len(bounds) != len(ids) + 1 or bounds[0] != 0:
@@ -131,14 +142,14 @@ def _check_rows(owner: str, dim: int, rows: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class PatchGrid:
-    """Patch layout of one page: ``rows x cols``, indexed row-major."""
+    """Patch layout of one page: ``rows x cols``, indexed row-major; each side a count."""
 
     rows: int
     cols: int
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"grid must be at least 1x1, got {self.rows}x{self.cols}")
+        for name in ("rows", "cols"):
+            object.__setattr__(self, name, check_count(getattr(self, name), name))
 
     @property
     def n_patches(self) -> int:
@@ -245,8 +256,8 @@ class CompressedDocument:
         chunks = _freeze(self, "chunks", self.chunks, ndim=None)
         # Checked before the int64 copy, which would truncate a fraction or
         # wrap a size past int64.
-        check_compressed((self.doc_id,), self.dim, (0, self.k), chunks,
-                         np.asarray(self.chunk_sizes))
+        k = check_count(self.k, f"doc '{self.doc_id}': k")
+        check_compressed((self.doc_id,), self.dim, (0, k), chunks, np.asarray(self.chunk_sizes))
         _freeze(self, "chunk_sizes", self.chunk_sizes, np.int64, None)
 
 
@@ -263,7 +274,7 @@ class QueryEmbeddingSet:
 
     def __post_init__(self):
         arr = _freeze(self, "vectors", self.vectors)
-        if arr.shape[0] < 1:
+        if arr.shape[0] == 0:
             raise ValueError("a query needs at least one token vector")
         _check_rows(f"query '{self.query_id}'", self.dim, arr)
 

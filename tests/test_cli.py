@@ -539,7 +539,7 @@ CLI_ERROR_CASES = {
     # a bool where the trailer needs an integer
     "query-malformed-trailer": (["query", "{bool_k_trailer}", "{queries}", "--out",
                                  "{out}/run.txt"],
-                                "k_target must be a JSON integer of at least 1, got True"),
+                                "build metadata: k_target must be an integer, got True"),
     # well typed, but a build that no ChunkerConfig accepts
     "query-out-of-range-trailer": (["query", "{out_of_range_trailer}", "{queries}", "--out",
                                     "{out}/run.txt"],

@@ -412,8 +412,8 @@ class TestIndexCorruption:
         ("omega", "0.2", "omega must be a finite JSON number, got '0.2'"),
         ("omega", float("nan"), "omega must be a finite JSON number, got nan"),
         ("posenc_base", True, "posenc_base must be a finite JSON number, got True"),
-        ("k_target", 4.0, "k_target must be a JSON integer of at least 1, got 4.0"),
-        ("k_target", 0, "k_target must be a JSON integer of at least 1, got 0"),
+        ("k_target", 4.0, "k_target must be an integer, got 4.0"),
+        ("k_target", 0, "k_target must be at least 1, got 0"),
         ("method", None, "method must be a JSON string, got None"),
         ("tool_version", 1, "tool_version must be a JSON string, got 1"),
         ("embedding_location", ["x"], "embedding_location must be a JSON string"),
@@ -585,24 +585,33 @@ class TestHostileManifest:
 
 
 class TestManifestIntegers:
-    """Counts must be JSON integers of at least 1: never truncated or converted."""
+    """Counts obey ``check_count``, an integer of at least 1: never truncated or converted."""
 
-    @pytest.mark.parametrize("field,value", [
-        ("n_vectors", 2.5), ("dim", "4"), ("rows", 2.9), ("cols", True),
-        ("n_vectors", 4.0), ("dim", 0), ("rows", -2), ("cols", "2"), ("dim", None),
-    ])
-    def test_page_manifest_rejects_non_integer_count(self, tmp_path, field, value):
+    @pytest.mark.parametrize("field,value,problem", [
+        ("n_vectors", 2.5, "doc manifest entry 0: n_vectors must be an integer, got 2.5"),
+        ("dim", "4", "manifest.json: dim must be an integer, got '4'"),
+        ("rows", 2.9, "doc manifest entry 0: rows must be an integer, got 2.9"),
+        ("cols", True, "doc manifest entry 0: cols must be an integer, got True"),
+        ("n_vectors", 4.0, "doc manifest entry 0: n_vectors must be an integer, got 4.0"),
+        ("dim", 0, "manifest.json: dim must be at least 1, got 0"),
+        ("rows", -2, "doc manifest entry 0: rows must be at least 1, got -2"),
+        ("cols", "2", "doc manifest entry 0: cols must be an integer, got '2'"),
+        ("dim", None, "manifest.json: dim must be an integer, got None"),
+    ], ids=["n_vectors-2.5", "dim-4", "rows-2.9", "cols-True", "n_vectors-4.0", "dim-0",
+            "rows--2", "cols-2", "dim-None"])
+    def test_page_manifest_rejects_non_integer_count(self, tmp_path, field, value, problem):
         top = {"dim": 4, "entries": [dict(PAGE_ENTRY)]}
         (top if field == "dim" else top["entries"][0])[field] = value
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(top))
-        with pytest.raises(ManifestError, match=f"{field} must be a JSON integer of at least 1"):
+        with pytest.raises(ManifestError, match=re.escape(problem)):
             load_manifest(manifest)
 
     def test_query_manifest_rejects_fractional_count(self, tmp_path):
         manifest = tmp_path / "queries.json"
         manifest.write_text(json.dumps({"dim": 4, "entries": [dict(QUERY_ENTRY, n_vectors=2.5)]}))
-        with pytest.raises(ManifestError, match="n_vectors must be a JSON integer"):
+        problem = "query manifest entry 0: n_vectors must be an integer, got 2.5"
+        with pytest.raises(ManifestError, match=re.escape(problem)):
             list(ingest_queries(manifest))
 
 
