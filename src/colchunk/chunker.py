@@ -26,7 +26,10 @@ from .types import (
     FusedFeatureSet,
     PatchEmbeddingSet,
     check_count,
+    check_natural,
+    check_real,
     grid_coords,
+    unit_rows,
 )
 
 __all__ = [
@@ -63,13 +66,6 @@ KMEANS_MAX_ITER = 100
 KMEANS_TOL = 1e-6
 
 
-def _check_seed(seed) -> None:
-    """The seed rule, for a build and a synthetic corpus alike: a non-negative
-    integer, never a bool, so numpy's generator never refuses it unnamed."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-
-
 @dataclass(frozen=True)
 class ChunkerConfig:
     k: int = 40
@@ -79,11 +75,12 @@ class ChunkerConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "k", check_count(self.k, "k"))
+        object.__setattr__(self, "omega", check_real(self.omega, "omega"))
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", check_natural(self.seed, "seed"))
 
 
 def fuse(pset: PatchEmbeddingSet, cfg: ChunkerConfig) -> FusedFeatureSet:
@@ -93,7 +90,7 @@ def fuse(pset: PatchEmbeddingSet, cfg: ChunkerConfig) -> FusedFeatureSet:
     raises ValueError. Normalizing needs no zero-norm check: a
     PatchEmbeddingSet holds no zero vector.
     """
-    v = pset.vectors / np.linalg.norm(pset.vectors, axis=1, keepdims=True)
+    v = unit_rows(pset.vectors)
     p = encode_batch(pset.dim, grid_coords(pset.grid))
     z = (1.0 - cfg.omega) * v + cfg.omega * p
     return FusedFeatureSet(omega=cfg.omega, vectors=z)

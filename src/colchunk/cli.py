@@ -38,14 +38,13 @@ from .store import (
     BuildMeta,
     IndexFormatError,
     ManifestError,
-    _check_id,
     ingest_dump,
     ingest_queries,
     load_manifest,
     read_index,
     write_records,
 )
-from .types import PatchGrid
+from .types import PatchGrid, check_id
 
 METHOD_ALIASES = {"hac": ChunkerConfig.method, **{name: name for name in METHODS}}
 
@@ -183,7 +182,7 @@ def cmd_compress(args) -> int:
 
 def cmd_query(args) -> int:
     # Refused before any work, so no run file is left behind.
-    _check_id(args.run_tag, "query", "--run-tag")
+    check_id(args.run_tag, "query: --run-tag")
     index = read_index(args.index)
     queries = list(ingest_queries(args.queries))
     if not queries:

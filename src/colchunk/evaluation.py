@@ -18,17 +18,11 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import chunker
-from .chunker import ChunkerConfig, _check_seed, compress_ks
+from .chunker import ChunkerConfig, compress_ks
 from .scorer import retrieve_many
-from .store import (
-    BuildMeta,
-    _check_id,
-    read_index,
-    write_embedding_dump,
-    write_query_dump,
-    write_records,
-)
-from .types import CompressedDocument, PatchEmbeddingSet, PatchGrid, QueryEmbeddingSet, check_count
+from .store import BuildMeta, read_index, write_embedding_dump, write_query_dump, write_records
+from .types import CompressedDocument, PatchEmbeddingSet, PatchGrid, QueryEmbeddingSet
+from .types import check_count, check_id, check_natural, check_real, unit_rows
 
 __all__ = [
     "EvalInputError",
@@ -83,9 +77,7 @@ class Qrels:
                 self.add(qid, did, grade)
 
     def add(self, query_id: str, doc_id: str, grade: int) -> None:
-        if grade < 0:
-            raise ValueError(f"grade must be non-negative, got {grade}")
-        self._grades.setdefault(query_id, {})[doc_id] = int(grade)
+        self._grades.setdefault(query_id, {})[doc_id] = check_natural(grade, "grade")
 
     def grade(self, query_id: str, doc_id: str) -> int:
         return self._grades.get(query_id, {}).get(doc_id, 0)
@@ -168,7 +160,7 @@ def evaluate_run(
 def write_run(hits_by_query: Mapping[str, Sequence], fh, run_tag: str = "colchunk") -> None:
     """Emit TREC run lines: ``query_id Q0 doc_id rank score tag``. A ``run_tag``
     that breaks the id rule raises ValueError before any line is written."""
-    _check_id(run_tag, "run", "run_tag")
+    check_id(run_tag, "run: run_tag")
     for qid in hits_by_query:
         for hit in hits_by_query[qid]:
             fh.write(f"{qid} Q0 {hit.doc_id} {hit.rank} {hit.score:.6f} {run_tag}\n")
@@ -231,7 +223,7 @@ class SyntheticSpec:
 
     def __post_init__(self):
         for name in ("num_docs", "num_queries", "dim", "signal_patches", "query_tokens"):
-            check_count(getattr(self, name), name)
+            object.__setattr__(self, name, check_count(getattr(self, name), name))
         if self.num_queries > self.num_docs:
             raise ValueError("every query needs its own relevant document")
         if self.dim % 4 != 0:
@@ -245,9 +237,10 @@ class SyntheticSpec:
             )
         if self.signal_patches > self.grid.n_patches:
             raise ValueError("signal_patches must fit in the grid")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
-            raise ValueError(f"noise_sigma must be non-negative and finite, got {self.noise_sigma}")
-        _check_seed(self.seed)
+        object.__setattr__(self, "noise_sigma", check_real(self.noise_sigma, "noise_sigma"))
+        if self.noise_sigma < 0:
+            raise ValueError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
+        object.__setattr__(self, "seed", check_natural(self.seed, "seed"))
         _block_shape(self.signal_patches, self.grid)  # fail fast if impossible
 
 
@@ -269,10 +262,6 @@ def _block_shape(area: int, grid: PatchGrid) -> tuple[int, int]:
     return best
 
 
-def _unit_rows(arr: np.ndarray) -> np.ndarray:
-    return arr / np.linalg.norm(arr, axis=1, keepdims=True)
-
-
 def generate_corpus(
     spec: SyntheticSpec,
 ) -> tuple[list[PatchEmbeddingSet], list[QueryEmbeddingSet], Qrels]:
@@ -284,14 +273,14 @@ def generate_corpus(
     """
     rng = np.random.default_rng(spec.seed)
     tokens = [
-        _unit_rows(rng.standard_normal((spec.query_tokens, spec.dim)))
+        unit_rows(rng.standard_normal((spec.query_tokens, spec.dim)))
         for _ in range(spec.num_queries)
     ]
     br, bc = _block_shape(spec.signal_patches, spec.grid)
     sigma_component = spec.noise_sigma / math.sqrt(spec.dim)
     docs: list[PatchEmbeddingSet] = []
     for d in range(spec.num_docs):
-        vectors = _unit_rows(rng.standard_normal((spec.grid.n_patches, spec.dim)))
+        vectors = unit_rows(rng.standard_normal((spec.grid.n_patches, spec.dim)))
         if d < spec.num_queries:
             r0 = int(rng.integers(spec.grid.rows - br + 1))
             c0 = int(rng.integers(spec.grid.cols - bc + 1))
@@ -364,7 +353,8 @@ class SweepSpec:
         base = ChunkerConfig(self.base_k, self.base_omega, seed=self.seed)
         configs = [("baseline-k1", replace(base, k=1))]
         configs += [(f"k{k}", replace(base, k=k)) for k in self.k_values]
-        configs += [(f"omega{w:g}", replace(base, omega=w)) for w in self.omega_values]
+        omegas = [replace(base, omega=w) for w in self.omega_values]  # checked before :g
+        configs += [(f"omega{cfg.omega:g}", cfg) for cfg in omegas]
         configs += [(f"method-{m}", replace(base, method=m)) for m in self.methods]
         return configs
 

@@ -52,7 +52,7 @@ from typing import Sequence
 import numpy as np
 
 from .store import CorpusIndex
-from .types import CompressedDocument, QueryEmbeddingSet, check_count
+from .types import CompressedDocument, QueryEmbeddingSet, check_count, unit_rows
 
 __all__ = ["ScoredHit", "maxsim", "retrieve", "retrieve_many"]
 
@@ -70,11 +70,6 @@ class ScoredHit:
     doc_id: str
     score: float
     rank: int
-
-
-def _unit_tokens(query: QueryEmbeddingSet) -> np.ndarray:
-    q = query.vectors
-    return q / np.linalg.norm(q, axis=1, keepdims=True)
 
 
 def _late_interaction(q: np.ndarray, chunks: np.ndarray) -> float:
@@ -95,7 +90,7 @@ def maxsim(query: QueryEmbeddingSet, doc: CompressedDocument) -> float:
             f"dimension mismatch: query '{query.query_id}' has dim {query.dim}, "
             f"doc '{doc.doc_id}' has dim {doc.dim}"
         )
-    return _late_interaction(_unit_tokens(query), doc.chunks)
+    return _late_interaction(unit_rows(query.vectors), doc.chunks)
 
 
 def _runs(offsets: np.ndarray, cap: int):
@@ -177,7 +172,7 @@ def retrieve_many(
             for position, (doc_id, score) in enumerate(scored[:top_k])
         ]
 
-    units = [_unit_tokens(query) for query in queries]
+    units = [unit_rows(query.vectors) for query in queries]
     if top_k >= n:
         return [ranked(q, range(n)) for q in units]
     token_offsets = np.cumsum([0] + [len(q) for q in units])

@@ -34,8 +34,8 @@ strings; ``dim``, ``n_vectors``, ``rows`` and ``cols`` are counts by
 ``types.check_count``, so a float (``4.0``, or ``1e400``, which JSON reads as
 infinity), a string or a bool is refused, never converted. The loader, the
 writers and ``CorpusIndex`` (so ``read_index`` too) check ids by one rule,
-``_check_id``: non-empty with no whitespace, since run and qrels lines are
-whitespace-separated fields; ``_check_unique`` refuses repeats. The writers
+``types.check_id``: non-empty with no whitespace, since run and qrels lines
+are whitespace-separated fields; ``_check_unique`` refuses repeats. The writers
 name each raw file after its id, so after the id rule they reject ids that
 are not safe file names: ``.``, ``..`` and any id holding ``/``, ``\\`` or
 NUL. The loader rejects entry paths that are absolute or have a ``..``
@@ -47,7 +47,6 @@ type rejects (non-finite or zero-norm) raise ManifestError on ingest too.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
@@ -64,6 +63,9 @@ from .types import (
     QueryEmbeddingSet,
     check_compressed,
     check_count,
+    check_id,
+    check_real,
+    check_string,
 )
 
 __all__ = [
@@ -102,8 +104,8 @@ class BuildMeta:
     """Provenance of an index, persisted verbatim in the JSON trailer.
 
     Construction raises ValueError unless ``omega`` and ``posenc_base`` are
-    finite JSON numbers, ``k_target`` a count (stored as an int) and the rest
-    JSON strings, and unless ``ChunkerConfig(k_target, omega, method)``
+    numbers and ``k_target`` a count, each stored as its rule returns it, and
+    the rest JSON strings, and unless ``ChunkerConfig(k_target, omega, method)``
     accepts the build, so every instance writes a trailer the reader accepts.
     """
 
@@ -117,12 +119,10 @@ class BuildMeta:
     def __post_init__(self):
         where = "build metadata"
         for name in ("omega", "posenc_base"):
-            value = getattr(self, name)
-            if not (type(value) is int or isinstance(value, float) and math.isfinite(value)):
-                raise ValueError(f"{where}: {name} must be a finite JSON number, got {value!r:.40}")
+            object.__setattr__(self, name, check_real(getattr(self, name), f"{where}: {name}"))
         object.__setattr__(self, "k_target", check_count(self.k_target, f"{where}: k_target"))
         for name in ("method", "tool_version", "embedding_location"):
-            _string(getattr(self, name), where, name)
+            check_string(getattr(self, name), f"{where}: {name}")
         try:
             ChunkerConfig(self.k_target, self.omega, self.method)
         except ValueError as exc:
@@ -373,21 +373,6 @@ class EmbeddingDumpManifest:
     root: Path = field(default_factory=Path)
 
 
-def _string(value, where: str, field: str) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"{where}: {field} must be a JSON string, got {value!r:.40}")
-    return value
-
-
-def _check_id(item_id, where: str, field: str) -> str:
-    """The id rule, for doc and query ids alike: a string, non-empty and with
-    no whitespace, which would split the id across fields of a run or qrels
-    line (``str.split`` splits on ``str.isspace``)."""
-    if _string(item_id, where, field).split() != [item_id]:
-        raise ValueError(f"{where}: {field} {item_id!r:.40} is empty or holds whitespace")
-    return item_id
-
-
 def _check_unique(ids, field: str, where: str) -> None:
     """The uniqueness rule: no id repeats; the error names the first repeat."""
     seen: set[str] = set()
@@ -402,7 +387,7 @@ def _encoded_ids(ids) -> list[bytes]:
     is unique and fits the record's u16 length; ValueError otherwise."""
     encoded = []
     for doc_id in ids:
-        id_bytes = _check_id(doc_id, "index", "doc_id").encode("utf-8")
+        id_bytes = check_id(doc_id, "index: doc_id").encode("utf-8")
         if len(id_bytes) > 0xFFFF:
             raise ValueError(
                 f"doc_id {doc_id!r:.40} of {len(id_bytes)} bytes exceeds the u16 length field"
@@ -412,11 +397,10 @@ def _encoded_ids(ids) -> list[bytes]:
     return encoded
 
 
-def _check_file_name(item_id, where: str, field: str) -> None:
+def _check_file_name(item_id, name: str) -> None:
     """A writer's id: the id rule, then a safe name for the raw file named after it."""
-    _check_id(item_id, where, field)
-    if item_id in (".", "..") or any(c in item_id for c in "/\\\0"):
-        raise ValueError(f"{where}: {field} {item_id!r} is not a safe file name")
+    if check_id(item_id, name) in (".", "..") or any(c in item_id for c in "/\\\0"):
+        raise ValueError(f"{name} {item_id!r} is not a safe file name")
 
 
 def _load(path: str | Path, id_key: str) -> EmbeddingDumpManifest:
@@ -442,8 +426,8 @@ def _load(path: str | Path, id_key: str) -> EmbeddingDumpManifest:
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"{kind} manifest entry {i} is malformed: {exc}") from exc
             where = f"{kind} manifest entry {i}"
-            item_id = _check_id(item_id, where, id_key)
-            rel = _string(rel, where, "path")
+            item_id = check_id(item_id, f"{where}: {id_key}")
+            rel = check_string(rel, f"{where}: path")
             n_vectors = check_count(n_vectors, f"{where}: n_vectors")
             if rows_cols:
                 rows_cols = (check_count(rows_cols[0], f"{where}: rows"),
@@ -464,7 +448,7 @@ def _load(path: str | Path, id_key: str) -> EmbeddingDumpManifest:
                 found = False
             if not found:
                 raise ValueError(f"{kind} '{entry.id}': raw file {entry.path} not found")
-        location = _string(data.get("location", ""), f"{kind} manifest {p}", "location")
+        location = check_string(data.get("location", ""), f"{kind} manifest {p}: location")
     except ValueError as exc:
         raise ManifestError(str(exc)) from exc
     return EmbeddingDumpManifest(dim=dim, entries=tuple(entries), location=location, root=p.parent)
@@ -538,7 +522,7 @@ def _write_dump(
         raise ValueError(f"refusing to write an empty {kind} dump")
     dim = items[0][1]
     for i, (item_id, item_dim, _, _) in enumerate(items):
-        _check_file_name(item_id, f"{kind} dump entry {i}", id_key)
+        _check_file_name(item_id, f"{kind} dump entry {i}: {id_key}")
         if item_dim != dim:
             raise ValueError(f"{kind} '{item_id}' has dim {item_dim}, dump expects {dim}")
     _check_unique([item[0] for item in items], id_key, f"the {kind} dump")

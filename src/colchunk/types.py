@@ -5,14 +5,17 @@ bags of token embeddings. Compression replaces each page by a small set of
 unit-norm chunk vectors. Every type checks its invariants at construction
 and raises ValueError on a violation, so an instance that exists is valid.
 Arrays are float64 in memory and made read-only at construction, so no
-caller can break an invariant after the check. ``check_compressed`` is the
-one compressed-document rule, shared with ``store``; ``check_count`` is the
-one rule for every count: k, top_k, dim, grid sides and manifest counts.
+caller can break an invariant after the check. Each rule is stated here once
+and returns the value to store: ``check_count`` for counts, ``check_natural``
+for seeds and grades, ``check_real`` for numbers, ``check_string`` and
+``check_id`` for strings and ids, and ``check_compressed`` for compressed
+documents. ``unit_rows`` is the one row normalization.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +29,12 @@ __all__ = [
     "QueryEmbeddingSet",
     "check_compressed",
     "check_count",
+    "check_id",
+    "check_natural",
+    "check_real",
+    "check_string",
     "grid_coords",
+    "unit_rows",
 ]
 
 UNIT_NORM_TOL = 1e-6
@@ -54,6 +62,41 @@ def check_count(value, name: str) -> int:
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")
     return int(value)
+
+
+def check_natural(value, name: str) -> int:
+    """The seed and grade rule: ``check_count``'s rule starting from 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r:.40}")
+    return int(value)
+
+
+def check_real(value, name: str) -> int | float:
+    """The number rule: a finite Python or numpy integer or float, never a bool,
+    returned as a Python value (a Python one unchanged, so trailers keep their bytes)."""
+    value = value.item() if isinstance(value, (np.integer, np.floating)) else value
+    finite = isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+    if isinstance(value, bool) or not finite:
+        raise ValueError(f"{name} must be a finite number, got {value!r:.40}")
+    return value
+
+
+def check_string(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a JSON string, got {value!r:.40}")
+    return value
+
+
+def check_id(value, name: str) -> str:
+    """The id rule, for doc, query and run ids: a string, non-empty and with no
+    whitespace, which would split the id across a run or qrels line's fields."""
+    if check_string(value, name).split() != [value]:
+        raise ValueError(f"{name} {value!r:.40} is empty or holds whitespace")
+    return value
+
+
+def unit_rows(x: np.ndarray) -> np.ndarray:
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 def check_compressed(ids, dim: int, offsets, chunks: np.ndarray, sizes: np.ndarray) -> None:
@@ -189,6 +232,7 @@ class PatchEmbeddingSet:
     def __post_init__(self):
         arr = _freeze(self, "vectors", self.vectors)
         owner = f"doc '{self.doc_id}'"
+        object.__setattr__(self, "dim", check_count(self.dim, f"{owner}: dim"))
         if arr.shape[0] != self.grid.n_patches:
             raise ValueError(f"{owner}: count mismatch: {arr.shape[0]} != {self.grid.n_patches}")
         _check_rows(owner, self.dim, arr)
@@ -207,6 +251,7 @@ class FusedFeatureSet:
 
     def __post_init__(self):
         arr = _freeze(self, "vectors", self.vectors)
+        object.__setattr__(self, "omega", check_real(self.omega, "omega"))
         if not 0.0 <= self.omega <= 1.0:
             raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
         if not np.isfinite(arr).all():
@@ -256,8 +301,10 @@ class CompressedDocument:
         chunks = _freeze(self, "chunks", self.chunks, ndim=None)
         # Checked before the int64 copy, which would truncate a fraction or
         # wrap a size past int64.
-        k = check_count(self.k, f"doc '{self.doc_id}': k")
-        check_compressed((self.doc_id,), self.dim, (0, k), chunks, np.asarray(self.chunk_sizes))
+        owner = f"doc '{self.doc_id}'"
+        for name in ("k", "dim"):
+            object.__setattr__(self, name, check_count(getattr(self, name), f"{owner}: {name}"))
+        check_compressed([self.doc_id], self.dim, (0, self.k), chunks, np.asarray(self.chunk_sizes))
         _freeze(self, "chunk_sizes", self.chunk_sizes, np.int64, None)
 
 
@@ -276,7 +323,9 @@ class QueryEmbeddingSet:
         arr = _freeze(self, "vectors", self.vectors)
         if arr.shape[0] == 0:
             raise ValueError("a query needs at least one token vector")
-        _check_rows(f"query '{self.query_id}'", self.dim, arr)
+        owner = f"query '{self.query_id}'"
+        object.__setattr__(self, "dim", check_count(self.dim, f"{owner}: dim"))
+        _check_rows(owner, self.dim, arr)
 
     @property
     def n_tokens(self) -> int:

@@ -573,9 +573,9 @@ CLI_ERROR_CASES = {
                                       "--out", "{out}/b.csv"], "its own relevant document"),
     # the generator would write non-finite vectors, refused under a document's name
     "bench-nan-noise": (["bench", "--noise-sigma", "nan", "--out", "{out}/b.csv"],
-                        "noise_sigma must be non-negative and finite, got nan"),
+                        "noise_sigma must be a finite number, got nan"),
     "bench-inf-noise": (["bench", "--noise-sigma", "inf", "--out", "{out}/b.csv"],
-                        "noise_sigma must be non-negative and finite, got inf"),
+                        "noise_sigma must be a finite number, got inf"),
     # refused when the spec is built, before a single vector is drawn: the
     # Ward baseline row could never cluster such a page
     "bench-oversized-grid": (["bench", "--grid-rows", "100000", "--grid-cols", "100000",

@@ -1,6 +1,7 @@
 """Refusals that no other test reaches: each bad argument raises its typed
 error with its message, and leaves no file behind. Every count a caller
-passes obeys one rule, ``types.check_count``."""
+passes obeys one rule, ``types.check_count``; every number one rule,
+``types.check_real``; every seed and grade one rule, ``types.check_natural``."""
 
 import json
 import re
@@ -32,6 +33,7 @@ from colchunk.store import (
 from colchunk.types import (
     CompressedDocument,
     FusedFeatureSet,
+    PatchEmbeddingSet,
     PatchGrid,
     QueryEmbeddingSet,
     check_compressed,
@@ -128,6 +130,30 @@ COUNTS = {
 }
 
 
+# The number rule, ``types.check_real``, at each site: name -> (action on an
+# empty directory and a number, the number's name in the message).
+NUMBERS = {
+    "config-omega": (lambda tmp, x: ChunkerConfig(omega=x), "omega"),
+    "fused-omega": (lambda tmp, x: FusedFeatureSet(omega=x, vectors=np.eye(2, 4)), "omega"),
+    "sweep-omega-values": (lambda tmp, x: SweepSpec(omega_values=(x,)), "omega"),
+    "sweep-base-omega": (lambda tmp, x: SweepSpec(base_omega=x), "omega"),
+    "build-meta-posenc-base": (
+        lambda tmp, x: replace(META, posenc_base=x), "build metadata: posenc_base"),
+    "synthetic-noise-sigma": (lambda tmp, x: synthetic(noise_sigma=x), "noise_sigma"),
+}
+
+# Integers that each constructor checks and stores: name -> (action on an
+# empty directory and an integer, the start of the message).
+INTEGERS = {
+    "qrels-grade": (lambda tmp, n: Qrels({"q": {"d": n}}),
+                    "grade must be a non-negative integer"),
+    "pset-dim": (lambda tmp, n: PatchEmbeddingSet("d", n, PatchGrid(1, 1), np.eye(1, 4)),
+                 "doc 'd': dim must be an integer"),
+    "query-dim": (lambda tmp, n: QueryEmbeddingSet("q", n, np.eye(1, 4)),
+                  "query 'q': dim must be an integer"),
+}
+
+
 # name -> (action on an empty directory, error type, fragment of the message)
 REFUSALS = {
     "index-doc-of-another-dim": (
@@ -210,6 +236,16 @@ REFUSALS = {
                           f"{name} must be an integer, got {bad!r}")
        for site, (act, name, error, _) in COUNTS.items()
        for kind, bad in (("bool", True), ("float", 2.5), ("str", "3"))},
+    # a bool and a string at every number site
+    **{f"{site}-{kind}": (lambda tmp, act=act, bad=bad: act(tmp, bad), ValueError,
+                          f"{name} must be a finite number, got {bad!r}")
+       for site, (act, name) in NUMBERS.items()
+       for kind, bad in (("bool", True), ("str", "0.5"))},
+    # a bool, a string and a fraction at every newly checked integer
+    **{f"{site}-{kind}": (lambda tmp, act=act, bad=bad: act(tmp, bad), ValueError,
+                          f"{start}, got {bad!r}")
+       for site, (act, start) in INTEGERS.items()
+       for kind, bad in (("bool", True), ("str", "1"), ("float", 1.5))},
 }
 
 
@@ -242,3 +278,39 @@ def test_numpy_sweep_k_gives_the_same_rows(tmp_path):
 
     assert rows(np.int64(8)) == rows(8)
     assert [type(row.k) for row in rows(np.int64(8))] == [int, int]
+
+
+# A numpy value is stored as its Python value: site -> (stored value, wanted value).
+NUMPY_STORED = {
+    "config-omega": lambda: (ChunkerConfig(omega=np.float32(0.5)).omega, 0.5),
+    "config-seed": lambda: (ChunkerConfig(seed=np.int64(3)).seed, 3),
+    "fused-omega": lambda: (FusedFeatureSet(np.float64(0.25), np.eye(2, 4)).omega, 0.25),
+    "build-meta-omega": lambda: (replace(META, omega=np.float32(0.5)).omega, 0.5),
+    "build-meta-posenc-base": lambda: (replace(META, posenc_base=np.int64(100)).posenc_base, 100),
+    "compressed-doc-k": lambda: (doc(k=np.int64(1)).k, 1),
+    "compressed-doc-dim": lambda: (doc(dim=np.int64(4)).dim, 4),
+    "pset-dim": lambda: (PatchEmbeddingSet("d", np.int64(4), PatchGrid(1, 1), np.eye(1, 4)).dim, 4),
+    "query-dim": lambda: (QueryEmbeddingSet("q", np.int32(4), np.eye(1, 4)).dim, 4),
+    "synthetic-noise-sigma": lambda: (synthetic(noise_sigma=np.float32(0.5)).noise_sigma, 0.5),
+    "synthetic-seed": lambda: (synthetic(seed=np.uint8(7)).seed, 7),
+}
+
+
+@pytest.mark.parametrize("site", list(NUMPY_STORED))
+def test_numpy_value_is_stored_as_a_python_one(site):
+    stored, want = NUMPY_STORED[site]()
+    assert type(stored) is type(want) and stored == want
+
+
+def test_numpy_sweep_omega_gives_the_same_rows(tmp_path):
+    docs, queries, qrels = generate_corpus(
+        SyntheticSpec(num_docs=6, num_queries=2, grid=PatchGrid(4, 4), dim=8, signal_patches=4,
+                      query_tokens=4, seed=3))
+
+    def rows(omega):
+        found = run_ablation(docs, queries, qrels, SweepSpec(omega_values=(omega,), base_k=4),
+                             scratch_dir=tmp_path)
+        return [replace(row, wall_ms=0.0) for row in found]
+
+    assert rows(np.float32(0.5)) == rows(0.5)
+    assert [type(row.omega) for row in rows(np.float32(0.5))] == [float, float]

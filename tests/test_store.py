@@ -409,9 +409,9 @@ class TestIndexCorruption:
             BuildMeta.from_dict({"k_target": 40})
 
     @pytest.mark.parametrize("field,value,problem", [
-        ("omega", "0.2", "omega must be a finite JSON number, got '0.2'"),
-        ("omega", float("nan"), "omega must be a finite JSON number, got nan"),
-        ("posenc_base", True, "posenc_base must be a finite JSON number, got True"),
+        ("omega", "0.2", "omega must be a finite number, got '0.2'"),
+        ("omega", float("nan"), "omega must be a finite number, got nan"),
+        ("posenc_base", True, "posenc_base must be a finite number, got True"),
         ("k_target", 4.0, "k_target must be an integer, got 4.0"),
         ("k_target", 0, "k_target must be at least 1, got 0"),
         ("method", None, "method must be a JSON string, got None"),
