@@ -27,7 +27,7 @@ from .types import (
     PatchEmbeddingSet,
     check_count,
     check_natural,
-    check_real,
+    check_omega,
     grid_coords,
     unit_rows,
 )
@@ -75,9 +75,7 @@ class ChunkerConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "k", check_count(self.k, "k"))
-        object.__setattr__(self, "omega", check_real(self.omega, "omega"))
-        if not 0.0 <= self.omega <= 1.0:
-            raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
+        object.__setattr__(self, "omega", check_omega(self.omega))
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         object.__setattr__(self, "seed", check_natural(self.seed, "seed"))

@@ -44,7 +44,7 @@ from .store import (
     read_index,
     write_records,
 )
-from .types import PatchGrid, check_id
+from .types import PatchGrid, check_id, check_omega
 
 METHOD_ALIASES = {"hac": ChunkerConfig.method, **{name: name for name in METHODS}}
 
@@ -69,15 +69,17 @@ def _unit_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"omega must lie in [0, 1], got {value}")
-    return value
+    try:
+        return check_omega(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _method(text: str) -> str:
     name = text.strip()
     if name not in METHOD_ALIASES:
-        raise argparse.ArgumentTypeError(f"unknown method {name!r}")
+        raise argparse.ArgumentTypeError(f"unknown method {name!r} (choose from "
+                                         f"{', '.join(map(repr, sorted(METHOD_ALIASES)))})")
     return METHOD_ALIASES[name]
 
 
@@ -104,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--omega", type=_unit_float, default=ChunkerConfig.omega, help="positional weight"
     )
     p_compress.add_argument(
-        "--method", choices=sorted(METHOD_ALIASES), default="hac", help="clustering method"
+        "--method", type=_method, default=ChunkerConfig.method, help="clustering method"
     )
     p_compress.add_argument("--seed", type=int, default=ChunkerConfig.seed, help="k-means seed")
     p_compress.add_argument("--threads", type=_positive_int, help=THREADS_HELP)
@@ -155,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_compress(args) -> int:
-    cfg = ChunkerConfig(args.k, args.omega, METHOD_ALIASES[args.method], args.seed)
+    cfg = ChunkerConfig(args.k, args.omega, args.method, args.seed)
     manifest = load_manifest(args.manifest)
     if not manifest.entries:
         raise ManifestError("the dump manifest lists no documents")

@@ -21,7 +21,7 @@ from . import chunker
 from .chunker import ChunkerConfig, compress_ks
 from .scorer import retrieve_many
 from .store import BuildMeta, read_index, write_embedding_dump, write_query_dump, write_records
-from .types import CompressedDocument, PatchEmbeddingSet, PatchGrid, QueryEmbeddingSet
+from .types import PatchEmbeddingSet, PatchGrid, QueryEmbeddingSet
 from .types import check_count, check_id, check_natural, check_real, unit_rows
 
 __all__ = [
@@ -371,41 +371,6 @@ class AblationRow:
     wall_ms: float
 
 
-def _measure_config(
-    config_id: str,
-    compressed: list[CompressedDocument],
-    queries: list[QueryEmbeddingSet],
-    qrels: Qrels,
-    cfg: ChunkerConfig,
-    scratch: Path,
-    compress_ms: float,
-) -> AblationRow:
-    """Write one configuration's compressed pages as an index file, read it
-    back and rank and score it, as ``compress``, ``query`` and ``eval`` do.
-
-    The row's ``wall_ms`` is ``compress_ms`` plus the time spent here.
-    """
-    start = time.perf_counter()
-    meta = BuildMeta.for_config(cfg, "synthetic")
-    index_path = scratch / f"{config_id}.cchk"
-    records = ((d.chunks, d.chunk_sizes) for d in compressed)
-    write_records(index_path, compressed[0].dim, [d.doc_id for d in compressed], meta, records)
-    hits = retrieve_many(queries, read_index(index_path), top_k=NDCG_CUTOFF)
-    run = {q.query_id: [h.doc_id for h in q_hits] for q, q_hits in zip(queries, hits)}
-    _, mean = evaluate_run(run, qrels, k=NDCG_CUTOFF)
-    wall_ms = compress_ms + (time.perf_counter() - start) * 1000.0
-    return AblationRow(
-        config_id=config_id,
-        method=cfg.method,
-        k=cfg.k,
-        omega=cfg.omega,
-        mean_ndcg_at_5=mean,
-        vectors_per_doc=float(np.mean([doc.k for doc in compressed])),
-        index_bytes=index_path.stat().st_size,
-        wall_ms=wall_ms,
-    )
-
-
 def run_ablation(
     docs: Iterable[PatchEmbeddingSet],
     queries: Iterable[QueryEmbeddingSet],
@@ -416,7 +381,8 @@ def run_ablation(
     """Compress, index, retrieve, and score one row per swept configuration.
 
     Emits one row per ``sweep.configs()`` entry, in that order. Each row's
-    index is a real file under ``scratch_dir``, ranked as read back.
+    compressed pages are written as an index file under ``scratch_dir``,
+    read back, ranked and scored, as ``compress``, ``query`` and ``eval`` do.
 
     Configurations sharing (omega, method) are compressed together, page by
     page with ``compress_ks``: one fusion and, for Ward, one dendrogram per
@@ -435,19 +401,28 @@ def run_ablation(
         groups.setdefault((cfg.omega, cfg.method), []).append(i)
     rows: dict[int, AblationRow] = {}
     with tempfile.TemporaryDirectory(dir=scratch_dir) as tmp:
-        scratch = Path(tmp)
         for members in groups.values():
             cfgs = [configs[i][1] for i in members]
             start = time.perf_counter()
             per_page = [compress_ks(s, cfgs) for s in doc_list]
             compress_ms = (time.perf_counter() - start) * 1000.0
             for j, i in enumerate(members):
+                start = time.perf_counter()
                 config_id, cfg = configs[i]
                 compressed = [page[j] for page in per_page]
-                rows[i] = _measure_config(
-                    config_id, compressed, query_list, qrels, cfg, scratch,
-                    compress_ms if j == 0 else 0.0,
-                )
+                path = Path(tmp, f"{config_id}.cchk")
+                write_records(path, compressed[0].dim, [d.doc_id for d in compressed],
+                              BuildMeta.for_config(cfg, "synthetic"),
+                              ((d.chunks, d.chunk_sizes) for d in compressed))
+                hits = retrieve_many(query_list, read_index(path), top_k=NDCG_CUTOFF)
+                run = {q.query_id: [h.doc_id for h in hs] for q, hs in zip(query_list, hits)}
+                _, mean = evaluate_run(run, qrels, k=NDCG_CUTOFF)
+                rows[i] = AblationRow(
+                    config_id, cfg.method, cfg.k, cfg.omega, mean_ndcg_at_5=mean,
+                    vectors_per_doc=float(np.mean([d.k for d in compressed])),
+                    index_bytes=path.stat().st_size,
+                    wall_ms=compress_ms + (time.perf_counter() - start) * 1000.0)
+                compress_ms = 0.0  # charged to the group's first row only
     return [rows[i] for i in range(len(configs))]
 
 

@@ -7,9 +7,9 @@ and raises ValueError on a violation, so an instance that exists is valid.
 Arrays are float64 in memory and made read-only at construction, so no
 caller can break an invariant after the check. Each rule is stated here once
 and returns the value to store: ``check_count`` for counts, ``check_natural``
-for seeds and grades, ``check_real`` for numbers, ``check_string`` and
-``check_id`` for strings and ids, and ``check_compressed`` for compressed
-documents. ``unit_rows`` is the one row normalization.
+for seeds and grades, ``check_real`` for numbers and ``check_omega`` for omega,
+``check_string`` and ``check_id`` for strings and ids, and ``check_compressed``
+for compressed documents. ``unit_rows`` is the one row normalization.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ __all__ = [
     "check_count",
     "check_id",
     "check_natural",
+    "check_omega",
     "check_real",
     "check_string",
     "grid_coords",
@@ -80,6 +81,12 @@ def check_real(value, name: str) -> int | float:
         raise ValueError(f"{name} must be a finite number, got {value!r:.40}")
     return value
 
+
+def check_omega(value, name: str = "omega") -> int | float:
+    """The fusion weight rule: ``check_real``'s, then the interval [0, 1]."""
+    if not 0.0 <= (value := check_real(value, name)) <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r:.40}")
+    return value
 
 def check_string(value, name: str) -> str:
     if not isinstance(value, str):
@@ -251,9 +258,7 @@ class FusedFeatureSet:
 
     def __post_init__(self):
         arr = _freeze(self, "vectors", self.vectors)
-        object.__setattr__(self, "omega", check_real(self.omega, "omega"))
-        if not 0.0 <= self.omega <= 1.0:
-            raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
+        object.__setattr__(self, "omega", check_omega(self.omega))
         if not np.isfinite(arr).all():
             raise ValueError("fused features must be finite")
 
