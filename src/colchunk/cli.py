@@ -44,7 +44,7 @@ from .store import (
     read_index,
     write_records,
 )
-from .types import PatchGrid, check_id, check_omega
+from .types import PatchGrid, check_decimal, check_id, check_omega
 
 METHOD_ALIASES = {"hac": ChunkerConfig.method, **{name: name for name in METHODS}}
 
@@ -54,23 +54,30 @@ MISSING_SHOWN = 5
 THREADS_HELP = "accepted for compatibility and has no effect: everything runs on one thread"
 
 
+def _decimal(parse, expected: str):
+    """An argparse type: ``parse`` of text that obeys ``types.check_decimal``. So
+    ``--k 1_0`` is a usage error, and ``--seed -1`` parses for its rule to refuse."""
+    def read(text: str):
+        try:
+            return parse(check_decimal(text, "flag"))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return read
+
+
+_int = _decimal(int, "an integer")
+_number = _decimal(float, "a number")
+
+
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
+    if (value := _int(text)) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
 
 
 def _unit_float(text: str) -> float:
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    try:
-        return check_omega(value)
+        return check_omega(_number(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
@@ -108,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compress.add_argument(
         "--method", type=_method, default=ChunkerConfig.method, help="clustering method"
     )
-    p_compress.add_argument("--seed", type=int, default=ChunkerConfig.seed, help="k-means seed")
+    p_compress.add_argument("--seed", type=_int, default=ChunkerConfig.seed, help="k-means seed")
     p_compress.add_argument("--threads", type=_positive_int, help=THREADS_HELP)
     p_compress.set_defaults(handler=cmd_compress)
 
@@ -136,9 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--signal-patches", type=_positive_int, default=SyntheticSpec.signal_patches
     )
-    p_bench.add_argument("--noise-sigma", type=float, default=SyntheticSpec.noise_sigma)
+    p_bench.add_argument("--noise-sigma", type=_number, default=SyntheticSpec.noise_sigma)
     p_bench.add_argument("--query-tokens", type=_positive_int, default=SyntheticSpec.query_tokens)
-    p_bench.add_argument("--seed", type=int, default=SyntheticSpec.seed)
+    p_bench.add_argument("--seed", type=_int, default=SyntheticSpec.seed)
     p_bench.add_argument("--sweep-k", type=_comma_list(_positive_int), default=())
     p_bench.add_argument("--sweep-omega", type=_comma_list(_unit_float), default=())
     p_bench.add_argument("--methods", type=_comma_list(_method), default=())

@@ -22,7 +22,7 @@ from .chunker import ChunkerConfig, compress_ks
 from .scorer import retrieve_many
 from .store import BuildMeta, read_index, write_embedding_dump, write_query_dump, write_records
 from .types import PatchEmbeddingSet, PatchGrid, QueryEmbeddingSet
-from .types import check_count, check_id, check_natural, check_real, unit_rows
+from .types import check_count, check_decimal, check_id, check_natural, check_real, unit_rows
 
 __all__ = [
     "EvalInputError",
@@ -94,10 +94,9 @@ class Qrels:
 
     @classmethod
     def from_file(cls, path) -> "Qrels":
-        """Parse TREC qrels lines: ``query_id 0 doc_id grade``.
-
-        A (query, doc) pair may repeat only with the same grade; a second,
-        different grade raises EvalInputError naming its line.
+        """Parse TREC qrels lines: ``query_id 0 doc_id grade``, each grade a
+        ``check_decimal`` non-negative integer. A (query, doc) pair may repeat
+        only with the same grade. A bad line raises EvalInputError naming it.
         """
         qrels = cls()
         for lineno, parts in _fields(path):
@@ -106,7 +105,7 @@ class Qrels:
             qid, _, did, grade = parts
             earlier = qrels._grades.get(qid, {}).get(did)
             try:
-                qrels.add(qid, did, int(grade))
+                qrels.add(qid, did, int(check_decimal(grade, "grade")))
             except ValueError as exc:
                 raise EvalInputError(f"qrels line {lineno}: {exc}") from exc
             if earlier is not None and earlier != qrels.grade(qid, did):
@@ -169,8 +168,9 @@ def write_run(hits_by_query: Mapping[str, Sequence], fh, run_tag: str = "colchun
 def read_run(path) -> dict[str, list[str]]:
     """Parse a TREC run file back into per-query rankings ordered by rank.
 
-    A query may list each doc once and use each rank once; a repeat raises
-    EvalInputError naming its line, since a doc counted twice inflates nDCG.
+    Each rank is an integer and each score a finite number, in ``check_decimal``
+    text. A query may list each doc once and use each rank once, since a doc
+    counted twice inflates nDCG. A bad line raises EvalInputError naming it.
     """
     raw: dict[str, dict[int, str]] = {}
     listed: set[tuple[str, str]] = set()
@@ -179,8 +179,8 @@ def read_run(path) -> dict[str, list[str]]:
             raise EvalInputError(f"run line {lineno}: expected 6 fields, got {len(parts)}")
         qid, _, did, rank, score, _ = parts
         try:
-            rank_i = int(rank)
-            float(score)
+            rank_i = int(check_decimal(rank, "rank"))
+            check_real(float(check_decimal(score, "score")), "score")
         except ValueError as exc:
             raise EvalInputError(f"run line {lineno}: {exc}") from exc
         ranking = raw.setdefault(qid, {})
@@ -239,7 +239,7 @@ class SyntheticSpec:
             raise ValueError("signal_patches must fit in the grid")
         object.__setattr__(self, "noise_sigma", check_real(self.noise_sigma, "noise_sigma"))
         if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
+            raise ValueError(f"noise_sigma must be non-negative, got {self.noise_sigma!r:.40}")
         object.__setattr__(self, "seed", check_natural(self.seed, "seed"))
         _block_shape(self.signal_patches, self.grid)  # fail fast if impossible
 

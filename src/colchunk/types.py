@@ -8,8 +8,9 @@ Arrays are float64 in memory and made read-only at construction, so no
 caller can break an invariant after the check. Each rule is stated here once
 and returns the value to store: ``check_count`` for counts, ``check_natural``
 for seeds and grades, ``check_real`` for numbers and ``check_omega`` for omega,
-``check_string`` and ``check_id`` for strings and ids, and ``check_compressed``
-for compressed documents. ``unit_rows`` is the one row normalization.
+``check_decimal`` for number text, ``check_string`` and ``check_id`` for
+strings and ids, and ``check_compressed`` for compressed documents.
+``unit_rows`` is the one row normalization.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "QueryEmbeddingSet",
     "check_compressed",
     "check_count",
+    "check_decimal",
     "check_id",
     "check_natural",
     "check_omega",
@@ -87,6 +89,16 @@ def check_omega(value, name: str = "omega") -> int | float:
     if not 0.0 <= (value := check_real(value, name)) <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r:.40}")
     return value
+
+
+def check_decimal(text: str, name: str) -> str:
+    """The number text rule, for text from a file or a flag before ``int()`` or
+    ``float()`` reads it: ASCII with no ``_``, which they would read as a digit
+    separator (``'1_0'`` as 10), as they read non-ASCII digits (``'١'`` as 1)."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{name} must be ASCII with no '_', got {text!r:.40}")
+    return text
+
 
 def check_string(value, name: str) -> str:
     if not isinstance(value, str):

@@ -96,6 +96,16 @@ class TestCompress:
         assert proc.returncode == 0, proc.stderr
         assert read_index(index).build_meta.method == "kmeans"
 
+    def test_method_is_read_as_bench_reads_it(self, dataset, tmp_path, capsys):
+        # compress --method and bench --methods share one parser, which
+        # strips the blanks around a name
+        indexes = [tmp_path / "plain.cchk", tmp_path / "padded.cchk"]
+        for index, method in zip(indexes, ["kmeans", " kmeans"]):
+            argv = ["compress", str(dataset.doc_manifest), str(index), "--k", "4",
+                    "--method", method, "--seed", "3"]
+            assert cli.main(argv) == 0
+        assert indexes[0].read_bytes() == indexes[1].read_bytes()
+
     def test_zero_k_is_usage_error(self, dataset, tmp_path):
         proc = run_cli("compress", str(dataset.doc_manifest),
                        str(tmp_path / "x.cchk"), "--k", "0")
@@ -481,6 +491,8 @@ def bad_inputs(dataset, index_path, tmp_path_factory):
     write("bool_k_trailer.cchk", with_trailer(blob, bad_meta.encode()))
     far_meta = json.dumps(dict(meta, omega=5), sort_keys=True, separators=(",", ":"))
     write("out_of_range_trailer.cchk", with_trailer(blob, far_meta.encode()))
+    huge_meta = json.dumps(dict(meta, omega=10**400), sort_keys=True, separators=(",", ":"))
+    write("huge_omega_trailer.cchk", with_trailer(blob, huge_meta.encode()))
     # the first doc's id starts after the 20-byte header and its u16 length
     middle = 22 + int.from_bytes(blob[20:22], "little") // 2
     write("space_id.cchk", blob[:middle] + b" " + blob[middle + 1 :])
@@ -488,7 +500,12 @@ def bad_inputs(dataset, index_path, tmp_path_factory):
     write("empty_run.txt", "")
     write("repeated_run.txt", "q1 Q0 d1 1 0.9 t\nq1 Q0 d1 2 0.5 t\n")
     write("non_utf8_run.txt", b"\xff\xfeq1 Q0 d1 1 0.9 t\n")
+    write("separated_rank_run.txt", "q1 Q0 d1 1_0 0.9 t\n")
+    write("nan_score_run.txt", "q1 Q0 d1 1 nan t\n")
+    write("inf_score_run.txt", "q1 Q0 d1 1 inf t\n")
     write("qrels.txt", "q1 0 d1 1\n")
+    write("separated_grade_qrels.txt", "q1 0 d1 1_0\n")
+    write("arabic_indic_grade_qrels.txt", "q1 0 d1 \u0661\n")
     write("conflicting_qrels.txt", "q1 0 d1 1\nq1 0 d1 0\n")
     page = PatchEmbeddingSet(doc_id="p", dim=6, grid=PatchGrid(rows=2, cols=2),
                              vectors=np.random.default_rng(6).normal(size=(4, 6)))
@@ -544,6 +561,10 @@ CLI_ERROR_CASES = {
     "query-out-of-range-trailer": (["query", "{out_of_range_trailer}", "{queries}", "--out",
                                     "{out}/run.txt"],
                                    "build metadata: omega must lie in [0, 1], got 5"),
+    # an integer too large for a float, echoed cut to 40 digits
+    "query-huge-omega-trailer": (["query", "{huge_omega_trailer}", "{queries}", "--out",
+                                  "{out}/run.txt"],
+                                 f"build metadata: omega must lie in [0, 1], got 1{'0' * 39}"),
     # such an id would split its run line into 7 fields, which eval refuses
     "query-space-in-index-id": (["query", "{space_id}", "{queries}", "--out",
                                  "{out}/run.txt"], "is empty or holds whitespace"),
@@ -567,6 +588,19 @@ CLI_ERROR_CASES = {
     "eval-repeated-run-pair": (["eval", "{repeated_run}", "{qrels}"], "run line 2"),
     "eval-non-utf8-run": (["eval", "{non_utf8_run}", "{qrels}"], "is not UTF-8"),
     "eval-conflicting-qrels": (["eval", "{run}", "{conflicting_qrels}"], "qrels line 2"),
+    # int() and float() read '1_0' as 10, the Arabic-Indic digit as 1, and
+    # 'nan' and 'inf' as scores
+    "eval-separated-grade": (["eval", "{run}", "{separated_grade_qrels}"],
+                             "error: qrels line 1: grade must be ASCII with no '_', got '1_0'"),
+    "eval-arabic-indic-grade": (["eval", "{run}", "{arabic_indic_grade_qrels}"],
+                                "error: qrels line 1: grade must be ASCII with no '_', got "
+                                "'\u0661'"),
+    "eval-separated-rank": (["eval", "{separated_rank_run}", "{qrels}"],
+                            "error: run line 1: rank must be ASCII with no '_', got '1_0'"),
+    "eval-nan-score": (["eval", "{nan_score_run}", "{qrels}"],
+                       "error: run line 1: score must be a finite number, got nan"),
+    "eval-inf-score": (["eval", "{inf_score_run}", "{qrels}"],
+                       "error: run line 1: score must be a finite number, got inf"),
     "bench-negative-seed": (["bench", "--seed", "-1", "--out", "{out}/b.csv"],
                             "seed must be a non-negative integer, got -1"),
     "bench-more-queries-than-docs": (["bench", "--num-docs", "2", "--num-queries", "3",
@@ -581,6 +615,38 @@ CLI_ERROR_CASES = {
     "bench-oversized-grid": (["bench", "--grid-rows", "100000", "--grid-cols", "100000",
                               "--out", "{out}/b.csv"],
                              "grid of 10000000000 patches exceeds MAX_HAC_PATCHES = 8192"),
+}
+
+
+# Bench flags for a corpus small enough to build in a moment.
+SMALL_BENCH = ["bench", "--num-docs", "4", "--num-queries", "2", "--grid-rows", "4",
+               "--grid-cols", "4", "--dim", "16", "--signal-patches", "4", "--query-tokens",
+               "4", "--k", "4", "--out", "{out}/b.csv"]
+
+# name -> (argv, the error argparse prints after ``argument``): flag text that
+# its parser refuses, exit 2 before any work. ``{name}`` as in CLI_ERROR_CASES.
+# A number flag's text obeys ``types.check_decimal``: int() and float() would
+# read '1_0' as 10 and the Arabic-Indic four as 4.
+CLI_USAGE_CASES = {
+    "compress-arabic-indic-k": (["compress", "{manifest}", "{out}/x.cchk", "--k", "\u0664"],
+                                "--k: expected an integer, got '\u0664'"),
+    "compress-separated-seed": (["compress", "{manifest}", "{out}/x.cchk", "--seed", "1_0"],
+                                "--seed: expected an integer, got '1_0'"),
+    "compress-separated-omega": (["compress", "{manifest}", "{out}/x.cchk", "--omega", "0_5"],
+                                 "--omega: expected a number, got '0_5'"),
+    # compress and bench read method names by one parser, which names them all
+    "compress-unknown-method": (["compress", "{manifest}", "{out}/x.cchk", "--method",
+                                 "spectral"],
+                                "--method: unknown method 'spectral' "
+                                "(choose from 'hac', 'hac_ward', 'kmeans')"),
+    "query-separated-top-k": (["query", "{index}", "{queries}", "--out", "{out}/run.txt",
+                               "--top-k", "1_0"], "--top-k: expected an integer, got '1_0'"),
+    "bench-arabic-indic-k": ([*SMALL_BENCH, "--k", "\u0664"],
+                             "--k: expected an integer, got '\u0664'"),
+    "bench-separated-seed": ([*SMALL_BENCH, "--seed", "1_0"],
+                             "--seed: expected an integer, got '1_0'"),
+    "bench-separated-noise-sigma": ([*SMALL_BENCH, "--noise-sigma", "1_0"],
+                                    "--noise-sigma: expected a number, got '1_0'"),
 }
 
 
@@ -623,6 +689,22 @@ class TestErrorPaths:
             assert len(compressed) == 5
         if case.endswith("run-tag"):
             assert retrieved == []
+        if case == "query-huge-omega-trailer":
+            assert len(captured.err.rstrip("\n")) <= 100
+
+    @pytest.mark.parametrize("case", list(CLI_USAGE_CASES))
+    def test_bad_flag_is_a_usage_error(self, bad_inputs, tmp_path, capsys, case):
+        argv, error = CLI_USAGE_CASES[case]
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(SystemExit) as exc:
+            cli.main([arg.format_map({"out": out, **bad_inputs}) for arg in argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.err.splitlines()[-1].endswith(f": error: argument {error}")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("kind", ["doc", "query"])
     def test_space_in_id_stops_the_pipeline(self, dataset, tmp_path, capsys, kind):

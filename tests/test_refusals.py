@@ -1,7 +1,9 @@
 """Refusals that no other test reaches: each bad argument raises its typed
 error with its message, and leaves no file behind. Every count a caller
 passes obeys one rule, ``types.check_count``; every number one rule,
-``types.check_real``; every seed and grade one rule, ``types.check_natural``."""
+``types.check_real``; every omega one rule, ``types.check_omega``; every seed
+and grade one rule, ``types.check_natural``; and every number read from text
+one rule, ``types.check_decimal``."""
 
 import json
 import re
@@ -12,12 +14,14 @@ import pytest
 
 from colchunk.chunker import ChunkerConfig, cluster_hac, cluster_kmeans
 from colchunk.evaluation import (
+    EvalInputError,
     Qrels,
     SweepSpec,
     SyntheticSpec,
     evaluate_run,
     generate_corpus,
     ndcg_at_k,
+    read_run,
     run_ablation,
 )
 from colchunk.posenc import encode_batch
@@ -60,6 +64,16 @@ def load_once(tmp_path, top):
     path.write_text(json.dumps(top))
     try:
         load_manifest(path)
+    finally:
+        path.unlink()
+
+
+def read_once(tmp_path, reader, text):
+    """Read ``text`` as a qrels or run file with ``reader``, then remove it."""
+    path = tmp_path / "lines.txt"
+    path.write_text(text, encoding="utf-8")
+    try:
+        reader(path)
     finally:
         path.unlink()
 
@@ -154,6 +168,13 @@ INTEGERS = {
 }
 
 
+# Every rule echoes a value cut to 40 characters, so a refusal's message, less
+# any path it names, stays this short however long the value.
+MAX_MESSAGE = 100
+
+# 10**400 overflows a float; a trailer or a caller may still pass it as an int.
+HUGE = 10**400
+
 # name -> (action on an empty directory, error type, fragment of the message)
 REFUSALS = {
     "index-doc-of-another-dim": (
@@ -197,6 +218,30 @@ REFUSALS = {
         lambda tmp: SyntheticSpec(num_docs=2, num_queries=1, grid=PatchGrid(2, 2), dim=4,
                                   signal_patches=1, noise_sigma=-0.1),
         ValueError, "noise_sigma must be non-negative"),
+    "synthetic-huge-negative-noise": (
+        lambda tmp: synthetic(noise_sigma=-HUGE), ValueError,
+        f"noise_sigma must be non-negative, got -1{'0' * 38}"),
+    # one omega rule at every site, its echo cut to 40 characters
+    **{f"{site}-huge": (lambda tmp, act=NUMBERS[site][0]: act(tmp, HUGE), ValueError,
+                        f"omega must lie in [0, 1], got 1{'0' * 39}")
+       for site in ("config-omega", "fused-omega", "sweep-omega-values", "sweep-base-omega")},
+    "build-meta-huge-omega": (
+        lambda tmp: replace(META, omega=HUGE), ValueError,
+        f"build metadata: omega must lie in [0, 1], got 1{'0' * 39}"),
+    # int() and float() read '1_0' as 10 and the Arabic-Indic digit as 1
+    "qrels-separated-grade": (
+        lambda tmp: read_once(tmp, Qrels.from_file, "q 0 d 1_0\n"), EvalInputError,
+        "qrels line 1: grade must be ASCII with no '_', got '1_0'"),
+    "qrels-arabic-indic-grade": (
+        lambda tmp: read_once(tmp, Qrels.from_file, "q 0 d \u0661\n"), EvalInputError,
+        "qrels line 1: grade must be ASCII with no '_', got '\u0661'"),
+    "run-separated-rank": (
+        lambda tmp: read_once(tmp, read_run, "q Q0 d 1_0 0.5 t\n"), EvalInputError,
+        "run line 1: rank must be ASCII with no '_', got '1_0'"),
+    **{f"run-{score}-score": (
+        lambda tmp, score=score: read_once(tmp, read_run, f"q Q0 d 1 {score} t\n"),
+        EvalInputError, f"run line 1: score must be a finite number, got {score}")
+       for score in ("nan", "inf")},
     # one seed rule, and one message, for a build and a synthetic corpus
     "synthetic-negative-seed": (
         lambda tmp: SyntheticSpec(num_docs=2, num_queries=1, grid=PatchGrid(2, 2), dim=4,
@@ -255,6 +300,7 @@ def test_refusal_is_typed_and_leaves_nothing(tmp_path, case):
     with pytest.raises(error, match=re.escape(fragment)) as info:
         action(tmp_path)
     assert type(info.value) is error
+    assert len(str(info.value).replace(str(tmp_path), "")) <= MAX_MESSAGE
     assert list(tmp_path.iterdir()) == []
 
 
