@@ -59,9 +59,9 @@ def _decimal(parse, expected: str):
     ``--k 1_0`` is a usage error, and ``--seed -1`` parses for its rule to refuse."""
     def read(text: str):
         try:
-            return parse(check_decimal(text, "flag"))
+            return check_decimal(text, "flag", parse)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r:.40}")
     return read
 
 
@@ -71,7 +71,7 @@ _number = _decimal(float, "a number")
 
 def _positive_int(text: str) -> int:
     if (value := _int(text)) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r:.40}")
     return value
 
 

@@ -105,7 +105,7 @@ class Qrels:
             qid, _, did, grade = parts
             earlier = qrels._grades.get(qid, {}).get(did)
             try:
-                qrels.add(qid, did, int(check_decimal(grade, "grade")))
+                qrels.add(qid, did, check_decimal(grade, "grade", int))
             except ValueError as exc:
                 raise EvalInputError(f"qrels line {lineno}: {exc}") from exc
             if earlier is not None and earlier != qrels.grade(qid, did):
@@ -179,8 +179,8 @@ def read_run(path) -> dict[str, list[str]]:
             raise EvalInputError(f"run line {lineno}: expected 6 fields, got {len(parts)}")
         qid, _, did, rank, score, _ = parts
         try:
-            rank_i = int(check_decimal(rank, "rank"))
-            check_real(float(check_decimal(score, "score")), "score")
+            rank_i = check_decimal(rank, "rank", int)
+            check_real(check_decimal(score, "score", float), "score")
         except ValueError as exc:
             raise EvalInputError(f"run line {lineno}: {exc}") from exc
         ranking = raw.setdefault(qid, {})

@@ -34,9 +34,9 @@ and returns, for each query, exactly what scoring every document with
    best approximate one, and the slack is 8 times the bound. So the result
    does not depend on how a pass orders its float32 arithmetic, nor on
    which queries share it.
-2. Each candidate is rescored with the float64 kernel ``maxsim`` uses, on its
-   chunk rows upcast to float64, and the candidates are sorted by descending
-   score, ties broken by ascending doc_id.
+2. Each candidate is rescored with the float64 kernel ``maxsim`` uses, whose
+   one upcast widens float32 chunk rows, and the candidates are sorted by
+   descending score, ties broken by ascending doc_id.
 
 Memory of a pass: one similarity buffer, reused by every block in either
 orientation, of at most ``MAX_PASS_TOKENS x BLOCK_ROWS`` float32 (16 MiB)
@@ -73,8 +73,9 @@ class ScoredHit:
 
 
 def _late_interaction(q: np.ndarray, chunks: np.ndarray) -> float:
-    """Sum over unit query tokens ``q`` of the best dot with a float64 chunk row."""
-    sims = q @ chunks.T
+    """Sum over unit query tokens ``q`` of the best dot with a chunk row, upcast
+    to float64 here alone, so float32 and float64 twins score the same bits."""
+    sims = q @ chunks.astype(np.float64, copy=False).T
     return float(sims.max(axis=1).sum())
 
 
@@ -162,10 +163,8 @@ def retrieve_many(
     bounds = offsets.tolist()
 
     def ranked(q: np.ndarray, candidates) -> list[ScoredHit]:
-        scored = [
-            (ids[i], _late_interaction(q, chunks[bounds[i] : bounds[i + 1]].astype(np.float64)))
-            for i in candidates
-        ]
+        scored = [(ids[i], _late_interaction(q, chunks[bounds[i] : bounds[i + 1]]))
+                  for i in candidates]
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         return [
             ScoredHit(doc_id=doc_id, score=score, rank=position + 1)

@@ -155,8 +155,8 @@ class CorpusIndex:
     (ValueError otherwise). Document ``i`` owns rows
     ``offsets[i]:offsets[i + 1]`` of ``chunks``, one ``(sum K, dim)`` matrix,
     and of ``sizes``, by ``check_compressed``'s rule. An index built from
-    CompressedDocuments stacks their float64 chunks; ``read_index`` keeps
-    the stored float32 values.
+    CompressedDocuments stacks their chunks in float32, as ``read_index``
+    holds them, if every document's are float32, and in float64 otherwise.
     """
 
     dim: int
@@ -174,7 +174,7 @@ class CorpusIndex:
                 raise ValueError(f"doc '{doc.doc_id}' has dim {doc.dim}, index expects {dim}")
         offsets = np.zeros(len(docs) + 1, dtype=np.int64)
         np.cumsum([doc.k for doc in docs], out=offsets[1:])
-        chunks = np.concatenate([np.empty((0, dim))] + [doc.chunks for doc in docs])
+        chunks = np.concatenate([np.empty((0, dim), np.float32)] + [doc.chunks for doc in docs])
         sizes = np.concatenate([np.empty(0, np.int64)] + [doc.chunk_sizes for doc in docs])
         self._set(dim, [doc.doc_id for doc in docs], offsets, chunks, sizes, build_meta)
 
@@ -200,7 +200,7 @@ class CorpusIndex:
 
     @property
     def docs(self) -> tuple[CompressedDocument, ...]:
-        """The documents as CompressedDocuments, built anew (float64) on each access."""
+        """The documents as CompressedDocuments, built anew on each access in ``chunks``' dtype."""
         bounds = self.offsets.tolist()
         return tuple(
             CompressedDocument(

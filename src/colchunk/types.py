@@ -1,16 +1,16 @@
 """Core data model shared across the toolkit.
 
-Pages arrive as grids of patch embeddings in row-major order; queries as
-bags of token embeddings. Compression replaces each page by a small set of
-unit-norm chunk vectors. Every type checks its invariants at construction
-and raises ValueError on a violation, so an instance that exists is valid.
-Arrays are float64 in memory and made read-only at construction, so no
-caller can break an invariant after the check. Each rule is stated here once
-and returns the value to store: ``check_count`` for counts, ``check_natural``
-for seeds and grades, ``check_real`` for numbers and ``check_omega`` for omega,
-``check_decimal`` for number text, ``check_string`` and ``check_id`` for
-strings and ids, and ``check_compressed`` for compressed documents.
-``unit_rows`` is the one row normalization.
+Pages arrive as grids of patch embeddings in row-major order; queries as bags
+of token embeddings. Compression replaces each page by a small set of unit-norm
+chunk vectors. Every type checks its invariants at construction and raises
+ValueError on a violation, so an instance that exists is valid. Arrays are made
+read-only at construction, so no caller can break an invariant after the check,
+and are float64 in memory, bar chunks given as float32, which stay so. Each
+rule is stated here once and returns the value to store: ``check_count`` for
+counts, ``check_natural`` for seeds and grades, ``check_real`` for numbers and
+``check_omega`` for omega, ``check_decimal`` for number text, ``check_string``
+and ``check_id`` for strings and ids, and ``check_compressed`` for compressed
+documents. ``unit_rows`` is the one row normalization.
 """
 
 from __future__ import annotations
@@ -91,13 +91,17 @@ def check_omega(value, name: str = "omega") -> int | float:
     return value
 
 
-def check_decimal(text: str, name: str) -> str:
-    """The number text rule, for text from a file or a flag before ``int()`` or
-    ``float()`` reads it: ASCII with no ``_``, which they would read as a digit
+def check_decimal(text: str, name: str, parse) -> int | float:
+    """The number text rule, for text from a file or a flag: ``parse`` (``int`` or
+    ``float``) of ASCII with no ``_``, which they would read as a digit
     separator (``'1_0'`` as 10), as they read non-ASCII digits (``'١'`` as 1)."""
     if not text.isascii() or "_" in text:
         raise ValueError(f"{name} must be ASCII with no '_', got {text!r:.40}")
-    return text
+    try:
+        return parse(text)
+    except ValueError:
+        kind = "an integer" if parse is int else "a number"
+        raise ValueError(f"{name} must be {kind}, got {text!r:.40}") from None
 
 
 def check_string(value, name: str) -> str:
@@ -306,7 +310,8 @@ class ChunkAssignment:
 
 @dataclass(frozen=True, eq=False)
 class CompressedDocument:
-    """One page's ``k`` chunk vectors and their patch counts, by ``check_compressed``."""
+    """One page's ``k`` chunk vectors, float32 if given as float32 and float64
+    otherwise, and their patch counts, by ``check_compressed``."""
 
     doc_id: str
     k: int
@@ -315,7 +320,8 @@ class CompressedDocument:
     chunk_sizes: np.ndarray
 
     def __post_init__(self):
-        chunks = _freeze(self, "chunks", self.chunks, ndim=None)
+        f32 = getattr(self.chunks, "dtype", None) == np.float32
+        chunks = _freeze(self, "chunks", self.chunks, np.float32 if f32 else np.float64, None)
         # Checked before the int64 copy, which would truncate a fraction or
         # wrap a size past int64.
         owner = f"doc '{self.doc_id}'"

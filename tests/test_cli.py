@@ -647,6 +647,12 @@ CLI_USAGE_CASES = {
                              "--seed: expected an integer, got '1_0'"),
     "bench-separated-noise-sigma": ([*SMALL_BENCH, "--noise-sigma", "1_0"],
                                     "--noise-sigma: expected a number, got '1_0'"),
+    # the refused text is echoed cut to 40 characters, as every rule's is
+    "compress-long-k": (["compress", "{manifest}", "{out}/x.cchk", "--k", "x" * 3000],
+                        f"--k: expected an integer, got '{'x' * 39}"),
+    "compress-long-negative-k": (["compress", "{manifest}", "{out}/x.cchk", "--k",
+                                  "-" + "9" * 3000],
+                                 f"--k: expected a positive integer, got -{'9' * 39}"),
 }
 
 

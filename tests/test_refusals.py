@@ -242,6 +242,16 @@ REFUSALS = {
         lambda tmp, score=score: read_once(tmp, read_run, f"q Q0 d 1 {score} t\n"),
         EvalInputError, f"run line 1: score must be a finite number, got {score}")
        for score in ("nan", "inf")},
+    # text int() or float() cannot read is named by its field and cut to 40 characters
+    "qrels-long-grade": (
+        lambda tmp: read_once(tmp, Qrels.from_file, f"q 0 d {'x' * 200}\n"), EvalInputError,
+        f"qrels line 1: grade must be an integer, got '{'x' * 39}"),
+    "run-long-rank": (
+        lambda tmp: read_once(tmp, read_run, f"q Q0 d {'x' * 200} 0.5 t\n"), EvalInputError,
+        f"run line 1: rank must be an integer, got '{'x' * 39}"),
+    "run-long-score": (
+        lambda tmp: read_once(tmp, read_run, f"q Q0 d 1 {'x' * 200} t\n"), EvalInputError,
+        f"run line 1: score must be a number, got '{'x' * 39}"),
     # one seed rule, and one message, for a build and a synthetic corpus
     "synthetic-negative-seed": (
         lambda tmp: SyntheticSpec(num_docs=2, num_queries=1, grid=PatchGrid(2, 2), dim=4,

@@ -190,12 +190,14 @@ def tie_batch(rng):
     return queries, docs
 
 
-def k_corpus(rng, ks, dim=8):
-    """Docs of K ``ks[i]`` each; the second and third copy the first's chunks,
-    so their scores tie exactly and doc_id orders them."""
+def k_corpus(rng, ks, dim=8, dtypes=(np.float64,)):
+    """Docs of K ``ks[i]`` each, doc ``i``'s chunks in ``dtypes[i % len(dtypes)]``;
+    the second and third copy the first's chunks, so where their dtypes agree
+    their scores tie exactly and doc_id orders them."""
     chunks = [unit_rows(rng.normal(size=(k, dim))) for k in ks]
     chunks[1:3] = [chunks[0]] * 2
-    return [CompressedDocument(doc_id=f"d{i:05d}", k=len(c), dim=dim, chunks=c,
+    return [CompressedDocument(doc_id=f"d{i:05d}", k=len(c), dim=dim,
+                               chunks=c.astype(dtypes[i % len(dtypes)]),
                                chunk_sizes=np.ones(len(c), dtype=np.int64))
             for i, c in enumerate(chunks)]
 
@@ -216,6 +218,14 @@ K_CORPORA = {
     "equal-and-ragged": lambda block_rows: equal_and_ragged(block_rows // 64 + 2, block_rows),
     "doc-longer-than-block": lambda block_rows: [4] * 5 + [block_rows + 3] + [4] * 5,
 }
+# Chunk dtypes cycled over a corpus's documents, float64 where not listed: an
+# index of float32 documents stays float32, and one float64 document promotes
+# the whole stack to float64. Each of these corpora has equal-and-ragged's Ks.
+CORPUS_DTYPES = {
+    "float32-equal-and-ragged": (np.float32,),
+    "mixed-dtype-equal-and-ragged": (np.float32, np.float64),
+}
+K_CORPORA.update((name, K_CORPORA["equal-and-ragged"]) for name in CORPUS_DTYPES)
 
 
 class TestRetrieveEquivalence:
@@ -249,11 +259,13 @@ class TestRetrieveEquivalence:
         ks = K_CORPORA[corpus](block_rows)
         offsets = np.cumsum([0] + ks)
         equal = {len(set(ks[start:stop])) == 1 for start, stop in scorer._runs(offsets, block_rows)}
-        assert equal == ({True, False} if corpus == "equal-and-ragged" else {True})
-        docs = k_corpus(rng, ks)
+        assert equal == ({True, False} if corpus.endswith("equal-and-ragged") else {True})
+        dtypes = CORPUS_DTYPES.get(corpus, (np.float64,))
+        docs = k_corpus(rng, ks, dtypes=dtypes)
         queries = [QueryEmbeddingSet(query_id=f"q{t}", dim=8, vectors=rng.normal(size=(t, 8)))
                    for t in (1, 3, 8)]
         memory = index_of(docs)
+        assert memory.chunks.dtype == (np.float32 if dtypes == (np.float32,) else np.float64)
         write_index(memory, tmp_path / "t.cchk")
         disk = read_index(tmp_path / "t.cchk")
         n = len(docs)

@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -23,7 +24,13 @@ from colchunk.store import (
     write_query_dump,
     write_records,
 )
-from colchunk.types import CompressedDocument, PatchGrid, QueryEmbeddingSet, first_non_unit_row
+from colchunk.types import (
+    CompressedDocument,
+    PatchGrid,
+    QueryEmbeddingSet,
+    first_non_unit_row,
+    unit_rows,
+)
 
 from conftest import make_pset, with_trailer
 
@@ -53,6 +60,13 @@ def make_index(rng, n_docs=3, dim=8, k=4):
     return CorpusIndex(dim=dim, docs=tuple(docs), build_meta=make_meta())
 
 
+def float32_docs(rng, n_docs, dim=8, k=4):
+    """Documents holding float32 chunks, the precision an index stores."""
+    return [CompressedDocument(doc_id=f"doc{i}", k=k, dim=dim, chunk_sizes=[1] * k,
+                               chunks=unit_rows(rng.normal(size=(k, dim))).astype(np.float32))
+            for i in range(n_docs)]
+
+
 class TestIndexRoundTrip:
     def test_write_read_write_is_byte_identical(self, rng, tmp_path):
         index = make_index(rng)
@@ -75,6 +89,30 @@ class TestIndexRoundTrip:
             np.testing.assert_array_equal(
                 got.chunks, orig.chunks.astype(np.float32).astype(np.float64)
             )
+
+    def test_float32_documents_stack_to_the_columns_read_index_returns(self, rng, tmp_path):
+        index = CorpusIndex(dim=8, docs=float32_docs(rng, 5), build_meta=make_meta())
+        write_index(index, tmp_path / "t.cchk")
+        back = read_index(tmp_path / "t.cchk")
+        assert index.chunks.dtype == back.chunks.dtype == np.float32
+        for column in ("offsets", "chunks", "sizes"):
+            built, read = getattr(index, column), getattr(back, column)
+            assert (built.dtype, built.tobytes()) == (read.dtype, read.tobytes()), column
+
+    def test_float32_documents_stack_in_one_float32_matrix(self, rng):
+        # Peak memory of the stacking alone, the documents already built: one
+        # float32 stack (1.6 MB here) and small bookkeeping. Widening to float64
+        # would double it.
+        docs = float32_docs(rng, 200, dim=128, k=16)
+        stack = 200 * 16 * 128 * 4
+        tracemalloc.start()
+        try:
+            index = CorpusIndex(dim=128, docs=docs, build_meta=make_meta())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert index.chunks.nbytes == stack
+        assert peak < 1.25 * stack, peak
 
     def test_empty_corpus(self, tmp_path):
         index = CorpusIndex(dim=8, docs=(), build_meta=make_meta())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from colchunk.posenc import encode_batch
+from colchunk.scorer import maxsim
 from colchunk.types import (
     ChunkAssignment,
     CompressedDocument,
@@ -12,6 +13,7 @@ from colchunk.types import (
     PatchGrid,
     QueryEmbeddingSet,
     grid_coords,
+    unit_rows,
 )
 
 from conftest import make_pset
@@ -231,6 +233,36 @@ class TestCompressedDocument:
         doc = CompressedDocument(doc_id="page-7", k=2, dim=8, chunks=chunks,
                                  chunk_sizes=np.array([2**32 - 1, 1], np.uint64))
         assert doc.chunk_sizes.tolist() == [2**32 - 1, 1]
+
+    def test_float32_chunks_stay_float32_in_a_read_only_copy(self, rng):
+        # the stored precision: widening to float64 would double an index's memory
+        source = unit_rows(rng.normal(size=(3, 8))).astype(np.float32)
+        kept = source.copy()
+        doc = CompressedDocument(doc_id="d", k=3, dim=8, chunks=source, chunk_sizes=[1, 1, 1])
+        assert doc.chunks.dtype == np.float32
+        assert not doc.chunks.flags.writeable
+        source[0, 0] = 7.0
+        assert np.array_equal(doc.chunks, kept)
+
+    @pytest.mark.parametrize("chunks", [np.eye(2, 4, dtype=np.float16),
+                                        np.eye(2, 4, dtype=np.int64),
+                                        np.eye(2, 4).tolist(),
+                                        list(np.eye(2, 4, dtype=np.float32))],
+                             ids=["float16", "int", "list", "list-of-float32-rows"])
+    def test_every_other_input_is_float64(self, chunks):
+        doc = CompressedDocument(doc_id="d", k=2, dim=4, chunks=chunks, chunk_sizes=[1, 1])
+        assert doc.chunks.dtype == np.float64
+        assert np.array_equal(doc.chunks, np.eye(2, 4))
+
+    def test_maxsim_scores_a_float32_document_as_its_float64_twin(self, rng):
+        chunks = unit_rows(rng.normal(size=(5, 16))).astype(np.float32)
+        single, twin = (CompressedDocument(doc_id="d", k=5, dim=16, chunks=c,
+                                           chunk_sizes=[1] * 5)
+                        for c in (chunks, chunks.astype(np.float64)))
+        assert (single.chunks.dtype, twin.chunks.dtype) == (np.float32, np.float64)
+        for tokens in (1, 3, 32):
+            q = QueryEmbeddingSet(query_id="q", dim=16, vectors=rng.normal(size=(tokens, 16)))
+            assert maxsim(q, single).hex() == maxsim(q, twin).hex()
 
 
 class TestQueryEmbeddingSet:
