@@ -11,15 +11,12 @@ and returns, for each query, exactly what scoring every document with
 
 1. A candidate pass stacks the unit tokens of up to ``MAX_PASS_TOKENS``
    query tokens (whole queries only; a longer query is a pass of its own)
-   into one float32 matrix. It scores blocks of whole documents, at most
-   ``BLOCK_ROWS`` chunk rows each, with one float32 matrix product per
-   block and a max over each document's rows. When every document of a
-   block has the same K (``compress`` emits K = min(k, n), so a corpus of
-   one grid has one K) the product is rows x tokens and the max is a
-   reshape to ``(docs, K, tokens)`` and a max over K, as ColBERT max-pools
-   a stack of documents; otherwise it is tokens x rows and
-   ``np.maximum.reduceat`` over the document offsets. The max is exact
-   either way. A float64 sum over each query's tokens (``np.add.reduceat``
+   into one float32 matrix. It visits documents grouped by K (``compress``
+   emits K = min(k, n), so a corpus of one grid has one K), in blocks of one
+   K and at most ``BLOCK_ROWS`` chunk rows each. Each block is one rows x
+   tokens float32 matrix product, reshaped to ``(docs, K, tokens)`` and
+   maxed over K, as ColBERT max-pools a stack of documents; the max is
+   exact. A float64 sum over each query's tokens (``np.add.reduceat``
    over the token offsets) follows. Each query keeps every document whose
    approximate score is at least its own k-th best approximate score minus
    its own
@@ -38,10 +35,10 @@ and returns, for each query, exactly what scoring every document with
    one upcast widens float32 chunk rows, and the candidates are sorted by
    descending score, ties broken by ascending doc_id.
 
-Memory of a pass: one similarity buffer, reused by every block in either
-orientation, of at most ``MAX_PASS_TOKENS x BLOCK_ROWS`` float32 (16 MiB)
-unless one document is longer, and the approximate scores, one float64 per
-(query in the pass, document).
+Memory of a pass: one similarity buffer, reused by every block, of at most
+``MAX_PASS_TOKENS x BLOCK_ROWS`` float32 (16 MiB) unless one document is
+longer, plus one gather copy of at most ``BLOCK_ROWS`` rows, and the
+approximate scores, one float64 per (query in the pass, document).
 """
 
 from __future__ import annotations
@@ -118,24 +115,25 @@ def _approx_scores(
     """
     scores = np.empty((len(token_offsets) - 1, len(offsets) - 1))
     ks = np.diff(offsets)
-    # Each block's product is written into one buffer per pass: a fresh
-    # product per block cost ragged blocks about 12%. A block spans at most
-    # BLOCK_ROWS rows or is a single document. Blocks are not cut where K
-    # changes: reshape alone over such cuts ran a shuffled corpus of five K
-    # values 1.6x slower, its blocks mostly one or two documents long.
+    # Blocks of one K, from documents grouped by K, share one product buffer
+    # (a fresh product per block made 8-query passes 17-30% slower). A block
+    # is a slice when its documents are contiguous, as with one K, and else a
+    # gather of at most BLOCK_ROWS rows, left unnamed so that it is freed
+    # before the next is made (gathering every block ran one K 1.25-1.7x slower).
     buf = np.empty(max(min(BLOCK_ROWS, offsets[-1]), ks.max()) * len(q32), np.float32)
-    for start, stop in _runs(offsets, BLOCK_ROWS):
-        lo, hi = offsets[start], offsets[stop]
-        block = chunks[lo:hi].astype(np.float32, copy=False)
-        out = buf[: (hi - lo) * len(q32)]
-        if (ks[start:stop] == ks[start]).all():
-            sims = np.matmul(block, q32.T, out=out.reshape(hi - lo, -1))
-            best = sims.reshape(stop - start, ks[start], -1).max(axis=1).T
-        else:
-            sims = np.matmul(q32, block.T, out=out.reshape(-1, hi - lo))
-            best = np.maximum.reduceat(sims, offsets[start:stop] - lo, axis=1)
-        scores[:, start:stop] = np.add.reduceat(best, token_offsets[:-1], axis=0,
-                                                dtype=np.float64)
+    order = np.argsort(ks, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(ks[order])) + 1):
+        k = ks[group[0]]
+        step = max(BLOCK_ROWS // k, 1)
+        for at in range(0, len(group), step):
+            docs = group[at : at + step]
+            lo, rows = offsets[docs[0]], len(docs) * k
+            take = (slice(lo, lo + rows) if docs[-1] - docs[0] == len(docs) - 1
+                    else (offsets[docs, None] + np.arange(k)).ravel())
+            out = buf[: rows * len(q32)].reshape(rows, -1)
+            sims = np.matmul(chunks[take].astype(np.float32, copy=False), q32.T, out=out)
+            best = sims.reshape(len(docs), k, -1).max(axis=1).T
+            scores[:, docs] = np.add.reduceat(best, token_offsets[:-1], axis=0, dtype=np.float64)
     return scores
 
 

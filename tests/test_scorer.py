@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from colchunk import scorer
+from colchunk import scorer, types
 from colchunk.scorer import ScoredHit, maxsim, retrieve, retrieve_many
 from colchunk.store import BuildMeta, CorpusIndex, read_index, write_index
 from colchunk.types import CompressedDocument, QueryEmbeddingSet
@@ -203,20 +204,28 @@ def k_corpus(rng, ks, dim=8, dtypes=(np.float64,)):
 
 
 def equal_and_ragged(k, block_rows):
-    """Two blocks' worth of K=k docs, a few ragged ones, then two blocks' worth
-    of K=k+1 docs: blocks of one K on either side of ragged blocks."""
+    """Two blocks' worth of K=k docs, a few of small K, then two blocks' worth
+    of K=k+1 docs: long contiguous runs of one K, and K=1 docs far apart."""
     return ([k] * (block_rows // k * 2) + [1, 3, 2, 5, 1, 4]
             + [k + 1] * (block_rows // (k + 1) * 2) + [6, 1])
 
 
-# Per-document K of each corpus, given the block size in chunk rows: the
-# candidate pass takes its reshape path on blocks of one K and reduceat on
-# the rest.
+def interleaved(k, block_rows):
+    """Ks alternating k and k+1, two blocks' worth of each: no two docs of one K
+    are adjacent, so every block of more than one doc is a gather."""
+    return [k, k + 1] * (block_rows // k * 2)
+
+
+# Per-document K of each corpus, given the block size in chunk rows. The
+# candidate pass visits documents grouped by K: a block of one K is a slice
+# of the chunk matrix when its documents are contiguous and a row gather when
+# they are not.
 K_CORPORA = {
     "equal-k40": lambda block_rows: [40] * 12,
     "uniform-k1": lambda block_rows: [1] * 30,
     "equal-and-ragged": lambda block_rows: equal_and_ragged(block_rows // 64 + 2, block_rows),
     "doc-longer-than-block": lambda block_rows: [4] * 5 + [block_rows + 3] + [4] * 5,
+    "interleaved-k": lambda block_rows: interleaved(block_rows // 64 + 2, block_rows),
 }
 # Chunk dtypes cycled over a corpus's documents, float64 where not listed: an
 # index of float32 documents stays float32, and one float64 document promotes
@@ -226,6 +235,58 @@ CORPUS_DTYPES = {
     "mixed-dtype-equal-and-ragged": (np.float32, np.float64),
 }
 K_CORPORA.update((name, K_CORPORA["equal-and-ragged"]) for name in CORPUS_DTYPES)
+# Corpora where some K's documents are not contiguous, so the candidate pass
+# gathers their rows wherever a block holds more than one of them:
+# equal-and-ragged's K=1 documents, the K=4 documents on either side of
+# doc-longer-than-block's long one, and every K of interleaved-k. The others
+# are scored from slices alone.
+GATHERED = {"equal-and-ragged", "doc-longer-than-block", "interleaved-k", *CORPUS_DTYPES}
+
+
+def split_k_groups(ks):
+    """Whether some K's documents in ``ks`` are not contiguous."""
+    ks = np.asarray(ks)
+    return any(np.ptp(np.flatnonzero(ks == k)) >= np.count_nonzero(ks == k) for k in set(ks))
+
+
+class TestCandidatePass:
+    """``_approx_scores`` puts each (query, doc) score in that doc's column, within
+    the float32 error bound of ``maxsim``, holding one block at a time."""
+
+    @pytest.mark.parametrize("block_rows", [7, scorer.BLOCK_ROWS])
+    @pytest.mark.parametrize("corpus", K_CORPORA)
+    def test_scores_within_the_error_bound_of_maxsim(self, rng, monkeypatch, block_rows, corpus):
+        monkeypatch.setattr(scorer, "BLOCK_ROWS", block_rows)
+        docs = k_corpus(rng, K_CORPORA[corpus](block_rows),
+                        dtypes=CORPUS_DTYPES.get(corpus, (np.float64,)))
+        index = index_of(docs)
+        tokens = np.array([1, 3, 8])
+        queries = [QueryEmbeddingSet(query_id=f"q{t}", dim=8, vectors=rng.normal(size=(t, 8)))
+                   for t in tokens]
+        q32 = np.concatenate([types.unit_rows(q.vectors) for q in queries], dtype=np.float32)
+        approx = scorer._approx_scores(q32, np.cumsum([0, *tokens]), index.chunks, index.offsets)
+        exact = np.array([[maxsim(q, d) for d in docs] for q in queries])
+        bound = tokens * (8 + tokens + 2) * 2.0**-24
+        assert (np.abs(approx - exact) <= bound[:, None]).all()
+
+    def test_pass_holds_one_gather_copy_not_the_corpus(self, rng):
+        # A float32 corpus of five Ks in shuffled order, so its blocks are row
+        # gathers: the pass holds one at a time and never copies the corpus.
+        ks = rng.choice([40, 30, 20, 16, 12], size=2000)
+        offsets = np.concatenate([[0], np.cumsum(ks)])
+        chunks = rng.random((offsets[-1], 64), dtype=np.float32)
+        q32 = types.unit_rows(rng.normal(size=(8, 64))).astype(np.float32)
+        tracemalloc.start()
+        try:
+            scores = scorer._approx_scores(q32, np.array([0, 8]), chunks, offsets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        buffer = scorer.BLOCK_ROWS * len(q32) * 4
+        gather = scorer.BLOCK_ROWS * chunks.shape[1] * 4
+        limit = buffer + gather + scores.nbytes + 2**18
+        assert chunks.nbytes > 4 * limit
+        assert peak < limit, (peak, limit)
 
 
 class TestRetrieveEquivalence:
@@ -257,9 +318,7 @@ class TestRetrieveEquivalence:
                                                     block_rows, corpus):
         monkeypatch.setattr(scorer, "BLOCK_ROWS", block_rows)
         ks = K_CORPORA[corpus](block_rows)
-        offsets = np.cumsum([0] + ks)
-        equal = {len(set(ks[start:stop])) == 1 for start, stop in scorer._runs(offsets, block_rows)}
-        assert equal == ({True, False} if corpus.endswith("equal-and-ragged") else {True})
+        assert split_k_groups(ks) == (corpus in GATHERED)
         dtypes = CORPUS_DTYPES.get(corpus, (np.float64,))
         docs = k_corpus(rng, ks, dtypes=dtypes)
         queries = [QueryEmbeddingSet(query_id=f"q{t}", dim=8, vectors=rng.normal(size=(t, 8)))
