@@ -14,8 +14,10 @@ ignore it.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import tempfile
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__, chunker
@@ -95,6 +97,18 @@ def _comma_list(parse):
     return lambda text: tuple(parse(part) for part in text.split(",") if part.strip())
 
 
+def _write_out(path, write) -> None:
+    """``write(fh)`` to the UTF-8 file at ``path``, or to stdout when ``path`` is empty."""
+    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
+        write(fh)
+
+
+def _refuse_overwrite(what: str, out, inputs) -> None:
+    """ValueError, before any work, if the output path ``out`` names one of ``inputs``."""
+    if out and os.path.realpath(out) in {os.path.realpath(path) for path in inputs}:
+        raise ValueError(f"{what} {out} names an input, which it would overwrite")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="colchunk",
@@ -166,6 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_compress(args) -> int:
     cfg = ChunkerConfig(args.k, args.omega, args.method, args.seed)
     manifest = load_manifest(args.manifest)
+    raw = (manifest.root / entry.path for entry in manifest.entries)
+    _refuse_overwrite("compress: INDEX", args.index, [args.manifest, *raw])
     if not manifest.entries:
         raise ManifestError("the dump manifest lists no documents")
     # One page in memory at a time: each page is read, compressed and
@@ -192,17 +208,14 @@ def cmd_compress(args) -> int:
 def cmd_query(args) -> int:
     # Refused before any work, so no run file is left behind.
     check_id(args.run_tag, "query: --run-tag")
+    _refuse_overwrite("query: --out", args.out, [args.index, args.queries])
     index = read_index(args.index)
     queries = list(ingest_queries(args.queries))
     if not queries:
         raise ManifestError("the query manifest lists no queries")
     all_hits = retrieve_many(queries, index, top_k=args.top_k)
     hits_by_query = {q.query_id: hits for q, hits in zip(queries, all_hits)}
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_run(hits_by_query, fh, run_tag=args.run_tag)
-    else:
-        write_run(hits_by_query, sys.stdout, run_tag=args.run_tag)
+    _write_out(args.out, lambda fh: write_run(hits_by_query, fh, run_tag=args.run_tag))
     return 0
 
 
@@ -258,11 +271,7 @@ def cmd_bench(args) -> int:
         queries = list(ingest_queries(dataset.query_manifest))
         qrels = Qrels.from_file(dataset.qrels_path)
         rows = run_ablation(docs, queries, qrels, sweep)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            rows_to_csv(rows, fh)
-    else:
-        rows_to_csv(rows, sys.stdout)
+    _write_out(args.out, lambda fh: rows_to_csv(rows, fh))
     return 0
 
 

@@ -53,15 +53,18 @@ class EvalInputError(Exception):
     """A qrels or run file could not be parsed."""
 
 
-def _fields(path):
-    """``(line number, whitespace-split fields)`` of each non-blank line of a
-    UTF-8 text file; a file that is not UTF-8 raises EvalInputError naming it."""
+def _fields(path, kind: str, width: int):
+    """``(line number, fields)`` of each non-blank ``kind`` line of a UTF-8 file; a line
+    not of ``width`` fields, or a non-UTF-8 file, raises EvalInputError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
-                parts = line.split()
-                if parts:
-                    yield lineno, parts
+                if not (parts := line.split()):
+                    continue
+                if len(parts) != width:
+                    raise EvalInputError(
+                        f"{kind} line {lineno}: expected {width} fields, got {len(parts)}")
+                yield lineno, parts
     except UnicodeDecodeError as exc:
         raise EvalInputError(f"{path} is not UTF-8 text: {exc}") from exc
 
@@ -99,9 +102,7 @@ class Qrels:
         only with the same grade. A bad line raises EvalInputError naming it.
         """
         qrels = cls()
-        for lineno, parts in _fields(path):
-            if len(parts) != 4:
-                raise EvalInputError(f"qrels line {lineno}: expected 4 fields, got {len(parts)}")
+        for lineno, parts in _fields(path, "qrels", 4):
             qid, _, did, grade = parts
             earlier = qrels._grades.get(qid, {}).get(did)
             try:
@@ -174,9 +175,7 @@ def read_run(path) -> dict[str, list[str]]:
     """
     raw: dict[str, dict[int, str]] = {}
     listed: set[tuple[str, str]] = set()
-    for lineno, parts in _fields(path):
-        if len(parts) != 6:
-            raise EvalInputError(f"run line {lineno}: expected 6 fields, got {len(parts)}")
+    for lineno, parts in _fields(path, "run", 6):
         qid, _, did, rank, score, _ = parts
         try:
             rank_i = check_decimal(rank, "rank", int)
@@ -285,17 +284,12 @@ def generate_corpus(
             r0 = int(rng.integers(spec.grid.rows - br + 1))
             c0 = int(rng.integers(spec.grid.cols - bc + 1))
             noise = rng.standard_normal((spec.signal_patches, spec.dim)) * sigma_component
-            i = 0
-            for r in range(r0, r0 + br):
-                for c in range(c0, c0 + bc):
-                    j = r * spec.grid.cols + c
-                    tok = tokens[d][i % spec.query_tokens]
-                    if spec.noise_sigma == 0.0:
-                        vectors[j] = tok
-                    else:
-                        noisy = tok + noise[i]
-                        vectors[j] = noisy / np.linalg.norm(noisy)
-                    i += 1
+            cells = np.arange(r0, r0 + br)[:, None] * spec.grid.cols + np.arange(c0, c0 + bc)
+            planted = tokens[d][np.arange(spec.signal_patches) % spec.query_tokens]
+            if spec.noise_sigma != 0.0:
+                # One 1-D norm per row: unit_rows's axis=1 norm would change the dump's bytes.
+                planted = np.array([row / np.linalg.norm(row) for row in planted + noise])
+            vectors[cells.ravel()] = planted
         docs.append(
             PatchEmbeddingSet(
                 doc_id=f"doc{d:04d}", dim=spec.dim, grid=spec.grid, vectors=vectors

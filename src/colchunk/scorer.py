@@ -36,8 +36,9 @@ and returns, for each query, exactly what scoring every document with
    descending score, ties broken by ascending doc_id.
 
 Memory of a pass: one similarity buffer, reused by every block, of at most
-``MAX_PASS_TOKENS x BLOCK_ROWS`` float32 (16 MiB) unless one document is
-longer, plus one gather copy of at most ``BLOCK_ROWS`` rows, and the
+``MAX_PASS_TOKENS x BLOCK_ROWS`` float32 (16 MiB); a longer query or document
+raises its factor, so a 2,048-token query over 4,096 or more rows needs 32 MiB.
+A pass also holds one gather copy of at most ``BLOCK_ROWS`` rows, and the
 approximate scores, one float64 per (query in the pass, document).
 """
 
@@ -76,6 +77,13 @@ def _late_interaction(q: np.ndarray, chunks: np.ndarray) -> float:
     return float(sims.max(axis=1).sum())
 
 
+def _check_dim(query: QueryEmbeddingSet, dim: int, owner: str) -> None:
+    """The dimension rule of scoring: ValueError unless ``query`` has ``owner``'s ``dim``."""
+    if query.dim != dim:
+        raise ValueError(f"dimension mismatch: query '{query.query_id}' has dim {query.dim}, "
+                         f"{owner} has dim {dim}")
+
+
 def maxsim(query: QueryEmbeddingSet, doc: CompressedDocument) -> float:
     """Late-interaction score: sum over tokens of the best chunk cosine.
 
@@ -83,11 +91,7 @@ def maxsim(query: QueryEmbeddingSet, doc: CompressedDocument) -> float:
     unit vectors by construction. The result lies in
     ``[-n_tokens, n_tokens]``.
     """
-    if query.dim != doc.dim:
-        raise ValueError(
-            f"dimension mismatch: query '{query.query_id}' has dim {query.dim}, "
-            f"doc '{doc.doc_id}' has dim {doc.dim}"
-        )
+    _check_dim(query, doc.dim, f"doc '{doc.doc_id}'")
     return _late_interaction(unit_rows(query.vectors), doc.chunks)
 
 
@@ -149,11 +153,7 @@ def retrieve_many(
     """
     top_k = check_count(top_k, "top_k")
     for query in queries:
-        if query.dim != index.dim:
-            raise ValueError(
-                f"dimension mismatch: query '{query.query_id}' has dim {query.dim}, "
-                f"index has dim {index.dim}"
-            )
+        _check_dim(query, index.dim, "index")
     ids, offsets, chunks = index.ids, index.offsets, index.chunks
     n = len(ids)
     if not n:

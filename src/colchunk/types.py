@@ -10,7 +10,10 @@ rule is stated here once and returns the value to store: ``check_count`` for
 counts, ``check_natural`` for seeds and grades, ``check_real`` for numbers and
 ``check_omega`` for omega, ``check_decimal`` for number text, ``check_string``
 and ``check_id`` for strings and ids, and ``check_compressed`` for compressed
-documents. ``unit_rows`` is the one row normalization.
+documents. ``unit_rows`` normalizes rows, bar three divisions by hand:
+``posenc.encode_batch`` divides in place, saving a copy; ``chunker.pool``
+guards against degenerate centroids; ``evaluation.generate_corpus`` takes each
+planted row's own 1-D norm, whose summation order keeps the dump's bytes.
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ exception: it keeps the first, straightforward Lance-Williams loop of
 ``chunker.cluster_hac`` (per-slot member lists, gathered rows and a
 scattered column per merge), so the faster loop can be checked bit for bit
 against it. ``reference_pool`` likewise keeps the first ``chunker.pool``
-(``np.add.at`` and a per-chunk loop) for a bitwise check.
+(``np.add.at`` and a per-chunk loop) for a bitwise check, and
+``reference_pages`` the first ``evaluation.generate_corpus`` page loop, which
+wrote each planted patch on its own.
 These are the ground truth the fast paths are measured against; keep them
 obvious.
 """
@@ -21,7 +23,7 @@ import warnings
 
 import numpy as np
 
-from colchunk.types import ChunkAssignment, CompressedDocument
+from colchunk.types import ChunkAssignment, CompressedDocument, unit_rows
 
 TIE_EPS = 1e-12
 DEGENERATE_NORM = 1e-12
@@ -220,6 +222,39 @@ def reference_pool(pset, assignment) -> CompressedDocument:
         chunks=chunks,
         chunk_sizes=assignment.sizes,
     )
+
+
+def reference_pages(spec) -> list[np.ndarray]:
+    """The vectors of each page ``evaluation.generate_corpus`` draws for
+    ``spec``, its planted block written patch by patch with hand-kept counters,
+    as the first version did (which the vectorized block must match bitwise)."""
+    from colchunk.evaluation import _block_shape
+
+    rng = np.random.default_rng(spec.seed)
+    tokens = [unit_rows(rng.standard_normal((spec.query_tokens, spec.dim)))
+              for _ in range(spec.num_queries)]
+    br, bc = _block_shape(spec.signal_patches, spec.grid)
+    sigma_component = spec.noise_sigma / math.sqrt(spec.dim)
+    pages = []
+    for d in range(spec.num_docs):
+        vectors = unit_rows(rng.standard_normal((spec.grid.n_patches, spec.dim)))
+        if d < spec.num_queries:
+            r0 = int(rng.integers(spec.grid.rows - br + 1))
+            c0 = int(rng.integers(spec.grid.cols - bc + 1))
+            noise = rng.standard_normal((spec.signal_patches, spec.dim)) * sigma_component
+            i = 0
+            for r in range(r0, r0 + br):
+                for c in range(c0, c0 + bc):
+                    j = r * spec.grid.cols + c
+                    tok = tokens[d][i % spec.query_tokens]
+                    if spec.noise_sigma == 0.0:
+                        vectors[j] = tok
+                    else:
+                        noisy = tok + noise[i]
+                        vectors[j] = noisy / np.linalg.norm(noisy)
+                    i += 1
+        pages.append(vectors)
+    return pages
 
 
 def naive_maxsim(query_vectors, chunk_vectors) -> float:

@@ -10,6 +10,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -510,11 +511,20 @@ def bad_inputs(dataset, index_path, tmp_path_factory):
     page = PatchEmbeddingSet(doc_id="p", dim=6, grid=PatchGrid(rows=2, cols=2),
                              vectors=np.random.default_rng(6).normal(size=(4, 6)))
     paths["dim6"] = write_embedding_dump([page], root / "dim6")
+    # inputs that a refused output path names, apart from the shared ones above
+    own = root / "own"
+    shutil.copytree(dataset.doc_manifest.parent, own)
+    shutil.copy(index_path, own / "pages.cchk")
+    first_page = json.loads(dataset.doc_manifest.read_text())["entries"][0]["path"]
+    paths.update(own_manifest=own / dataset.doc_manifest.name,
+                 own_manifest_alias=own / "vectors" / ".." / dataset.doc_manifest.name,
+                 own_page=own / first_page, own_queries=own / dataset.query_manifest.name,
+                 own_index=own / "pages.cchk")
     return paths
 
 
-# name -> (argv, a fragment of the error). ``{name}`` stands for the file
-# ``bad_inputs`` names so, and ``{out}`` for an empty output directory.
+# name -> (argv, a fragment of the error). ``{name}``, in either, stands for
+# the file ``bad_inputs`` names so, and ``{out}`` for an empty output directory.
 CLI_ERROR_CASES = {
     "compress-missing-manifest": (["compress", "{missing}", "{out}/x.cchk"], "missing"),
     "compress-non-utf8-manifest": (["compress", "{non_utf8}", "{out}/x.cchk"], "non_utf8.json"),
@@ -583,6 +593,24 @@ CLI_ERROR_CASES = {
                                "query: --run-tag 'my tag' is empty or holds whitespace"),
     "query-empty-run-tag": (["query", "{index}", "{queries}", "--out", "{out}/run.txt",
                              "--run-tag", ""], "query: --run-tag '' is empty or holds whitespace"),
+    # an output path that names an input is refused before any work, so the
+    # input survives: compress once replaced the manifest or a raw page it had
+    # read with the index, and query --out the index or the query manifest
+    "compress-index-names-the-manifest": (
+        ["compress", "{own_manifest}", "{own_manifest}", "--k", "4"],
+        "error: compress: INDEX {own_manifest} names an input, which it would overwrite\n"),
+    "compress-index-names-the-manifest-by-another-path": (
+        ["compress", "{own_manifest}", "{own_manifest_alias}", "--k", "4"],
+        "error: compress: INDEX {own_manifest_alias} names an input"),
+    "compress-index-names-a-raw-page": (
+        ["compress", "{own_manifest}", "{own_page}", "--k", "4"],
+        "error: compress: INDEX {own_page} names an input, which it would overwrite\n"),
+    "query-out-names-the-index": (
+        ["query", "{own_index}", "{own_queries}", "--out", "{own_index}"],
+        "error: query: --out {own_index} names an input, which it would overwrite\n"),
+    "query-out-names-the-query-manifest": (
+        ["query", "{own_index}", "{own_queries}", "--out", "{own_queries}"],
+        "error: query: --out {own_queries} names an input, which it would overwrite\n"),
     "eval-missing-run": (["eval", "{missing}", "{qrels}"], "missing"),
     "eval-empty-run": (["eval", "{empty_run}", "{qrels}"], "run file is empty"),
     "eval-repeated-run-pair": (["eval", "{repeated_run}", "{qrels}"], "run line 2"),
@@ -681,13 +709,21 @@ class TestErrorPaths:
         monkeypatch.setattr(cli, "retrieve_many", spy_retrieve)
         out = tmp_path / "out"
         out.mkdir()
-        code = cli.main([arg.format_map({"out": out, **bad_inputs}) for arg in argv])
+        names = {"out": out, **bad_inputs}
+        argv = [arg.format_map(names) for arg in argv]
+        # every file named on the command line, and its directory's listing
+        inputs = {Path(arg): Path(arg).read_bytes() for arg in argv if Path(arg).is_file()}
+        listings = {path.parent: sorted(path.parent.iterdir()) for path in inputs}
+        code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err.startswith("error:") and fragment in captured.err
+        assert captured.err.startswith("error:") and fragment.format_map(names) in captured.err
+        assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert list(out.iterdir()) == []
+        assert {path: path.read_bytes() for path in inputs} == inputs
+        assert {parent: sorted(parent.iterdir()) for parent in listings} == listings
         if case in ("compress-oversized-doc-id", "compress-kmeans-negative-seed",
                     "compress-hac-negative-seed"):
             assert compressed == []
@@ -695,6 +731,8 @@ class TestErrorPaths:
             assert len(compressed) == 5
         if case.endswith("run-tag"):
             assert retrieved == []
+        if "-names-" in case:
+            assert compressed == [] and retrieved == []
         if case == "query-huge-omega-trailer":
             assert len(captured.err.rstrip("\n")) <= 100
 

@@ -28,7 +28,7 @@ from colchunk.scorer import ScoredHit, retrieve
 from colchunk.store import BuildMeta, CorpusIndex, ingest_dump, ingest_queries, write_index
 from colchunk.types import PatchGrid
 
-from oracles import naive_maxsim, naive_ndcg
+from oracles import naive_maxsim, naive_ndcg, reference_pages
 
 
 class TestQrels:
@@ -297,6 +297,19 @@ class TestGenerateCorpus:
         assert len(hit_cells) == len(rows) * len(cols)
         assert rows == list(range(rows[0], rows[-1] + 1))
         assert cols == list(range(cols[0], cols[-1] + 1))
+
+    # noise or none, a block of more patches than the query has tokens (so
+    # tokens repeat) or fewer, a 1-row block, a block that fills the grid
+    @pytest.mark.parametrize("kw", [
+        {}, {"noise_sigma": 0.0}, {"signal_patches": 6}, {"signal_patches": 3},
+        {"signal_patches": 4, "query_tokens": 8, "noise_sigma": 2.0},
+        {"signal_patches": 16, "noise_sigma": 0.0},
+    ])
+    def test_pages_match_the_patch_by_patch_reference(self, kw):
+        spec = self.small_spec(**kw)
+        docs, _, _ = generate_corpus(spec)
+        for doc, expected in zip(docs, reference_pages(spec), strict=True):
+            assert doc.vectors.tobytes() == expected.tobytes()
 
     def test_qrels_one_relevant_per_query(self):
         _, _, qrels = generate_corpus(self.small_spec())

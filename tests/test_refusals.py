@@ -25,7 +25,7 @@ from colchunk.evaluation import (
     run_ablation,
 )
 from colchunk.posenc import encode_batch
-from colchunk.scorer import retrieve_many
+from colchunk.scorer import maxsim, retrieve_many
 from colchunk.store import (
     BuildMeta,
     CorpusIndex,
@@ -180,6 +180,13 @@ REFUSALS = {
     "index-doc-of-another-dim": (
         lambda tmp: CorpusIndex(dim=8, docs=(doc(dim=4),), build_meta=META),
         ValueError, "doc 'd' has dim 4, index expects 8"),
+    # one dimension rule for scoring a document and an index
+    "maxsim-query-of-another-dim": (
+        lambda tmp: maxsim(QueryEmbeddingSet("q", 8, np.eye(1, 8)), doc(dim=4)),
+        ValueError, "dimension mismatch: query 'q' has dim 8, doc 'd' has dim 4"),
+    "retrieve-query-of-another-dim": (
+        lambda tmp: retrieve_many([QueryEmbeddingSet("q", 8, np.eye(1, 8))], index(dim=4), 1),
+        ValueError, "dimension mismatch: query 'q' has dim 8, index has dim 4"),
     "write-records-dim-0": (
         lambda tmp: write_records(tmp / "x.cchk", 0, ["d"], META, [(np.eye(1, 4), [1])]),
         ValueError, "dim must be at least 1, got 0"),
@@ -252,6 +259,16 @@ REFUSALS = {
     "run-long-score": (
         lambda tmp: read_once(tmp, read_run, f"q Q0 d 1 {'x' * 200} t\n"), EvalInputError,
         f"run line 1: score must be a number, got '{'x' * 39}"),
+    # one line-width rule for both readers; blank lines are skipped, not counted
+    "qrels-three-fields": (
+        lambda tmp: read_once(tmp, Qrels.from_file, "q 0 d\n"), EvalInputError,
+        "qrels line 1: expected 4 fields, got 3"),
+    "run-five-fields": (
+        lambda tmp: read_once(tmp, read_run, "q Q0 d 1 0.5\n"), EvalInputError,
+        "run line 1: expected 6 fields, got 5"),
+    "run-seven-fields-after-a-blank-line": (
+        lambda tmp: read_once(tmp, read_run, "\nq Q0 d 1 0.5 t x\n"), EvalInputError,
+        "run line 2: expected 6 fields, got 7"),
     # one seed rule, and one message, for a build and a synthetic corpus
     "synthetic-negative-seed": (
         lambda tmp: SyntheticSpec(num_docs=2, num_queries=1, grid=PatchGrid(2, 2), dim=4,
