@@ -52,11 +52,16 @@ METHODS = ("hac_ward", "kmeans")
 # run is reproducible on symmetric inputs such as pure positional grids.
 TIE_EPS = 1e-12
 
-# Largest page ``cluster_hac`` accepts. Ward keeps a dense n x n float64
-# distance matrix, 512 MiB at this bound; building it briefly holds a second
-# one, and shrinking it to the live clusters a quarter more. A larger page
-# raises ValueError.
+# Largest page ``cluster_hac`` accepts. Ward keeps one dense n x n float64
+# distance matrix, 512 MiB at this bound, built in place. The first shrink to
+# the live clusters briefly holds a quarter more, a peak of about 640 MiB. A
+# larger page raises ValueError.
 MAX_HAC_PATCHES = 8192
+
+# Edge, in rows, of the square tiles in which ``_pairwise_sq`` turns the Gram
+# matrix into distances. 128 was fastest at 768 patches and level with 64 at
+# 1,024-2,048; a tile pair is 256 KiB of float64.
+_TILE = 128
 
 DEGENERATE_NORM = 1e-12
 
@@ -97,19 +102,26 @@ def fuse(pset: PatchEmbeddingSet, cfg: ChunkerConfig) -> FusedFeatureSet:
 def _pairwise_sq(x: np.ndarray) -> np.ndarray:
     """Dense squared Euclidean distances with +inf on the diagonal.
 
-    Works in place, so at most two n x n matrices are live. For the Gram
-    matrix ``g``, each entry is ``(sq_i + sq_j) - (g_ij + g_ji)`` with
-    ``sq_i = g_ii``, rounded step by step in that order, so it is exactly
-    symmetric.
+    Overwrites the Gram matrix ``g`` in place, one pair of ``_TILE``-row
+    tiles ``(I, J)`` and ``(J, I)`` at a time, so one n x n matrix is live.
+    Each entry is ``(sq_i + sq_j) - (g_ij + g_ji)`` with ``sq_i = g_ii``,
+    rounded step by step in that order, so it is exactly symmetric. No tile
+    reads an entry that another tile has already overwritten.
     """
     g = x @ x.T
-    g = g + g.T
-    sq = np.diag(g) * 0.5
-    d2 = np.add.outer(sq, sq)
-    d2 -= g
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, np.inf)
-    return d2
+    n = g.shape[0]
+    sq = g.diagonal().copy()
+    for i in range(0, n, _TILE):
+        rows = slice(i, i + _TILE)
+        for j in range(i, n, _TILE):
+            cols = slice(j, j + _TILE)
+            t = np.add.outer(sq[rows], sq[cols])
+            t -= g[rows, cols] + g[cols, rows].T
+            np.maximum(t, 0.0, out=t)
+            g[rows, cols] = t
+            g[cols, rows] = t.T
+    np.fill_diagonal(g, np.inf)
+    return g
 
 
 def _canonical_assignment(labels_raw: np.ndarray) -> ChunkAssignment:

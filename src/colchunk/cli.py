@@ -43,6 +43,7 @@ from .store import (
     ingest_dump,
     ingest_queries,
     load_manifest,
+    load_query_manifest,
     read_index,
     write_records,
 )
@@ -101,6 +102,11 @@ def _write_out(path, write) -> None:
     """``write(fh)`` to the UTF-8 file at ``path``, or to stdout when ``path`` is empty."""
     with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
         write(fh)
+
+
+def _raw(manifest) -> list[Path]:
+    """The raw vector files a parsed dump manifest lists."""
+    return [manifest.root / entry.path for entry in manifest.entries]
 
 
 def _refuse_overwrite(what: str, out, inputs) -> None:
@@ -180,8 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_compress(args) -> int:
     cfg = ChunkerConfig(args.k, args.omega, args.method, args.seed)
     manifest = load_manifest(args.manifest)
-    raw = (manifest.root / entry.path for entry in manifest.entries)
-    _refuse_overwrite("compress: INDEX", args.index, [args.manifest, *raw])
+    _refuse_overwrite("compress: INDEX", args.index, [args.manifest, *_raw(manifest)])
     if not manifest.entries:
         raise ManifestError("the dump manifest lists no documents")
     # One page in memory at a time: each page is read, compressed and
@@ -208,9 +213,10 @@ def cmd_compress(args) -> int:
 def cmd_query(args) -> int:
     # Refused before any work, so no run file is left behind.
     check_id(args.run_tag, "query: --run-tag")
-    _refuse_overwrite("query: --out", args.out, [args.index, args.queries])
+    manifest = load_query_manifest(args.queries)
+    _refuse_overwrite("query: --out", args.out, [args.index, args.queries, *_raw(manifest)])
     index = read_index(args.index)
-    queries = list(ingest_queries(args.queries))
+    queries = list(ingest_queries(manifest))
     if not queries:
         raise ManifestError("the query manifest lists no queries")
     all_hits = retrieve_many(queries, index, top_k=args.top_k)
@@ -267,8 +273,14 @@ def cmd_bench(args) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(args.workdir) if args.workdir else Path(tmp)
         dataset = generate_synthetic(spec, workdir)
-        docs = list(ingest_dump(dataset.doc_manifest))
-        queries = list(ingest_queries(dataset.query_manifest))
+        doc_manifest = load_manifest(dataset.doc_manifest)
+        query_manifest = load_query_manifest(dataset.query_manifest)
+        _refuse_overwrite("bench: --out", args.out, [
+            dataset.doc_manifest, dataset.query_manifest, dataset.qrels_path,
+            *_raw(doc_manifest), *_raw(query_manifest),
+        ])
+        docs = list(ingest_dump(doc_manifest))
+        queries = list(ingest_queries(query_manifest))
         qrels = Qrels.from_file(dataset.qrels_path)
         rows = run_ablation(docs, queries, qrels, sweep)
     _write_out(args.out, lambda fh: rows_to_csv(rows, fh))

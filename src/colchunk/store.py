@@ -81,6 +81,7 @@ __all__ = [
     "write_records",
     "read_index",
     "load_manifest",
+    "load_query_manifest",
     "ingest_dump",
     "write_embedding_dump",
     "ingest_queries",
@@ -463,6 +464,12 @@ def load_manifest(path: str | Path) -> EmbeddingDumpManifest:
     return _load(path, "doc_id")
 
 
+def load_query_manifest(path: str | Path) -> EmbeddingDumpManifest:
+    """Read and sanity-check a query dump manifest, as ``load_manifest`` does a
+    page dump's."""
+    return _load(path, "query_id")
+
+
 def _ingest(manifest: EmbeddingDumpManifest, make):
     """Yield ``make(entry, vectors)`` for each entry's raw file, in order.
 
@@ -502,9 +509,15 @@ def ingest_dump(manifest_path: str | Path | EmbeddingDumpManifest):
     )
 
 
-def ingest_queries(manifest_path: str | Path):
-    """Yield QueryEmbeddingSets for each query manifest entry, in order."""
-    manifest = _load(manifest_path, "query_id")
+def ingest_queries(manifest_path: str | Path | EmbeddingDumpManifest):
+    """Yield QueryEmbeddingSets for each query manifest entry, in order.
+
+    Takes a manifest path, or a manifest already parsed by
+    ``load_query_manifest``.
+    """
+    manifest = manifest_path
+    if not isinstance(manifest, EmbeddingDumpManifest):
+        manifest = load_query_manifest(manifest)
     yield from _ingest(manifest, lambda e, vectors: QueryEmbeddingSet(e.id, manifest.dim, vectors))
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from colchunk.types import (
 )
 
 from conftest import make_pset
-from oracles import brute_force_ward, reference_pool, reference_ward
+from oracles import _reference_pairwise_sq, brute_force_ward, reference_pool, reference_ward
 
 
 def feats_from(points, omega=0.0):
@@ -267,14 +268,26 @@ def ward_inputs(rng, family, count):
 
 
 def large_ward_inputs(rng):
-    """768-patch pages, where compaction fires several times."""
+    """768-patch pages, where compaction fires several times, and a 20 x 15
+    page of 300 patches, whose distance matrix ends in partial tiles."""
     grid = make_pset(rng, rows=32, cols=24, dim=16)
     base = rng.normal(size=(40, 16))
     return [
         rng.normal(size=(768, 16)),
         fuse(grid, ChunkerConfig(k=1, omega=1.0)).vectors,
         base[rng.integers(0, len(base), size=768)],
+        fuse(make_pset(rng, rows=20, cols=15, dim=16), ChunkerConfig(k=1)).vectors,
     ]
+
+
+def traced_peak(run) -> int:
+    """Peak bytes that numpy and Python allocate while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def k_values(n):
@@ -340,6 +353,39 @@ class TestClusterHacReference:
                 flat = hierarchy.fcluster(z_ref, k, criterion="maxclust")
                 assert np.array_equal(asg.labels, canonical_labels(flat)), (n, k)
                 np.testing.assert_allclose(z[:, 2], z_ref[: n - k, 2], rtol=1e-9, atol=0)
+
+
+class TestPairwiseSq:
+    """The tiled distance matrix against the whole-matrix reference, bit for bit,
+    and its memory: one n x n matrix, built in place."""
+
+    @pytest.mark.parametrize("omega", [0.0, 0.2, 1.0])
+    def test_bitwise_equal_to_reference_across_tile_edges(self, omega):
+        tile = chunker._TILE
+        rng = np.random.default_rng(27)
+        for n in (1, 2, tile - 1, tile, tile + 1, 2 * tile + 44, 768):
+            pts = fuse(make_pset(rng, rows=1, cols=n, dim=16), ChunkerConfig(omega=omega)).vectors
+            assert chunker._pairwise_sq(pts).tobytes() == _reference_pairwise_sq(pts).tobytes(), n
+
+    def test_bitwise_equal_to_reference_on_duplicate_rows(self):
+        rng = np.random.default_rng(28)
+        base = rng.normal(size=(5, 16))
+        pts = base[rng.integers(0, len(base), size=2 * chunker._TILE + 44)]
+        assert chunker._pairwise_sq(pts).tobytes() == _reference_pairwise_sq(pts).tobytes()
+
+    def test_holds_one_matrix(self):
+        n = 1024
+        pts = np.random.default_rng(29).normal(size=(n, 16))
+        peak = traced_peak(lambda: chunker._pairwise_sq(pts))
+        assert peak <= 1.1 * n * n * 8, peak / (n * n * 8)
+
+    def test_ward_peak_is_one_matrix_and_the_first_compaction(self):
+        # The first compaction copies the live quarter of the matrix out of it.
+        feats = fuse(make_pset(np.random.default_rng(30), rows=32, cols=24, dim=16),
+                     ChunkerConfig())
+        n = 768
+        peak = traced_peak(lambda: cluster_hac(feats, 40))
+        assert peak <= 1.35 * n * n * 8, peak / (n * n * 8)
 
 
 class TestPageSizeBound:

@@ -18,7 +18,7 @@ import numpy as np
 
 from colchunk import chunker, cli, store
 from colchunk.chunker import ChunkerConfig
-from colchunk.evaluation import SweepSpec, SyntheticSpec, generate_synthetic
+from colchunk.evaluation import Qrels, SweepSpec, SyntheticSpec, generate_synthetic
 from colchunk.store import read_index, write_embedding_dump
 from colchunk.types import PatchEmbeddingSet, PatchGrid
 
@@ -516,15 +516,22 @@ def bad_inputs(dataset, index_path, tmp_path_factory):
     shutil.copytree(dataset.doc_manifest.parent, own)
     shutil.copy(index_path, own / "pages.cchk")
     first_page = json.loads(dataset.doc_manifest.read_text())["entries"][0]["path"]
+    first_query = json.loads(dataset.query_manifest.read_text())["entries"][0]["path"]
     paths.update(own_manifest=own / dataset.doc_manifest.name,
                  own_manifest_alias=own / "vectors" / ".." / dataset.doc_manifest.name,
                  own_page=own / first_page, own_queries=own / dataset.query_manifest.name,
-                 own_index=own / "pages.cchk")
+                 own_query=own / first_query, own_index=own / "pages.cchk")
     return paths
 
 
+# Bench flags for a corpus small enough to build in a moment.
+SMALL_BENCH = ["bench", "--num-docs", "4", "--num-queries", "2", "--grid-rows", "4",
+               "--grid-cols", "4", "--dim", "16", "--signal-patches", "4", "--query-tokens",
+               "4", "--k", "4", "--out", "{out}/b.csv"]
+
 # name -> (argv, a fragment of the error). ``{name}``, in either, stands for
-# the file ``bad_inputs`` names so, and ``{out}`` for an empty output directory.
+# the file ``bad_inputs`` names so, ``{out}`` for an empty output directory and
+# ``{work}`` for a ``bench --workdir`` outside it.
 CLI_ERROR_CASES = {
     "compress-missing-manifest": (["compress", "{missing}", "{out}/x.cchk"], "missing"),
     "compress-non-utf8-manifest": (["compress", "{non_utf8}", "{out}/x.cchk"], "non_utf8.json"),
@@ -611,6 +618,20 @@ CLI_ERROR_CASES = {
     "query-out-names-the-query-manifest": (
         ["query", "{own_index}", "{own_queries}", "--out", "{own_queries}"],
         "error: query: --out {own_queries} names an input, which it would overwrite\n"),
+    "query-out-names-a-raw-query": (
+        ["query", "{own_index}", "{own_queries}", "--out", "{own_query}"],
+        "error: query: --out {own_query} names an input, which it would overwrite\n"),
+    # bench refuses an --out that names a file of the dataset it has just
+    # generated, before the ablation runs, and keeps that dataset whole
+    "bench-out-names-the-doc-manifest": (
+        [*SMALL_BENCH[:-1], "{work}/manifest.json", "--workdir", "{work}"],
+        "error: bench: --out {work}/manifest.json names an input, which it would overwrite\n"),
+    "bench-out-names-a-raw-query": (
+        [*SMALL_BENCH[:-1], "{work}/queries/q0000.f32", "--workdir", "{work}"],
+        "error: bench: --out {work}/queries/q0000.f32 names an input"),
+    "bench-out-names-the-qrels": (
+        [*SMALL_BENCH[:-1], "{work}/qrels.txt", "--workdir", "{work}"],
+        "error: bench: --out {work}/qrels.txt names an input"),
     "eval-missing-run": (["eval", "{missing}", "{qrels}"], "missing"),
     "eval-empty-run": (["eval", "{empty_run}", "{qrels}"], "run file is empty"),
     "eval-repeated-run-pair": (["eval", "{repeated_run}", "{qrels}"], "run line 2"),
@@ -645,11 +666,6 @@ CLI_ERROR_CASES = {
                              "grid of 10000000000 patches exceeds MAX_HAC_PATCHES = 8192"),
 }
 
-
-# Bench flags for a corpus small enough to build in a moment.
-SMALL_BENCH = ["bench", "--num-docs", "4", "--num-queries", "2", "--grid-rows", "4",
-               "--grid-cols", "4", "--dim", "16", "--signal-patches", "4", "--query-tokens",
-               "4", "--k", "4", "--out", "{out}/b.csv"]
 
 # name -> (argv, the error argparse prints after ``argument``): flag text that
 # its parser refuses, exit 2 before any work. ``{name}`` as in CLI_ERROR_CASES.
@@ -709,7 +725,8 @@ class TestErrorPaths:
         monkeypatch.setattr(cli, "retrieve_many", spy_retrieve)
         out = tmp_path / "out"
         out.mkdir()
-        names = {"out": out, **bad_inputs}
+        work = tmp_path / "work"
+        names = {"out": out, "work": work, **bad_inputs}
         argv = [arg.format_map(names) for arg in argv]
         # every file named on the command line, and its directory's listing
         inputs = {Path(arg): Path(arg).read_bytes() for arg in argv if Path(arg).is_file()}
@@ -733,6 +750,11 @@ class TestErrorPaths:
             assert retrieved == []
         if "-names-" in case:
             assert compressed == [] and retrieved == []
+        if case.startswith("bench-out-names-"):
+            # the dataset bench generated is whole: every file it lists loads
+            list(store.ingest_dump(work / "manifest.json"))
+            list(store.ingest_queries(work / "queries.json"))
+            Qrels.from_file(work / "qrels.txt")
         if case == "query-huge-omega-trailer":
             assert len(captured.err.rstrip("\n")) <= 100
 

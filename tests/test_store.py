@@ -18,6 +18,7 @@ from colchunk.store import (
     ingest_dump,
     ingest_queries,
     load_manifest,
+    load_query_manifest,
     read_index,
     write_embedding_dump,
     write_index,
@@ -845,6 +846,18 @@ class TestQueryDump:
             np.testing.assert_array_equal(
                 got.vectors, orig.vectors.astype(np.float32).astype(np.float64)
             )
+
+    def test_parsed_manifest_ingests_as_its_path_does(self, rng, tmp_path):
+        queries = [QueryEmbeddingSet(query_id=f"q{i}", dim=8, vectors=rng.normal(size=(2, 8)))
+                   for i in range(2)]
+        path = write_query_dump(queries, tmp_path)
+        manifest = load_query_manifest(path)
+        assert [(e.id, e.path, e.grid) for e in manifest.entries] == [
+            ("q0", "queries/q0.f32", None), ("q1", "queries/q1.f32", None)]
+        by_path, by_manifest = list(ingest_queries(path)), list(ingest_queries(manifest))
+        assert [q.query_id for q in by_manifest] == [q.query_id for q in by_path]
+        for a, b in zip(by_path, by_manifest):
+            assert a.vectors.tobytes() == b.vectors.tobytes()
 
     def test_missing_query_file(self, rng, tmp_path):
         queries = [QueryEmbeddingSet(query_id="q0", dim=8,
