@@ -104,11 +104,6 @@ def _write_out(path, write) -> None:
         write(fh)
 
 
-def _raw(manifest) -> list[Path]:
-    """The raw vector files a parsed dump manifest lists."""
-    return [manifest.root / entry.path for entry in manifest.entries]
-
-
 def _refuse_overwrite(what: str, out, inputs) -> None:
     """ValueError, before any work, if the output path ``out`` names one of ``inputs``."""
     if out and os.path.realpath(out) in {os.path.realpath(path) for path in inputs}:
@@ -186,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_compress(args) -> int:
     cfg = ChunkerConfig(args.k, args.omega, args.method, args.seed)
     manifest = load_manifest(args.manifest)
-    _refuse_overwrite("compress: INDEX", args.index, [args.manifest, *_raw(manifest)])
+    _refuse_overwrite("compress: INDEX", args.index, [args.manifest, *manifest.files()])
     if not manifest.entries:
         raise ManifestError("the dump manifest lists no documents")
     # One page in memory at a time: each page is read, compressed and
@@ -214,7 +209,7 @@ def cmd_query(args) -> int:
     # Refused before any work, so no run file is left behind.
     check_id(args.run_tag, "query: --run-tag")
     manifest = load_query_manifest(args.queries)
-    _refuse_overwrite("query: --out", args.out, [args.index, args.queries, *_raw(manifest)])
+    _refuse_overwrite("query: --out", args.out, [args.index, args.queries, *manifest.files()])
     index = read_index(args.index)
     queries = list(ingest_queries(manifest))
     if not queries:
@@ -275,10 +270,9 @@ def cmd_bench(args) -> int:
         dataset = generate_synthetic(spec, workdir)
         doc_manifest = load_manifest(dataset.doc_manifest)
         query_manifest = load_query_manifest(dataset.query_manifest)
-        _refuse_overwrite("bench: --out", args.out, [
-            dataset.doc_manifest, dataset.query_manifest, dataset.qrels_path,
-            *_raw(doc_manifest), *_raw(query_manifest),
-        ])
+        inputs = [dataset.doc_manifest, dataset.query_manifest, dataset.qrels_path,
+                  *doc_manifest.files(), *query_manifest.files()]
+        _refuse_overwrite("bench: --out", args.out, inputs)
         docs = list(ingest_dump(doc_manifest))
         queries = list(ingest_queries(query_manifest))
         qrels = Qrels.from_file(dataset.qrels_path)

@@ -75,11 +75,14 @@ class Qrels:
     def __init__(self, grades: Mapping[str, Mapping[str, int]] | None = None):
         self._grades: dict[str, dict[str, int]] = {}
         for qid, docs in (grades or {}).items():
-            self._grades[qid] = {}
             for did, grade in docs.items():
                 self.add(qid, did, grade)
 
     def add(self, query_id: str, doc_id: str, grade: int) -> None:
+        """Judge ``doc_id`` for ``query_id``; ValueError unless both ids obey the
+        id rule, which keeps every qrels line four fields, and the grade its rule."""
+        check_id(query_id, "qrels: query_id")
+        check_id(doc_id, "qrels: doc_id")
         self._grades.setdefault(query_id, {})[doc_id] = check_natural(grade, "grade")
 
     def grade(self, query_id: str, doc_id: str) -> int:
@@ -111,8 +114,8 @@ class Qrels:
                 raise EvalInputError(f"qrels line {lineno}: {exc}") from exc
             if earlier is not None and earlier != qrels.grade(qid, did):
                 raise EvalInputError(
-                    f"qrels line {lineno}: grade {grade} for query {qid} doc {did} "
-                    f"conflicts with grade {earlier} on an earlier line"
+                    f"qrels line {lineno}: grade {grade:.40} for query {qid:.40} doc {did:.40} "
+                    f"conflicts with grade {earlier!r:.40} on an earlier line"
                 )
         return qrels
 
@@ -158,9 +161,14 @@ def evaluate_run(
 
 
 def write_run(hits_by_query: Mapping[str, Sequence], fh, run_tag: str = "colchunk") -> None:
-    """Emit TREC run lines: ``query_id Q0 doc_id rank score tag``. A ``run_tag``
-    that breaks the id rule raises ValueError before any line is written."""
+    """Emit TREC run lines: ``query_id Q0 doc_id rank score tag``. A ``run_tag``,
+    query id or hit's doc id that breaks the id rule raises ValueError before
+    any line is written."""
     check_id(run_tag, "run: run_tag")
+    for qid in hits_by_query:
+        check_id(qid, "run: query_id")
+        for hit in hits_by_query[qid]:
+            check_id(hit.doc_id, "run: doc_id")
     for qid in hits_by_query:
         for hit in hits_by_query[qid]:
             fh.write(f"{qid} Q0 {hit.doc_id} {hit.rank} {hit.score:.6f} {run_tag}\n")
@@ -184,9 +192,10 @@ def read_run(path) -> dict[str, list[str]]:
             raise EvalInputError(f"run line {lineno}: {exc}") from exc
         ranking = raw.setdefault(qid, {})
         if (qid, did) in listed:
-            raise EvalInputError(f"run line {lineno}: query {qid} lists doc {did} again")
+            raise EvalInputError(f"run line {lineno}: query {qid:.40} lists doc {did:.40} again")
         if rank_i in ranking:
-            raise EvalInputError(f"run line {lineno}: query {qid} uses rank {rank_i} again")
+            raise EvalInputError(
+                f"run line {lineno}: query {qid:.40} uses rank {rank_i!r:.40} again")
         listed.add((qid, did))
         ranking[rank_i] = did
     return {qid: [ranking[r] for r in sorted(ranking)] for qid, ranking in raw.items()}
@@ -231,8 +240,9 @@ class SyntheticSpec:
         # refused here, before anything is drawn.
         if self.grid.n_patches > chunker.MAX_HAC_PATCHES:
             raise ValueError(
-                f"a {self.grid.rows}x{self.grid.cols} grid of {self.grid.n_patches} patches "
-                f"exceeds MAX_HAC_PATCHES = {chunker.MAX_HAC_PATCHES}"
+                f"a {self.grid.rows!r:.40}x{self.grid.cols!r:.40} grid of "
+                f"{self.grid.n_patches!r:.40} patches exceeds MAX_HAC_PATCHES = "
+                f"{chunker.MAX_HAC_PATCHES}"
             )
         if self.signal_patches > self.grid.n_patches:
             raise ValueError("signal_patches must fit in the grid")

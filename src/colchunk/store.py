@@ -17,8 +17,11 @@ it without scanning the document records:
     trailer        JSON, UTF-8, sorted keys, no whitespace: BuildMeta's six fields
     trailer_len    u64
 
-Vectors are float32 on disk. ``read_index`` holds the stored float32 values
-in one ``(sum K, dim)`` matrix; scoring arithmetic is float64. Every record
+The fixed-width fields are stated once, in the struct table below ``MAGIC``:
+``write_records`` packs them, ``read_index`` unpacks them, and a value that
+does not fit its field (a dim past u32) raises ValueError before the file is
+opened. Vectors are float32 on disk. ``read_index`` holds the stored float32
+values in one ``(sum K, dim)`` matrix; scoring arithmetic is float64. Every record
 obeys ``types.check_compressed``. Writing what was read reproduces the file
 byte for byte, since the reader takes the trailer's values unconverted. They
 must be a build ``ChunkerConfig`` accepts, so ``store`` imports ``chunker``
@@ -41,7 +44,9 @@ are not safe file names: ``.``, ``..`` and any id holding ``/``, ``\\`` or
 NUL. The loader rejects entry paths that are absolute or have a ``..``
 component; it raises ManifestError for any malformed manifest, such as one
 that is not UTF-8 or ``entries`` that is not a list. Vectors that their
-type rejects (non-finite or zero-norm) raise ManifestError on ingest too.
+type rejects (non-finite or zero-norm) raise ManifestError on ingest too,
+and the writers refuse them, over the float32 values a file stores, before
+the first byte. ``EmbeddingDumpManifest.files()`` names each raw file.
 """
 
 from __future__ import annotations
@@ -90,6 +95,9 @@ __all__ = [
 
 MAGIC = b"CCHK"
 FORMAT_VERSION = 1
+# The fixed-width fields of the layout above, one struct each for writer and reader:
+# the header (magic, version, dim, doc_count), id_len, k and trailer_len.
+_HEADER, _ID_LEN, _K, _TRAILER_LEN = map(struct.Struct, ("<4sIIQ", "<H", "<I", "<Q"))
 
 
 class IndexFormatError(Exception):
@@ -236,12 +244,16 @@ def write_records(path: str | Path, dim: int, ids, build_meta: BuildMeta, rows) 
     ids = list(ids)
     encoded = _encoded_ids(ids)
     dim = check_count(dim, "dim")
+    try:
+        header = _HEADER.pack(MAGIC, FORMAT_VERSION, dim, len(ids))
+    except struct.error:  # the one header field a count can overflow
+        raise ValueError(f"dim {dim!r:.40} exceeds the u32 dim field") from None
     out = Path(path)
     tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
     total = 0
     try:
         with tmp.open("wb") as fh:
-            fh.write(MAGIC + struct.pack("<IIQ", FORMAT_VERSION, dim, len(ids)))
+            fh.write(header)
             records = iter(rows)
             for n, (doc_id, id_bytes) in enumerate(zip(ids, encoded)):
                 record = next(records, None)
@@ -251,7 +263,7 @@ def write_records(path: str | Path, dim: int, ids, build_meta: BuildMeta, rows) 
                 chunks, sizes = np.ascontiguousarray(chunks, "<f4"), np.asarray(sizes)
                 k = len(chunks)
                 check_compressed((doc_id,), dim, (0, k), chunks, sizes)
-                fh.write(struct.pack("<H", len(id_bytes)) + id_bytes + struct.pack("<I", k))
+                fh.write(_ID_LEN.pack(len(id_bytes)) + id_bytes + _K.pack(k))
                 fh.write(sizes.astype("<u4"))
                 fh.write(chunks)
                 total += k
@@ -260,7 +272,7 @@ def write_records(path: str | Path, dim: int, ids, build_meta: BuildMeta, rows) 
             trailer = json.dumps(
                 asdict(build_meta), sort_keys=True, separators=(",", ":")
             ).encode("utf-8")
-            fh.write(trailer + struct.pack("<Q", len(trailer)))
+            fh.write(trailer + _TRAILER_LEN.pack(len(trailer)))
         os.replace(tmp, out)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -284,8 +296,8 @@ class _Reader:
         if self.fh.readinto(out) < out.nbytes:
             raise IndexFormatError(f"truncated file: ran out of bytes reading {what}")
 
-    def unpack(self, fmt: str, what: str) -> int:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))[0]
+    def unpack(self, fields: struct.Struct, what: str) -> tuple:
+        return fields.unpack(self.take(fields.size, what))
 
 
 def read_index(path: str | Path) -> CorpusIndex:
@@ -300,30 +312,27 @@ def read_index(path: str | Path) -> CorpusIndex:
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
         cur = _Reader(fh)
-        magic = cur.take(4, "magic")
+        magic, version, dim, doc_count = cur.unpack(_HEADER, "header")
         if magic != MAGIC:
             raise IndexFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        version = cur.unpack("<I", "version")
         if version != FORMAT_VERSION:
             raise IndexFormatError(f"unsupported format version {version}")
-        dim = cur.unpack("<I", "dim")
         if dim < 1:
             raise IndexFormatError(f"invalid dim {dim}")
-        doc_count = cur.unpack("<Q", "doc count")
         # Each chunk row costs 4 * (dim + 1) bytes of the file, which bounds
         # the row count; pages of the unused tail are never touched.
-        capacity = max(file_size - 20, 0) // (4 * (dim + 1))
+        capacity = (file_size - _HEADER.size) // (4 * (dim + 1))
         chunks = np.empty((capacity, dim), dtype="<f4")
         sizes = np.empty(capacity, dtype="<u4")
         ids: list[str] = []
         offsets = [0]
         for i in range(doc_count):
-            id_len = cur.unpack("<H", f"doc {i} id length")
+            (id_len,) = cur.unpack(_ID_LEN, f"doc {i} id length")
             try:
                 doc_id = cur.take(id_len, f"doc {i} id").decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise IndexFormatError(f"doc {i} id is not valid UTF-8") from exc
-            k = cur.unpack("<I", f"doc '{doc_id}' k")
+            (k,) = cur.unpack(_K, f"doc '{doc_id}' k")
             lo, hi = offsets[-1], offsets[-1] + k
             if hi > capacity:
                 raise IndexFormatError(
@@ -334,15 +343,16 @@ def read_index(path: str | Path) -> CorpusIndex:
             ids.append(doc_id)
             offsets.append(hi)
         tail = fh.read()
-    if len(tail) < 8:
+    trailer, length = tail[: -_TRAILER_LEN.size], tail[-_TRAILER_LEN.size :]
+    if len(length) < _TRAILER_LEN.size:
         raise IndexFormatError("truncated file: missing trailer length")
-    trailer_len = struct.unpack("<Q", tail[-8:])[0]
-    if trailer_len != len(tail) - 8:
+    (trailer_len,) = _TRAILER_LEN.unpack(length)
+    if trailer_len != len(trailer):
         raise IndexFormatError(
-            f"trailer length {trailer_len} disagrees with the {len(tail) - 8} bytes present"
+            f"trailer length {trailer_len} disagrees with the {len(trailer)} bytes present"
         )
     try:
-        meta = BuildMeta.from_dict(json.loads(tail[:-8].decode("utf-8")))
+        meta = BuildMeta.from_dict(json.loads(trailer.decode("utf-8")))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON or an over-long integer
         raise IndexFormatError(f"unreadable build metadata: {exc}") from exc
     rows = offsets[-1]
@@ -373,13 +383,17 @@ class EmbeddingDumpManifest:
     location: str = ""
     root: Path = field(default_factory=Path)
 
+    def files(self) -> list[Path]:
+        """Each entry's raw vector file, in entry order."""
+        return [self.root / entry.path for entry in self.entries]
+
 
 def _check_unique(ids, field: str, where: str) -> None:
     """The uniqueness rule: no id repeats; the error names the first repeat."""
     seen: set[str] = set()
     for item_id in ids:
         if item_id in seen:
-            raise ValueError(f"duplicate {field} '{item_id}' in {where}")
+            raise ValueError(f"duplicate {field} {item_id!r:.40} in {where}")
         seen.add(item_id)
 
 
@@ -389,7 +403,7 @@ def _encoded_ids(ids) -> list[bytes]:
     encoded = []
     for doc_id in ids:
         id_bytes = check_id(doc_id, "index: doc_id").encode("utf-8")
-        if len(id_bytes) > 0xFFFF:
+        if len(id_bytes) >= 1 << 8 * _ID_LEN.size:
             raise ValueError(
                 f"doc_id {doc_id!r:.40} of {len(id_bytes)} bytes exceeds the u16 length field"
             )
@@ -435,24 +449,24 @@ def _load(path: str | Path, id_key: str) -> EmbeddingDumpManifest:
                              check_count(rows_cols[1], f"{where}: cols"))
             grid = PatchGrid(*rows_cols) if rows_cols else None
             if grid and n_vectors != grid.n_patches:
-                raise ValueError(
-                    f"{kind} '{item_id}': n_vectors {n_vectors} != {grid.rows}x{grid.cols} grid"
-                )
+                raise ValueError(f"{kind} '{item_id}': n_vectors {n_vectors!r:.40} != "
+                                 f"{grid.rows!r:.40}x{grid.cols!r:.40} grid")
             if Path(rel).is_absolute() or ".." in Path(rel).parts:
                 raise ValueError(f"{kind} '{item_id}': path {rel} leaves the manifest directory")
             entries.append(DumpEntry(id=item_id, n_vectors=n_vectors, path=rel, grid=grid))
         _check_unique([entry.id for entry in entries], id_key, f"{kind} manifest {p}")
-        for entry in entries:
+        location = check_string(data.get("location", ""), f"{kind} manifest {p}: location")
+        manifest = EmbeddingDumpManifest(dim, tuple(entries), location, p.parent)
+        for entry, raw in zip(entries, manifest.files()):
             try:
-                found = (p.parent / entry.path).is_file()
+                found = raw.is_file()
             except OSError:  # a path the file system refuses, such as a name too long
                 found = False
             if not found:
                 raise ValueError(f"{kind} '{entry.id}': raw file {entry.path} not found")
-        location = check_string(data.get("location", ""), f"{kind} manifest {p}: location")
     except ValueError as exc:
         raise ManifestError(str(exc)) from exc
-    return EmbeddingDumpManifest(dim=dim, entries=tuple(entries), location=location, root=p.parent)
+    return manifest
 
 
 def load_manifest(path: str | Path) -> EmbeddingDumpManifest:
@@ -470,25 +484,33 @@ def load_query_manifest(path: str | Path) -> EmbeddingDumpManifest:
     return _load(path, "query_id")
 
 
-def _ingest(manifest: EmbeddingDumpManifest, make):
-    """Yield ``make(entry, vectors)`` for each entry's raw file, in order.
+def _item(entry: DumpEntry, dim: int, vectors) -> PatchEmbeddingSet | QueryEmbeddingSet:
+    """The type an entry's vectors make: a page if the entry has a grid, else a query."""
+    if entry.grid:
+        return PatchEmbeddingSet(entry.id, dim, entry.grid, vectors)
+    return QueryEmbeddingSet(entry.id, dim, vectors)
 
-    A raw file of the wrong size, or vectors that ``make`` rejects with
+
+def _ingest(manifest, load):
+    """Yield ``_item`` of each raw file of ``manifest``, parsed or a path ``load`` parses.
+
+    A raw file of the wrong size, or vectors that their type rejects with
     ValueError (a non-finite or zero-norm vector), raise ManifestError.
     """
-    for entry in manifest.entries:
-        path = manifest.root / entry.path
+    if not isinstance(manifest, EmbeddingDumpManifest):
+        manifest = load(manifest)
+    for entry, path in zip(manifest.entries, manifest.files()):
         expected = entry.n_vectors * manifest.dim * 4
         actual = path.stat().st_size
         if actual != expected:
             kind = "doc" if entry.grid else "query"
             raise ManifestError(
-                f"{kind} '{entry.id}': raw file {path.name} holds {actual} bytes, "
-                f"expected {expected} ({entry.n_vectors} x {manifest.dim} float32)"
+                f"{kind} '{entry.id}': raw file {path.name} holds {actual} bytes, expected "
+                f"{expected!r:.40} ({entry.n_vectors!r:.40} x {manifest.dim!r:.40} float32)"
             )
         flat = np.fromfile(path, dtype="<f4")
         try:
-            item = make(entry, flat.reshape(entry.n_vectors, manifest.dim))
+            item = _item(entry, manifest.dim, flat.reshape(entry.n_vectors, manifest.dim))
         except ValueError as exc:
             raise ManifestError(str(exc)) from exc
         yield item
@@ -501,12 +523,7 @@ def ingest_dump(manifest_path: str | Path | EmbeddingDumpManifest):
     A page that its type rejects (a non-finite or zero-norm vector) raises
     ManifestError.
     """
-    manifest = manifest_path
-    if not isinstance(manifest, EmbeddingDumpManifest):
-        manifest = load_manifest(manifest)
-    yield from _ingest(
-        manifest, lambda e, vectors: PatchEmbeddingSet(e.id, manifest.dim, e.grid, vectors)
-    )
+    yield from _ingest(manifest_path, load_manifest)
 
 
 def ingest_queries(manifest_path: str | Path | EmbeddingDumpManifest):
@@ -515,53 +532,51 @@ def ingest_queries(manifest_path: str | Path | EmbeddingDumpManifest):
     Takes a manifest path, or a manifest already parsed by
     ``load_query_manifest``.
     """
-    manifest = manifest_path
-    if not isinstance(manifest, EmbeddingDumpManifest):
-        manifest = load_query_manifest(manifest)
-    yield from _ingest(manifest, lambda e, vectors: QueryEmbeddingSet(e.id, manifest.dim, vectors))
+    yield from _ingest(manifest_path, load_query_manifest)
 
 
-def _write_dump(
-    items, out_dir: str | Path, subdir: str, id_key: str, manifest_name: str, header: dict
-) -> Path:
-    """Write ``(id, dim, vectors, extra entry fields)`` items and their manifest.
+def _write_dump(items, out_dir, subdir: str, id_key: str, manifest_name: str, header) -> Path:
+    """Write ``(id, dim, grid, vectors)`` items (``grid`` None for a query) and their manifest.
 
     ``header`` holds the manifest's top-level fields besides ``dim`` and
-    ``entries``. Every id is checked (the id rule, a safe file name, not
-    repeated) before the first byte is written.
+    ``entries``. Before the first byte is written, every id is checked (the id
+    rule, a safe file name, not repeated), every header value by the string
+    rule, and every item by ``_item`` at the first item's dim, over the float32
+    values its file stores: the rule ``_ingest`` applies when reading it back.
     """
     kind = id_key.removesuffix("_id")
     if not items:
         raise ValueError(f"refusing to write an empty {kind} dump")
     dim = items[0][1]
-    for i, (item_id, item_dim, _, _) in enumerate(items):
-        _check_file_name(item_id, f"{kind} dump entry {i}: {id_key}")
-        if item_dim != dim:
-            raise ValueError(f"{kind} '{item_id}' has dim {item_dim}, dump expects {dim}")
-    _check_unique([item[0] for item in items], id_key, f"the {kind} dump")
-    out = Path(out_dir)
-    (out / subdir).mkdir(parents=True, exist_ok=True)
     entries = []
-    for item_id, _, vectors, extra in items:
-        rel = f"{subdir}/{item_id}.f32"
-        vectors.astype("<f4").tofile(out / rel)
-        entries.append({id_key: item_id, "n_vectors": vectors.shape[0], "path": rel, **extra})
-    manifest_path = out / manifest_name
-    body = json.dumps({"dim": dim, **header, "entries": entries}, indent=2, sort_keys=True)
-    manifest_path.write_text(body + "\n", "utf-8")
+    for i, (item_id, _, grid, vectors) in enumerate(items):
+        _check_file_name(item_id, f"{kind} dump entry {i}: {id_key}")
+        entries.append(DumpEntry(item_id, len(vectors), f"{subdir}/{item_id}.f32", grid))
+        with np.errstate(over="ignore"):  # past float32's range is inf, which _item refuses
+            _item(entries[-1], dim, vectors.astype("<f4"))
+    _check_unique([entry.id for entry in entries], id_key, f"the {kind} dump")
+    for name, value in header.items():
+        check_string(value, f"{kind} dump: {name}")
+    manifest = EmbeddingDumpManifest(dim, tuple(entries), root=Path(out_dir))
+    (manifest.root / subdir).mkdir(parents=True, exist_ok=True)
+    for (*_, vectors), path in zip(items, manifest.files()):
+        vectors.astype("<f4").tofile(path)
+    body = [{id_key: e.id, "n_vectors": e.n_vectors, "path": e.path,
+             **(asdict(e.grid) if e.grid else {})} for e in entries]
+    manifest_path = manifest.root / manifest_name
+    text = json.dumps({"dim": dim, **header, "entries": body}, indent=2, sort_keys=True)
+    manifest_path.write_text(text + "\n", "utf-8")
     return manifest_path
 
 
 def write_embedding_dump(psets, out_dir: str | Path, location: str = "") -> Path:
     """Write sets as raw float32 files plus a manifest; returns the manifest path."""
-    items = [
-        (p.doc_id, p.dim, p.vectors, {"rows": p.grid.rows, "cols": p.grid.cols}) for p in psets
-    ]
+    items = [(p.doc_id, p.dim, p.grid, p.vectors) for p in psets]
     header = {"location": location}
     return _write_dump(items, out_dir, "vectors", "doc_id", "manifest.json", header)
 
 
 def write_query_dump(queries, out_dir: str | Path) -> Path:
     """Write query token sets as raw float32 files plus ``queries.json``."""
-    items = [(q.query_id, q.dim, q.vectors, {}) for q in queries]
+    items = [(q.query_id, q.dim, None, q.vectors) for q in queries]
     return _write_dump(items, out_dir, "queries", "query_id", "queries.json", {})

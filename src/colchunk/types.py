@@ -66,7 +66,7 @@ def check_count(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r:.40}")
     if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
+        raise ValueError(f"{name} must be at least 1, got {value!s:.40}")
     return int(value)
 
 

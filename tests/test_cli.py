@@ -478,6 +478,11 @@ def bad_inputs(dataset, index_path, tmp_path_factory):
     manifest_with("space_doc_id.json", "manifest", "doc_id", "a b")
     manifest_with("space_query_id.json", "queries", "query_id", "q 1")
     manifest_with("long_doc_id.json", "manifest", "doc_id", "x" * 70_000, entry=-1)
+    manifest_with("long_negative_n_vectors.json", "manifest", "n_vectors", -NINES)
+    manifest_with("long_n_vectors_queries.json", "queries", "n_vectors", NINES)
+    paths["dim_2_32"] = data / "dim_2_32.json"
+    paths["dim_2_32"].write_text(json.dumps(dict(json.loads(paths["manifest"].read_text()),
+                                                 dim=2**32)))
     # the dataset's last page (16 patches of dim 16) with a NaN in its first patch
     nan_page = np.ones(16 * 16, dtype="<f4")
     nan_page[5] = np.nan
@@ -524,6 +529,9 @@ def bad_inputs(dataset, index_path, tmp_path_factory):
     return paths
 
 
+# A count of 3,000 digits, which every message echoes cut to 40 characters.
+NINES = 10**3000 - 1
+
 # Bench flags for a corpus small enough to build in a moment.
 SMALL_BENCH = ["bench", "--num-docs", "4", "--num-queries", "2", "--grid-rows", "4",
                "--grid-cols", "4", "--dim", "16", "--signal-patches", "4", "--query-tokens",
@@ -559,6 +567,13 @@ CLI_ERROR_CASES = {
     # refused before any page is compressed
     "compress-oversized-doc-id": (["compress", "{long_doc_id}", "{out}/x.cchk", "--k", "4"],
                                   "exceeds the u16 length field"),
+    # the index header stores dim as a u32: refused before the index is opened
+    "compress-dim-2-32": (["compress", "{dim_2_32}", "{out}/x.cchk", "--k", "4"],
+                          "error: dim 4294967296 exceeds the u32 dim field\n"),
+    # a refused value of thousands of digits is echoed cut to 40 characters
+    "compress-long-negative-n-vectors": (
+        ["compress", "{long_negative_n_vectors}", "{out}/x.cchk"],
+        f"error: doc manifest entry 0: n_vectors must be at least 1, got -{'9' * 39}\n"),
     # refused after the earlier pages' records were written
     "compress-bad-last-page": (["compress", "{nan_last_page}", "{out}/x.cchk", "--k", "4"],
                                "doc 'doc0005': vectors[0] has a non-finite component"),
@@ -585,6 +600,10 @@ CLI_ERROR_CASES = {
     # such an id would split its run line into 7 fields, which eval refuses
     "query-space-in-index-id": (["query", "{space_id}", "{queries}", "--out",
                                  "{out}/run.txt"], "is empty or holds whitespace"),
+    "query-long-n-vectors": (["query", "{index}", "{long_n_vectors_queries}", "--out",
+                              "{out}/run.txt"],
+                             f"raw file q0000.f32 holds 256 bytes, expected "
+                             f"{str(NINES * 16 * 4)[:40]} ({'9' * 40} x 16 float32)\n"),
     "query-empty-manifest": (["query", "{index}", "{empty}", "--out", "{out}/run.txt"],
                              "lists no queries"),
     "query-hostile-manifest": (["query", "{index}", "{hostile}", "--out", "{out}/run.txt"],
@@ -664,7 +683,15 @@ CLI_ERROR_CASES = {
     "bench-oversized-grid": (["bench", "--grid-rows", "100000", "--grid-cols", "100000",
                               "--out", "{out}/b.csv"],
                              "grid of 10000000000 patches exceeds MAX_HAC_PATCHES = 8192"),
+    "bench-long-grid-rows": (["bench", "--grid-rows", str(NINES), "--out", "{out}/b.csv"],
+                             f"error: a {'9' * 40}x24 grid of {str(NINES * 24)[:40]} patches "
+                             "exceeds MAX_HAC_PATCHES = 8192\n"),
 }
+
+# Rows whose refused value runs to thousands of characters -> the length their
+# one error line may reach, each value it echoes cut to 40 characters.
+ECHO_BOUNDS = {"query-huge-omega-trailer": 100, "compress-long-negative-n-vectors": 110,
+               "query-long-n-vectors": 170, "bench-long-grid-rows": 150}
 
 
 # name -> (argv, the error argparse prints after ``argument``): flag text that
@@ -700,6 +727,13 @@ CLI_USAGE_CASES = {
 }
 
 
+def names_a_file(arg: str) -> bool:
+    try:
+        return Path(arg).is_file()
+    except OSError:  # a flag value too long to be a file name
+        return False
+
+
 class TestErrorPaths:
     @pytest.mark.parametrize("case", list(CLI_ERROR_CASES))
     def test_bad_input_is_a_clean_data_error(self, bad_inputs, tmp_path, monkeypatch, capsys,
@@ -729,7 +763,7 @@ class TestErrorPaths:
         names = {"out": out, "work": work, **bad_inputs}
         argv = [arg.format_map(names) for arg in argv]
         # every file named on the command line, and its directory's listing
-        inputs = {Path(arg): Path(arg).read_bytes() for arg in argv if Path(arg).is_file()}
+        inputs = {Path(arg): Path(arg).read_bytes() for arg in argv if names_a_file(arg)}
         listings = {path.parent: sorted(path.parent.iterdir()) for path in inputs}
         code = cli.main(argv)
         captured = capsys.readouterr()
@@ -755,8 +789,8 @@ class TestErrorPaths:
             list(store.ingest_dump(work / "manifest.json"))
             list(store.ingest_queries(work / "queries.json"))
             Qrels.from_file(work / "qrels.txt")
-        if case == "query-huge-omega-trailer":
-            assert len(captured.err.rstrip("\n")) <= 100
+        if case in ECHO_BOUNDS:
+            assert len(captured.err.rstrip("\n")) <= ECHO_BOUNDS[case]
 
     @pytest.mark.parametrize("case", list(CLI_USAGE_CASES))
     def test_bad_flag_is_a_usage_error(self, bad_inputs, tmp_path, capsys, case):

@@ -1,23 +1,28 @@
 """Property tests on random small pages, including duplicated patches and the
-tie-heavy pure-position grids of ``omega=1``, and fuzz tests of the run,
-qrels and manifest parsers.
+tie-heavy pure-position grids of ``omega=1``, a round trip through every
+writer, and fuzz tests of the run, qrels and manifest parsers.
 
 Hypothesis runs under the deterministic profile registered in conftest, so
 every run draws the same examples.
 """
 
+import io
 import json
 import re
+import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from colchunk.chunker import ChunkerConfig, cluster_hac, compress, cut_linkage, fuse  # noqa: E402
-from colchunk.evaluation import EvalInputError, Qrels, read_run  # noqa: E402
+from colchunk.evaluation import EvalInputError, Qrels, read_run, write_run  # noqa: E402
+from colchunk.scorer import ScoredHit  # noqa: E402
 from colchunk.store import (  # noqa: E402
     BuildMeta,
     CorpusIndex,
@@ -25,10 +30,12 @@ from colchunk.store import (  # noqa: E402
     ManifestError,
     ingest_dump,
     ingest_queries,
+    load_manifest,
     read_index,
     write_embedding_dump,
     write_index,
     write_query_dump,
+    write_records,
 )
 from colchunk.types import (  # noqa: E402
     CompressedDocument,
@@ -132,6 +139,142 @@ def test_index_is_refused_or_reads_back_and_rewrites_byte_identical(tmp_path_fac
     assert back.ids == tuple(doc[0] for doc in docs)
     write_index(back, second)
     assert second.read_bytes() == first.read_bytes()
+
+
+# Ids as a caller may pass them: ones the id rule accepts, and the empty id,
+# whitespace, names no raw file may take and a non-string.
+ANY_IDS = IDS | st.sampled_from(["", "a b", "tab\there", ".", "..", "a/b", 7])
+# Finite components, among them one past float32's range and one that rounds
+# to a float32 zero.
+COMPONENTS = st.sampled_from([1e300, 1e-100]) | st.floats(-2.0, 2.0)
+# A u32 dim, and the first that does not fit the index header's field.
+INDEX_DIMS = st.sampled_from([2, 4, 2**32])
+
+
+@st.composite
+def unit_docs(draw, dim):
+    """Up to three CompressedDocuments of unit chunks, in float64 or float32,
+    under ids a caller may pass; none at a dim too large to allocate."""
+    docs = []
+    for doc_id in draw(st.lists(ANY_IDS, max_size=3 if dim < 2**32 else 0)):
+        rng = np.random.default_rng(draw(SEEDS))
+        k = draw(st.integers(1, 3))
+        chunks = rng.normal(size=(k, dim))
+        chunks /= np.linalg.norm(chunks, axis=1, keepdims=True)
+        docs.append(CompressedDocument(doc_id, k, dim, chunks.astype(draw(st.sampled_from(
+            [np.float64, np.float32]))), rng.integers(1, 9, size=k)))
+    return docs
+
+
+@st.composite
+def embedding_sets(draw, kind):
+    """Up to three pages (``kind`` "doc") or queries that their type accepts,
+    of dim 2 or 4, under ids a caller may pass."""
+    items = []
+    for item_id in draw(st.lists(ANY_IDS, max_size=3)):
+        dim = draw(st.sampled_from([2, 4]))
+        grid = PatchGrid(draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+        n = grid.n_patches if kind == "doc" else draw(st.integers(1, 3))
+        vectors = draw(arrays(np.float64, (n, dim), elements=COMPONENTS))
+        try:
+            items.append(PatchEmbeddingSet(item_id, dim, grid, vectors) if kind == "doc"
+                         else QueryEmbeddingSet(item_id, dim, vectors))
+        except ValueError:  # a zero row
+            pass
+    return items
+
+
+def columns(index):
+    return (index.dim, index.ids, index.offsets.tolist(), index.chunks.astype(np.float32).tobytes(),
+            index.sizes.tolist(), index.build_meta)
+
+
+def index_round_trip(write):
+    """``write(out, dim, docs)`` writes an index file of ``docs``."""
+    def round_trip(draw, out):
+        dim = draw(INDEX_DIMS)
+        docs = draw(unit_docs(dim))
+        try:
+            write(out, dim, docs)
+        except ValueError:
+            return None
+        return columns(read_index(out)), columns(CorpusIndex(dim=dim, docs=docs, build_meta=META))
+    return round_trip
+
+
+def dump_round_trip(kind, write, ingest):
+    """``write`` and ``ingest`` a page (``kind`` "doc") or query dump; a page
+    dump also round-trips its ``location``."""
+    def round_trip(draw, out):
+        items = draw(embedding_sets(kind))
+        location = draw(st.text(max_size=3) | st.integers()) if kind == "doc" else ""
+        try:
+            manifest = write(items, out, location) if kind == "doc" else write(items, out)
+        except ValueError:
+            return None
+        back = [(vars(item) | {"vectors": item.vectors.tobytes()}) for item in ingest(manifest)]
+        want = [(vars(item) | {"vectors": item.vectors.astype(np.float32).astype(np.float64)
+                                             .tobytes()}) for item in items]
+        return (back, load_manifest(manifest).location if kind == "doc" else ""), (want, location)
+    return round_trip
+
+
+def qrels_round_trip(draw, out):
+    grades = draw(st.dictionaries(ANY_IDS, st.dictionaries(ANY_IDS, st.integers(0, 3),
+                                                           max_size=3), max_size=3))
+    try:
+        qrels = Qrels(grades)
+        qrels.to_file(out)
+    except ValueError:
+        return None
+    back = Qrels.from_file(out)
+    return ({q: back.judged(q) for q in back.queries()},
+            {q: qrels.judged(q) for q in qrels.queries()})
+
+
+def run_round_trip(draw, out):
+    # hits as retrieve returns them: distinct docs, ranked from 1
+    hits = {qid: [ScoredHit(doc_id, draw(st.floats(-1e6, 1e6)), rank)
+                  for rank, doc_id in enumerate(draw(st.lists(ANY_IDS, max_size=3, unique=True)),
+                                                start=1)]
+            for qid in draw(st.lists(ANY_IDS, max_size=3, unique=True))}
+    buffer = io.StringIO()
+    try:
+        write_run(hits, buffer)
+    except ValueError:
+        assert buffer.getvalue() == "", "refused after its first line"
+        return None
+    out.write_text(buffer.getvalue(), "utf-8")
+    return read_run(out), {qid: [hit.doc_id for hit in hs] for qid, hs in hits.items() if hs}
+
+
+# writer -> round trip: draws an input the in-memory types accept and writes it
+# to ``out``, then returns (what the reader reads back, what was written), or
+# None if the writer raised ValueError.
+ROUND_TRIPS = {
+    "write_records": index_round_trip(lambda out, dim, docs: write_records(
+        out, dim, [d.doc_id for d in docs], META, [(d.chunks, d.chunk_sizes) for d in docs])),
+    # an index the in-memory type refuses is never written
+    "write_index": index_round_trip(lambda out, dim, docs: write_index(
+        CorpusIndex(dim=dim, docs=docs, build_meta=META), out)),
+    "write_embedding_dump": dump_round_trip("doc", write_embedding_dump, ingest_dump),
+    "write_query_dump": dump_round_trip("query", write_query_dump, ingest_queries),
+    "qrels_to_file": qrels_round_trip,
+    "write_run": run_round_trip,
+}
+
+
+@pytest.mark.parametrize("writer", list(ROUND_TRIPS))
+@given(data=st.data())
+def test_every_writer_refuses_before_writing_or_round_trips(tmp_path_factory, writer, data):
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+        result = ROUND_TRIPS[writer](data.draw, Path(tmp) / "out")
+        if result is None:
+            # refused before the first byte: no file, temporary file or directory
+            assert list(Path(tmp).iterdir()) == []
+        else:
+            got, want = result
+            assert got == want
 
 
 # Run and qrels lines: whitespace-joined fields, some of them plausible, or

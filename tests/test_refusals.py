@@ -5,6 +5,7 @@ passes obeys one rule, ``types.check_count``; every number one rule,
 and grade one rule, ``types.check_natural``; and every number read from text
 one rule, ``types.check_decimal``."""
 
+import io
 import json
 import re
 from dataclasses import replace
@@ -23,15 +24,17 @@ from colchunk.evaluation import (
     ndcg_at_k,
     read_run,
     run_ablation,
+    write_run,
 )
 from colchunk.posenc import encode_batch
-from colchunk.scorer import maxsim, retrieve_many
+from colchunk.scorer import ScoredHit, maxsim, retrieve_many
 from colchunk.store import (
     BuildMeta,
     CorpusIndex,
     ManifestError,
     load_manifest,
     write_embedding_dump,
+    write_query_dump,
     write_records,
 )
 from colchunk.types import (
@@ -95,6 +98,18 @@ def page_manifest(tmp_path, field, value):
                                   "path": "d.f32"}]}
     (top if field == "dim" else top["entries"][0])[field] = value
     load_once(tmp_path, top)
+
+
+def dump_page(tmp, value):
+    """Write a dump of one 2x1 page whose second vector is all ``value``."""
+    vectors = np.array([[1.0, 0.0], [value, value]])
+    write_embedding_dump([PatchEmbeddingSet("x", 2, PatchGrid(2, 1), vectors)], tmp / "dump")
+
+
+def dump_query(tmp, value):
+    """Write a query dump of one two-token query whose second token is all ``value``."""
+    vectors = np.array([[1.0, 0.0], [value, value]])
+    write_query_dump([QueryEmbeddingSet("x", 2, vectors)], tmp / "dump")
 
 
 def index(dim=4):
@@ -190,6 +205,10 @@ REFUSALS = {
     "write-records-dim-0": (
         lambda tmp: write_records(tmp / "x.cchk", 0, ["d"], META, [(np.eye(1, 4), [1])]),
         ValueError, "dim must be at least 1, got 0"),
+    # the header stores dim as a u32: refused before the file is opened
+    "write-records-dim-2-32": (
+        lambda tmp: write_records(tmp / "x.cchk", 2**32, ["d"], META, [(np.eye(1, 4), [1])]),
+        ValueError, "dim 4294967296 exceeds the u32 dim field"),
     "write-records-misshaped-record": (
         lambda tmp: write_records(tmp / "x.cchk", 4, ["d"], META, [(np.eye(2, 4), [1])]),
         ValueError, "doc 'd': sizes must have shape (2,), got (1,)"),
@@ -198,11 +217,25 @@ REFUSALS = {
     "empty-dump": (
         lambda tmp: write_embedding_dump([], tmp / "dump"),
         ValueError, "refusing to write an empty doc dump"),
+    # each page is checked by its type at the dump's dim, the first page's,
+    # as the loader checks it
     "mixed-dim-dump": (
         lambda tmp: write_embedding_dump(
             [make_pset(np.random.default_rng(0), dim=4, doc_id="a"),
              make_pset(np.random.default_rng(1), dim=8, doc_id="b")], tmp / "dump"),
-        ValueError, "doc 'b' has dim 8, dump expects 4"),
+        ValueError, "doc 'b': expected 4 components per vector, got 8"),
+    # the dump writers refuse, before the first byte, what the loader would:
+    # a value past float32's range is stored as inf, and rows of 1e-100 as zeros
+    **{f"{kind}-dump-{fault}": (
+        lambda tmp, write=write, value=value: write(tmp, value), ValueError,
+        f"{kind} 'x': vectors[1] has {problem}")
+       for kind, write in (("doc", dump_page), ("query", dump_query))
+       for fault, value, problem in (("1e300", 1e300, "a non-finite component"),
+                                     ("1e-100", 1e-100, "zero norm"))},
+    "doc-dump-int-location": (
+        lambda tmp: write_embedding_dump([make_pset(np.random.default_rng(0))], tmp / "dump",
+                                         location=5),
+        ValueError, "doc dump: location must be a JSON string, got 5"),
     "compressed-doc-k-0": (
         lambda tmp: CompressedDocument(doc_id="d", k=0, dim=4, chunks=np.empty((0, 4)),
                                        chunk_sizes=np.empty(0)),
@@ -259,6 +292,20 @@ REFUSALS = {
     "run-long-score": (
         lambda tmp: read_once(tmp, read_run, f"q Q0 d 1 {'x' * 200} t\n"), EvalInputError,
         f"run line 1: score must be a number, got '{'x' * 39}"),
+    # the qrels and run writers apply the id rule, which keeps each line's fields
+    "qrels-space-in-query-id": (
+        lambda tmp: Qrels({"a b": {"d": 1}}), ValueError,
+        "qrels: query_id 'a b' is empty or holds whitespace"),
+    "qrels-empty-doc-id": (
+        lambda tmp: Qrels({"q": {"": 1}}), ValueError,
+        "qrels: doc_id '' is empty or holds whitespace"),
+    "run-space-in-query-id": (
+        lambda tmp: write_run({"a b": [ScoredHit("d", 1.0, 1)]}, io.StringIO()), ValueError,
+        "run: query_id 'a b' is empty or holds whitespace"),
+    "run-empty-doc-id": (
+        lambda tmp: write_run({"q": [ScoredHit("d", 1.0, 1), ScoredHit("", 0.5, 2)]},
+                              io.StringIO()), ValueError,
+        "run: doc_id '' is empty or holds whitespace"),
     # one line-width rule for both readers; blank lines are skipped, not counted
     "qrels-three-fields": (
         lambda tmp: read_once(tmp, Qrels.from_file, "q 0 d\n"), EvalInputError,
@@ -328,6 +375,48 @@ def test_refusal_is_typed_and_leaves_nothing(tmp_path, case):
         action(tmp_path)
     assert type(info.value) is error
     assert len(str(info.value).replace(str(tmp_path), "")) <= MAX_MESSAGE
+    assert list(tmp_path.iterdir()) == []
+
+
+# Values thousands of characters long, each echoed cut to 40 characters:
+# name -> (action on an empty directory, error type, the whole message).
+LONG = "x" * 3000
+NINES = 10**3000 - 1
+ECHOES = {
+    "count-below-1": (lambda tmp: ChunkerConfig(k=-NINES), ValueError,
+                      f"k must be at least 1, got -{'9' * 39}"),
+    "manifest-n-vectors-off-the-grid": (
+        lambda tmp: page_manifest(tmp, "n_vectors", NINES), ManifestError,
+        f"doc 'd': n_vectors {'9' * 40} != 1x1 grid"),
+    "index-duplicate-id": (
+        lambda tmp: CorpusIndex(dim=4, docs=(doc(doc_id=LONG), doc(doc_id=LONG)), build_meta=META),
+        ValueError, f"duplicate doc_id '{'x' * 39} in the index"),
+    "dump-duplicate-id": (
+        lambda tmp: write_embedding_dump([make_pset(np.random.default_rng(0), doc_id=LONG)] * 2,
+                                         tmp / "dump"),
+        ValueError, f"duplicate doc_id '{'x' * 39} in the doc dump"),
+    "qrels-conflicting-grade": (
+        lambda tmp: read_once(tmp, Qrels.from_file, f"q 0 {LONG} 1\nq 0 {LONG} 2\n"),
+        EvalInputError,
+        f"qrels line 2: grade 2 for query q doc {'x' * 40} conflicts with grade 1 on an "
+        "earlier line"),
+    "run-repeated-doc": (
+        lambda tmp: read_once(tmp, read_run, f"q Q0 {LONG} 1 0.5 t\nq Q0 {LONG} 2 0.4 t\n"),
+        EvalInputError, f"run line 2: query q lists doc {'x' * 40} again"),
+    "run-repeated-rank": (
+        lambda tmp: read_once(tmp, read_run,
+                              f"{LONG} Q0 a {NINES} 0.5 t\n{LONG} Q0 b {NINES} 0.4 t\n"),
+        EvalInputError, f"run line 2: query {'x' * 40} uses rank {'9' * 40} again"),
+}
+
+
+@pytest.mark.parametrize("case", list(ECHOES))
+def test_long_value_is_echoed_cut_to_40_characters(tmp_path, case):
+    action, error, message = ECHOES[case]
+    with pytest.raises(error) as info:
+        action(tmp_path)
+    assert type(info.value) is error
+    assert str(info.value) == message
     assert list(tmp_path.iterdir()) == []
 
 
