@@ -120,10 +120,12 @@ class Qrels:
         return qrels
 
     def to_file(self, path) -> None:
+        """Write TREC qrels lines, every one formatted before the file is opened, so a
+        grade ``str`` refuses (past Python's 4,300-digit limit) leaves no file."""
+        lines = [f"{qid} 0 {did} {self._grades[qid][did]}\n"
+                 for qid in self.queries() for did in sorted(self._grades[qid])]
         with open(path, "w", encoding="utf-8") as fh:
-            for qid in self.queries():
-                for did in sorted(self._grades[qid]):
-                    fh.write(f"{qid} 0 {did} {self._grades[qid][did]}\n")
+            fh.writelines(lines)
 
 
 def dcg(grades: Sequence[float], k: int) -> float:
@@ -161,14 +163,23 @@ def evaluate_run(
 
 
 def write_run(hits_by_query: Mapping[str, Sequence], fh, run_tag: str = "colchunk") -> None:
-    """Emit TREC run lines: ``query_id Q0 doc_id rank score tag``. A ``run_tag``,
-    query id or hit's doc id that breaks the id rule raises ValueError before
-    any line is written."""
+    """Emit TREC run lines: ``query_id Q0 doc_id rank score tag``. Before any line
+    is written, ValueError unless the hits obey ``read_run``'s rules: ids by the
+    id rule (``run_tag`` too), each score a finite number and each rank a count,
+    with no rank and no doc repeated within a query."""
     check_id(run_tag, "run: run_tag")
     for qid in hits_by_query:
         check_id(qid, "run: query_id")
+        ranks, docs = set(), set()
         for hit in hits_by_query[qid]:
             check_id(hit.doc_id, "run: doc_id")
+            check_real(hit.score, "run: score")
+            if (rank := check_count(hit.rank, "run: rank")) in ranks:
+                raise ValueError(f"run: query {qid:.40} uses rank {rank!r:.40} again")
+            if hit.doc_id in docs:
+                raise ValueError(f"run: query {qid:.40} lists doc {hit.doc_id:.40} again")
+            ranks.add(rank)
+            docs.add(hit.doc_id)
     for qid in hits_by_query:
         for hit in hits_by_query[qid]:
             fh.write(f"{qid} Q0 {hit.doc_id} {hit.rank} {hit.score:.6f} {run_tag}\n")

@@ -477,6 +477,9 @@ def bad_inputs(dataset, index_path, tmp_path_factory):
     manifest_with("null_doc_id.json", "manifest", "doc_id", None)
     manifest_with("space_doc_id.json", "manifest", "doc_id", "a b")
     manifest_with("space_query_id.json", "queries", "query_id", "q 1")
+    # json.dumps writes a lone surrogate as the escape "\ud800"
+    manifest_with("surrogate_doc_id.json", "manifest", "doc_id", "\ud800")
+    manifest_with("surrogate_query_id.json", "queries", "query_id", "\ud800")
     manifest_with("long_doc_id.json", "manifest", "doc_id", "x" * 70_000, entry=-1)
     manifest_with("long_negative_n_vectors.json", "manifest", "n_vectors", -NINES)
     manifest_with("long_n_vectors_queries.json", "queries", "n_vectors", NINES)
@@ -503,6 +506,7 @@ def bad_inputs(dataset, index_path, tmp_path_factory):
     middle = 22 + int.from_bytes(blob[20:22], "little") // 2
     write("space_id.cchk", blob[:middle] + b" " + blob[middle + 1 :])
     write("run.txt", "q1 Q0 d1 1 0.9 t\n")
+    write("old_run.txt", "q1 Q0 d1 1 0.9 t\n")
     write("empty_run.txt", "")
     write("repeated_run.txt", "q1 Q0 d1 1 0.9 t\nq1 Q0 d1 2 0.5 t\n")
     write("non_utf8_run.txt", b"\xff\xfeq1 Q0 d1 1 0.9 t\n")
@@ -612,6 +616,15 @@ CLI_ERROR_CASES = {
                                 "non_utf8.json"),
     "query-space-in-query-id": (["query", "{index}", "{space_query_id}", "--out",
                                  "{out}/run.txt"], "query manifest entry 0: query_id 'q 1'"),
+    # an id UTF-8 cannot encode is refused by the loader, naming its field:
+    # query stops before it opens --out, so the run file there is unchanged
+    "compress-surrogate-doc-id": (["compress", "{surrogate_doc_id}", "{out}/x.cchk"],
+                                  "error: doc manifest entry 0: doc_id '\\ud800' is not "
+                                  "UTF-8 text\n"),
+    "query-surrogate-query-id": (["query", "{index}", "{surrogate_query_id}", "--out",
+                                  "{old_run}"],
+                                 "error: query manifest entry 0: query_id '\\ud800' is not "
+                                 "UTF-8 text\n"),
     # a run tag is the sixth field of every run line, so it obeys the id rule;
     # refused before retrieval
     "query-space-in-run-tag": (["query", "{index}", "{queries}", "--out", "{out}/run.txt",

@@ -306,6 +306,40 @@ REFUSALS = {
         lambda tmp: write_run({"q": [ScoredHit("d", 1.0, 1), ScoredHit("", 0.5, 2)]},
                               io.StringIO()), ValueError,
         "run: doc_id '' is empty or holds whitespace"),
+    # the run writer refuses, before its first line, hits that read_run would refuse
+    "run-nan-score": (
+        lambda tmp: write_run({"q": [ScoredHit("d", float("nan"), 1)]}, io.StringIO()),
+        ValueError, "run: score must be a finite number, got nan"),
+    "run-inf-score": (
+        lambda tmp: write_run({"q": [ScoredHit("d", 1.0, 1), ScoredHit("e", float("inf"), 2)]},
+                              io.StringIO()),
+        ValueError, "run: score must be a finite number, got inf"),
+    "run-rank-0": (
+        lambda tmp: write_run({"q": [ScoredHit("d", 1.0, 0)]}, io.StringIO()), ValueError,
+        "run: rank must be at least 1, got 0"),
+    "run-repeated-rank": (
+        lambda tmp: write_run({"q": [ScoredHit("d", 1.0, 1), ScoredHit("e", 0.5, 1)]},
+                              io.StringIO()), ValueError, "run: query q uses rank 1 again"),
+    "run-repeated-doc": (
+        lambda tmp: write_run({"q": [ScoredHit("d", 1.0, 1), ScoredHit("d", 0.5, 2)]},
+                              io.StringIO()), ValueError, "run: query q lists doc d again"),
+    # the id rule refuses text UTF-8 cannot encode, such as JSON's "\ud800"
+    # escape, at every site that takes an id, with the field's name
+    "manifest-surrogate-doc-id": (
+        lambda tmp: page_manifest(tmp, "doc_id", "\ud800"), ManifestError,
+        "doc manifest entry 0: doc_id '\\ud800' is not UTF-8 text"),
+    "qrels-surrogate-query-id": (
+        lambda tmp: Qrels({"\ud800": {"d": 1}}), ValueError,
+        "qrels: query_id '\\ud800' is not UTF-8 text"),
+    "run-surrogate-doc-id": (
+        lambda tmp: write_run({"q": [ScoredHit("a\udfff", 1.0, 1)]}, io.StringIO()), ValueError,
+        "run: doc_id 'a\\udfff' is not UTF-8 text"),
+    "write-records-surrogate-id": (
+        lambda tmp: write_records(tmp / "x.cchk", 4, ["\ud800"], META, [(np.eye(1, 4), [1])]),
+        ValueError, "index: doc_id '\\ud800' is not UTF-8 text"),
+    "query-dump-surrogate-id": (
+        lambda tmp: write_query_dump([QueryEmbeddingSet("\ud800", 2, np.eye(1, 2))], tmp / "d"),
+        ValueError, "query dump entry 0: query_id '\\ud800' is not UTF-8 text"),
     # one line-width rule for both readers; blank lines are skipped, not counted
     "qrels-three-fields": (
         lambda tmp: read_once(tmp, Qrels.from_file, "q 0 d\n"), EvalInputError,
@@ -375,6 +409,13 @@ def test_refusal_is_typed_and_leaves_nothing(tmp_path, case):
         action(tmp_path)
     assert type(info.value) is error
     assert len(str(info.value).replace(str(tmp_path), "")) <= MAX_MESSAGE
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_qrels_file_refused_before_it_is_opened(tmp_path):
+    # str() refuses an integer past 4,300 digits, which Qrels accepts as a grade
+    with pytest.raises(ValueError, match="4300 digits"):
+        Qrels({"q": {"d": 1}, "r": {"d": 10**5000}}).to_file(tmp_path / "qrels.txt")
     assert list(tmp_path.iterdir()) == []
 
 

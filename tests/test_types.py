@@ -3,15 +3,18 @@ import re
 import numpy as np
 import pytest
 
+from colchunk import types
 from colchunk.posenc import encode_batch
 from colchunk.scorer import maxsim
 from colchunk.types import (
+    UNIT_NORM_TOL,
     ChunkAssignment,
     CompressedDocument,
     FusedFeatureSet,
     PatchEmbeddingSet,
     PatchGrid,
     QueryEmbeddingSet,
+    check_compressed,
     grid_coords,
     unit_rows,
 )
@@ -292,3 +295,64 @@ class TestImmutability:
         pset = make_pset(rng)
         with pytest.raises(ValueError):
             pset.vectors[0, 0] = 99.0
+
+
+class TestUnitNormBlocks:
+    """``check_compressed`` takes chunk norms ``_CHECK_ROWS`` (512) rows at a
+    time. Each row's norm is its own, so it gives the verdict, and names the
+    doc and chunk, that 4,096-row blocks give."""
+
+    K, ROWS = 40, 10_000  # 512-row blocks: the last starts at 9,728; 4,096-row ones at 8,192
+    AT = (0, 3, 511, 512, 4095, 4096, 8191, 8192, 9727, 9728, 9999)
+    # 1 +- UNIT_NORM_TOL, give or take a few ulps of 1
+    EDGES = [1.0 + side * UNIT_NORM_TOL + step * np.finfo(float).eps
+             for side in (1, -1) for step in range(-4, 5)]
+
+    def verdict(self, monkeypatch, chunks, block):
+        monkeypatch.setattr(types, "_CHECK_ROWS", block)
+        ids = [f"d{i}" for i in range(self.ROWS // self.K)]
+        try:
+            check_compressed(ids, chunks.shape[1], np.arange(0, self.ROWS + 1, self.K), chunks,
+                             np.ones(self.ROWS, np.int64))
+        except ValueError as exc:
+            return str(exc)
+
+    def agree(self, monkeypatch, chunks):
+        small = self.verdict(monkeypatch, chunks, 512)
+        assert small == self.verdict(monkeypatch, chunks, 4096)
+        return small
+
+    @pytest.fixture
+    def chunks(self, rng):
+        return unit_rows(rng.normal(size=(self.ROWS, 16)))
+
+    def test_block_size_is_512(self):
+        assert types._CHECK_ROWS == 512
+
+    def test_clean_matrix_passes(self, monkeypatch, chunks):
+        assert self.agree(monkeypatch, chunks) is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0, 0.5])
+    def test_bad_row_in_any_block_is_named(self, monkeypatch, chunks, bad):
+        for at in self.AT:
+            edited = chunks.copy()
+            edited[at] = edited[at] * bad if np.isfinite(bad) else bad
+            doc, chunk = divmod(at, self.K)
+            named = f"doc 'd{doc}': chunk {chunk} is not unit norm"
+            assert self.agree(monkeypatch, edited).startswith(named)
+
+    def test_first_of_two_bad_rows_is_named(self, monkeypatch, chunks):
+        edited = chunks.copy()
+        edited[[5, 9990]] = np.nan
+        assert self.agree(monkeypatch, edited).startswith("doc 'd0': chunk 5 is not unit norm")
+        edited[5] = chunks[5]
+        assert self.agree(monkeypatch, edited).startswith("doc 'd249': chunk 30 is not unit")
+
+    def test_rows_at_the_tolerance_edge(self, monkeypatch, chunks):
+        verdicts = set()
+        for at in (3, 9998):
+            for scale in self.EDGES:
+                edited = chunks.copy()
+                edited[at] *= scale
+                verdicts.add(self.agree(monkeypatch, edited) is None)
+        assert verdicts == {True, False}  # the edge rows fall on both sides
