@@ -162,53 +162,63 @@ def evaluate_run(
     return per_query, mean
 
 
+def _check_hit(qid: str, did: str, rank, score, ranks: set, docs: set) -> None:
+    """The run rule for one hit of query ``qid``, which ``write_run`` and
+    ``read_run`` share: a rank of at least 1, a finite score that a float
+    holds, and a doc and rank not yet in ``docs`` and ``ranks`` (a doc counted
+    twice inflates nDCG), where the hit's are then added. ValueError otherwise."""
+    rank = check_count(rank, "rank")
+    try:
+        float(check_real(score, "score"))
+    except OverflowError:
+        raise ValueError("score must be a finite number, got an integer past float range") from None
+    if did in docs:
+        raise ValueError(f"query {qid:.40} lists doc {did:.40} again")
+    if rank in ranks:
+        raise ValueError(f"query {qid:.40} uses rank {rank!r:.40} again")
+    docs.add(did)
+    ranks.add(rank)
+
+
 def write_run(hits_by_query: Mapping[str, Sequence], fh, run_tag: str = "colchunk") -> None:
-    """Emit TREC run lines: ``query_id Q0 doc_id rank score tag``. Before any line
-    is written, ValueError unless the hits obey ``read_run``'s rules: ids by the
-    id rule (``run_tag`` too), each score a finite number and each rank a count,
-    with no rank and no doc repeated within a query."""
+    """Emit TREC run lines: ``query_id Q0 doc_id rank score tag``. Every line is
+    checked and formatted before the first is written, so hits that break
+    ``read_run``'s rules (ids by the id rule, ``run_tag`` too, and
+    ``_check_hit``'s) raise ValueError with nothing written."""
     check_id(run_tag, "run: run_tag")
+    lines = []
     for qid in hits_by_query:
         check_id(qid, "run: query_id")
         ranks, docs = set(), set()
         for hit in hits_by_query[qid]:
             check_id(hit.doc_id, "run: doc_id")
-            check_real(hit.score, "run: score")
-            if (rank := check_count(hit.rank, "run: rank")) in ranks:
-                raise ValueError(f"run: query {qid:.40} uses rank {rank!r:.40} again")
-            if hit.doc_id in docs:
-                raise ValueError(f"run: query {qid:.40} lists doc {hit.doc_id:.40} again")
-            ranks.add(rank)
-            docs.add(hit.doc_id)
-    for qid in hits_by_query:
-        for hit in hits_by_query[qid]:
-            fh.write(f"{qid} Q0 {hit.doc_id} {hit.rank} {hit.score:.6f} {run_tag}\n")
+            try:
+                _check_hit(qid, hit.doc_id, hit.rank, hit.score, ranks, docs)
+            except ValueError as exc:
+                raise ValueError(f"run: {exc}") from None
+            lines.append(f"{qid} Q0 {hit.doc_id} {hit.rank} {hit.score:.6f} {run_tag}\n")
+    fh.writelines(lines)
 
 
 def read_run(path) -> dict[str, list[str]]:
     """Parse a TREC run file back into per-query rankings ordered by rank.
 
-    Each rank is an integer and each score a finite number, in ``check_decimal``
-    text. A query may list each doc once and use each rank once, since a doc
-    counted twice inflates nDCG. A bad line raises EvalInputError naming it.
+    Each rank and score is ``check_decimal`` text, an integer and a number,
+    and each hit obeys ``_check_hit``: a rank of at least 1, a finite score,
+    and each doc and rank used once per query. A bad line raises
+    EvalInputError naming it.
     """
     raw: dict[str, dict[int, str]] = {}
-    listed: set[tuple[str, str]] = set()
+    listed: dict[str, tuple[set, set]] = {}
     for lineno, parts in _fields(path, "run", 6):
         qid, _, did, rank, score, _ = parts
         try:
             rank_i = check_decimal(rank, "rank", int)
-            check_real(check_decimal(score, "score", float), "score")
+            _check_hit(qid, did, rank_i, check_decimal(score, "score", float),
+                       *listed.setdefault(qid, (set(), set())))
         except ValueError as exc:
             raise EvalInputError(f"run line {lineno}: {exc}") from exc
-        ranking = raw.setdefault(qid, {})
-        if (qid, did) in listed:
-            raise EvalInputError(f"run line {lineno}: query {qid:.40} lists doc {did:.40} again")
-        if rank_i in ranking:
-            raise EvalInputError(
-                f"run line {lineno}: query {qid:.40} uses rank {rank_i!r:.40} again")
-        listed.add((qid, did))
-        ranking[rank_i] = did
+        raw.setdefault(qid, {})[rank_i] = did
     return {qid: [ranking[r] for r in sorted(ranking)] for qid, ranking in raw.items()}
 
 

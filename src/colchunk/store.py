@@ -22,15 +22,13 @@ The fixed-width fields are stated once, in the struct table below ``MAGIC``:
 does not fit its field (a dim past u32) raises ValueError before the file is
 opened. Vectors are float32 on disk. ``read_index`` holds the stored float32
 values in one ``(sum K, dim)`` matrix; scoring arithmetic is float64. It reads
-the file through one reused buffer of up to 1 MiB, in one walk over the
-records, and copies each run of buffered records that share an id length and
-K into the columns at once. Every record obeys ``types.check_compressed``.
-Writing what was read reproduces the file byte for byte, since the reader
-takes the trailer's values unconverted. They must be a build ``ChunkerConfig``
-accepts, so ``store`` imports ``chunker`` (never the reverse).
-``write_records`` is the one writer: it streams records, so ``compress``
-holds one page at a time, and the ablation writes each configuration's file
-through it too. ``write_index`` feeds it an
+the file through one 1 MiB buffer in one walk over the records. Every record
+obeys ``types.check_compressed``. Writing what was read reproduces the file
+byte for byte, since the reader takes the trailer's values unconverted. They
+must be a build ``ChunkerConfig`` accepts, so ``store`` imports ``chunker``
+(never the reverse). ``write_records`` is the one writer: it streams
+records, so ``compress`` holds one page at a time, and the ablation writes
+each configuration's file through it too. ``write_index`` feeds it an
 in-memory ``CorpusIndex``, for library callers that built one.
 
 Embedding dumps are the ingestion side: a JSON manifest describing per-page
@@ -284,90 +282,51 @@ def write_records(path: str | Path, dim: int, ids, build_meta: BuildMeta, rows) 
     return total
 
 
-# Bytes of the record region held in memory at a time (the whole file if smaller).
+# Bytes of the file ``read_index`` buffers at a time: its five reads per record
+# are served from memory, with one system call per MiB.
 _BUFFER_BYTES = 1 << 20
 
 
 class _Reader:
-    """Bounds-checked sequential reads from an open index file, served from one
-    reused buffer whose unread bytes are ``buf[pos:end]``. A field that does not
-    fit the unread bytes refills the buffer behind them, and one longer than
-    the buffer, or the rest of a chunk column, is read on from the file."""
+    """Bounds-checked sequential reads from an open index file. Each read names
+    its field by a ``str.format`` template and one argument, formatted only
+    when the file runs out, so a record read builds no message."""
 
-    def __init__(self, fh, size: int):
+    def __init__(self, fh):
         self.fh = fh
-        self.buf = memoryview(bytearray(size))
-        self.pos = self.end = 0
 
-    def take(self, n: int, what: str) -> bytes:
-        if self.end - self.pos < n <= len(self.buf):
-            left = self.end - self.pos
-            self.buf[:left] = self.buf[self.pos : self.end]
-            self.pos, self.end = 0, left + self.fh.readinto(self.buf[left:])
-        if self.end - self.pos >= n:
-            self.pos += n
-            return self.buf[self.pos - n : self.pos].tobytes()
-        piece = self.rest(n)
+    def take(self, n: int, what: str, arg=None) -> bytes:
+        piece = self.fh.read(n)
         if len(piece) < n:
-            raise IndexFormatError(f"truncated file: ran out of bytes reading {what}")
+            raise _truncated(what, arg)
         return piece
 
-    def rest(self, n: int = -1) -> bytes:
-        """The unread bytes, then up to ``n`` bytes in all (all if -1) from the file."""
-        piece = self.buf[self.pos : self.end].tobytes()
-        self.pos = self.end
-        return piece + self.fh.read(n - len(piece) if n >= 0 else -1)
+    def fill(self, out: np.ndarray, what: str, arg=None) -> None:
+        if self.fh.readinto(out) < out.nbytes:
+            raise _truncated(what, arg)
 
-    def fill(self, out: np.ndarray, what: str) -> None:
-        dest = memoryview(out.reshape(-1).view(np.uint8))
-        have = min(self.end - self.pos, len(dest))
-        dest[:have] = self.buf[self.pos : self.pos + have]
-        self.pos += have
-        if have < len(dest) and self.fh.readinto(dest[have:]) < len(dest) - have:
-            raise IndexFormatError(f"truncated file: ran out of bytes reading {what}")
-
-    def unpack(self, fields: struct.Struct, what: str) -> tuple:
-        return fields.unpack(self.take(fields.size, what))
-
-    def records(self, id_len: int, k: int, dim: int, limit: int) -> np.ndarray:
-        """The whole records next in the buffer, at most ``limit``, whose id length
-        and K fields read ``id_len`` and ``k``: an ``(n, record bytes)`` view of
-        the buffer, consumed, valid until the next read."""
-        stride = _ID_LEN.size + id_len + _K.size + 4 * k * (dim + 1)
-        n = min(limit, (self.end - self.pos) // stride)
-        rows = np.frombuffer(self.buf, np.uint8, n * stride, self.pos).reshape(n, stride)
-        at = _ID_LEN.size + id_len
-        same = ((rows[:, : _ID_LEN.size] == np.frombuffer(_ID_LEN.pack(id_len), np.uint8)).all(1)
-                & (rows[:, at : at + _K.size] == np.frombuffer(_K.pack(k), np.uint8)).all(1))
-        n = n if same.all() else int(np.argmin(same))
-        self.pos += n * stride
-        return rows[:n]
+    def unpack(self, fields: struct.Struct, what: str, arg=None) -> tuple:
+        return fields.unpack(self.take(fields.size, what, arg))
 
 
-def _decoded(id_bytes: bytes, i: int) -> str:
-    try:
-        return id_bytes.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise IndexFormatError(f"doc {i} id is not valid UTF-8") from exc
+def _truncated(what: str, arg) -> IndexFormatError:
+    return IndexFormatError(f"truncated file: ran out of bytes reading {what.format(arg)}")
 
 
 def read_index(path: str | Path) -> CorpusIndex:
     """Parse an index file into columns holding the stored float32 chunks.
 
-    The file is read through one reused buffer of up to ``_BUFFER_BYTES``, in
-    one walk over the records: each record's fields are taken in turn and its
-    sizes and vectors copied into preallocated column arrays. After each
-    record, the whole records buffered behind it with the same id length and
-    K are copied as one: their header fields checked at once, and their sizes
-    and vectors copied into the columns with one strided assignment each. The
-    reader checks only what bounds its reads: magic, version, dim, truncation
-    and row capacity, each truncation naming its field. The trailer goes
-    through ``BuildMeta.from_dict`` and the columns through ``from_columns``
-    (the id rule and ``check_compressed``, K = 0 included). Every flaw raises
-    IndexFormatError, with the rule's own message where a rule refused."""
-    with open(path, "rb") as fh:
+    The file is read through one buffer of ``_BUFFER_BYTES`` in one walk over
+    the records, each record's sizes and vectors copied from it straight into
+    preallocated column arrays. The reader checks only what bounds its reads:
+    magic, version, dim, truncation and row capacity, each truncation naming
+    its field. The trailer goes through ``BuildMeta.from_dict`` and the
+    columns through ``from_columns`` (the id rule and ``check_compressed``,
+    K = 0 included). Every flaw raises IndexFormatError, with the rule's own
+    message where a rule refused."""
+    with open(path, "rb", buffering=_BUFFER_BYTES) as fh:
         file_size = os.fstat(fh.fileno()).st_size
-        cur = _Reader(fh, min(_BUFFER_BYTES, file_size))
+        cur = _Reader(fh)
         magic, version, dim, doc_count = cur.unpack(_HEADER, "header")
         if magic != MAGIC:
             raise IndexFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
@@ -382,34 +341,21 @@ def read_index(path: str | Path) -> CorpusIndex:
         sizes = np.empty(capacity, dtype="<u4")
         ids: list[str] = []
         offsets = [0]
-        i = 0
-        while i < doc_count:
-            (id_len,) = cur.unpack(_ID_LEN, f"doc {i} id length")
-            doc_id = _decoded(cur.take(id_len, f"doc {i} id"), i)
-            (k,) = cur.unpack(_K, f"doc '{doc_id}' k")
+        for i in range(doc_count):
+            (id_len,) = cur.unpack(_ID_LEN, "doc {} id length", i)
+            try:
+                doc_id = cur.take(id_len, "doc {} id", i).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise IndexFormatError(f"doc {i} id is not valid UTF-8") from exc
+            (k,) = cur.unpack(_K, "doc '{}' k", doc_id)
             lo, hi = offsets[-1], offsets[-1] + k
             if hi > capacity:
-                raise IndexFormatError(
-                    f"truncated file: ran out of bytes reading doc '{doc_id}' chunk vectors"
-                )
-            cur.fill(sizes[lo:hi], f"doc '{doc_id}' chunk sizes")
-            cur.fill(chunks[lo:hi], f"doc '{doc_id}' chunk vectors")
+                raise _truncated("doc '{}' chunk vectors", doc_id)
+            cur.fill(sizes[lo:hi], "doc '{}' chunk sizes", doc_id)
+            cur.fill(chunks[lo:hi], "doc '{}' chunk vectors", doc_id)
             ids.append(doc_id)
             offsets.append(hi)
-            i += 1
-            if not k:
-                continue
-            run = cur.records(id_len, k, dim, min(doc_count - i, (capacity - hi) // k))
-            if n := len(run):
-                # Ids from raw bytes: a numpy string view would drop a trailing NUL.
-                raw = run[:, _ID_LEN.size : _ID_LEN.size + id_len].tobytes()
-                ids += [_decoded(raw[m * id_len : (m + 1) * id_len], i + m) for m in range(n)]
-                at = _ID_LEN.size + id_len + _K.size
-                sizes[hi : hi + n * k].view(np.uint8).reshape(n, -1)[:] = run[:, at : at + 4 * k]
-                chunks[hi : hi + n * k].view(np.uint8).reshape(n, -1)[:] = run[:, at + 4 * k :]
-                offsets += range(hi + k, hi + n * k + 1, k)
-                i += n
-        tail = cur.rest()
+        tail = fh.read()
     trailer, length = tail[: -_TRAILER_LEN.size], tail[-_TRAILER_LEN.size :]
     if len(length) < _TRAILER_LEN.size:
         raise IndexFormatError("truncated file: missing trailer length")

@@ -11,32 +11,18 @@ scattered column per merge), so the faster loop can be checked bit for bit
 against it. ``reference_pool`` likewise keeps the first ``chunker.pool``
 (``np.add.at`` and a per-chunk loop) for a bitwise check, and
 ``reference_pages`` the first ``evaluation.generate_corpus`` page loop, which
-wrote each planted patch on its own, and ``reference_read_index`` the first
-columnar ``store.read_index``, five file reads per record and no buffer.
+wrote each planted patch on its own.
 These are the ground truth the fast paths are measured against; keep them
 obvious.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import warnings
 
 import numpy as np
 
-from colchunk.store import (
-    _HEADER,
-    _ID_LEN,
-    _K,
-    _TRAILER_LEN,
-    FORMAT_VERSION,
-    MAGIC,
-    BuildMeta,
-    CorpusIndex,
-    IndexFormatError,
-)
 from colchunk.types import ChunkAssignment, CompressedDocument, unit_rows
 
 TIE_EPS = 1e-12
@@ -311,70 +297,3 @@ def naive_ndcg(ranking, judged, k) -> float:
     if idcg == 0.0:
         return 0.0
     return dcg / idcg
-
-
-def reference_read_index(path) -> CorpusIndex:
-    """``store.read_index`` as one walk of file reads: each record's id length,
-    id and K taken by ``read`` and its sizes and vectors by ``readinto``,
-    straight into the columns. Every flaw raises IndexFormatError with the
-    message ``read_index`` must give."""
-    with open(path, "rb") as fh:
-
-        def take(n, what):
-            piece = fh.read(n)
-            if len(piece) < n:
-                raise IndexFormatError(f"truncated file: ran out of bytes reading {what}")
-            return piece
-
-        def fill(out, what):
-            if fh.readinto(out) < out.nbytes:
-                raise IndexFormatError(f"truncated file: ran out of bytes reading {what}")
-
-        file_size = os.fstat(fh.fileno()).st_size
-        magic, version, dim, doc_count = _HEADER.unpack(take(_HEADER.size, "header"))
-        if magic != MAGIC:
-            raise IndexFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        if version != FORMAT_VERSION:
-            raise IndexFormatError(f"unsupported format version {version}")
-        if dim < 1:
-            raise IndexFormatError(f"invalid dim {dim}")
-        capacity = (file_size - _HEADER.size) // (4 * (dim + 1))
-        chunks = np.empty((capacity, dim), dtype="<f4")
-        sizes = np.empty(capacity, dtype="<u4")
-        ids, offsets = [], [0]
-        for i in range(doc_count):
-            (id_len,) = _ID_LEN.unpack(take(_ID_LEN.size, f"doc {i} id length"))
-            try:
-                doc_id = take(id_len, f"doc {i} id").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise IndexFormatError(f"doc {i} id is not valid UTF-8") from exc
-            (k,) = _K.unpack(take(_K.size, f"doc '{doc_id}' k"))
-            lo, hi = offsets[-1], offsets[-1] + k
-            if hi > capacity:
-                raise IndexFormatError(
-                    f"truncated file: ran out of bytes reading doc '{doc_id}' chunk vectors"
-                )
-            fill(sizes[lo:hi], f"doc '{doc_id}' chunk sizes")
-            fill(chunks[lo:hi], f"doc '{doc_id}' chunk vectors")
-            ids.append(doc_id)
-            offsets.append(hi)
-        tail = fh.read()
-    trailer, length = tail[: -_TRAILER_LEN.size], tail[-_TRAILER_LEN.size :]
-    if len(length) < _TRAILER_LEN.size:
-        raise IndexFormatError("truncated file: missing trailer length")
-    (trailer_len,) = _TRAILER_LEN.unpack(length)
-    if trailer_len != len(trailer):
-        raise IndexFormatError(
-            f"trailer length {trailer_len} disagrees with the {len(trailer)} bytes present"
-        )
-    try:
-        meta = BuildMeta.from_dict(json.loads(trailer.decode("utf-8")))
-    except (ValueError, RecursionError) as exc:
-        raise IndexFormatError(f"unreadable build metadata: {exc}") from exc
-    rows = offsets[-1]
-    offsets = np.array(offsets, dtype=np.int64)
-    chunks, sizes = chunks[:rows], sizes[:rows].astype(np.int64)
-    try:
-        return CorpusIndex.from_columns(dim, ids, offsets, chunks, sizes, meta)
-    except ValueError as exc:
-        raise IndexFormatError(str(exc)) from exc

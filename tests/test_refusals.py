@@ -323,6 +323,14 @@ REFUSALS = {
     "run-repeated-doc": (
         lambda tmp: write_run({"q": [ScoredHit("d", 1.0, 1), ScoredHit("d", 0.5, 2)]},
                               io.StringIO()), ValueError, "run: query q lists doc d again"),
+    "run-score-past-float-range": (
+        lambda tmp: write_run({"q": [ScoredHit("d", HUGE, 1)]}, io.StringIO()), ValueError,
+        "run: score must be a finite number, got an integer past float range"),
+    # and read_run refuses a rank below 1, as write_run does
+    **{f"run-file-rank-{rank}": (
+        lambda tmp, rank=rank: read_once(tmp, read_run, f"q Q0 d {rank} 0.5 t\n"),
+        EvalInputError, f"run line 1: rank must be at least 1, got {rank}")
+       for rank in ("0", "-3")},
     # the id rule refuses text UTF-8 cannot encode, such as JSON's "\ud800"
     # escape, at every site that takes an id, with the field's name
     "manifest-surrogate-doc-id": (
@@ -410,6 +418,19 @@ def test_refusal_is_typed_and_leaves_nothing(tmp_path, case):
     assert type(info.value) is error
     assert len(str(info.value).replace(str(tmp_path), "")) <= MAX_MESSAGE
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("hit", [
+    ScoredHit("e", float("nan"), 2), ScoredHit("e", HUGE, 2), ScoredHit("e", 1.0, 10**5000),
+    ScoredHit("d", 1.0, 2), ScoredHit("\ud800", 1.0, 2)],
+    ids=["nan-score", "score-past-float-range", "rank-past-str", "repeated-doc", "surrogate"])
+def test_run_writer_refuses_before_its_first_line(hit):
+    # a good query, then one whose second hit breaks a rule, repeats its first
+    # doc, or has a rank str() refuses (past 4,300 digits)
+    buffer = io.StringIO()
+    with pytest.raises(ValueError):
+        write_run({"a": [ScoredHit("d", 1.0, 1)], "b": [ScoredHit("d", 0.5, 1), hit]}, buffer)
+    assert buffer.getvalue() == ""
 
 
 def test_qrels_file_refused_before_it_is_opened(tmp_path):

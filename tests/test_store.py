@@ -35,7 +35,6 @@ from colchunk.types import (
 )
 
 from conftest import make_pset, with_trailer
-from oracles import reference_read_index
 
 
 def make_meta(**kw):
@@ -305,25 +304,6 @@ MALFORMED_METAS = {
 }
 
 
-# Index ids of 1 to 4 UTF-8 bytes, multi-byte ones and one ending in NUL, so
-# neighbouring records share an id length or break the run of equal layouts,
-# under each list of Ks.
-READER_IDS = ["d0", "\u00e9", "a\x00", "d3", "\u20ac4", "d5", "\u20ac", "d77"]
-READER_KS = {"equal": [1] * 8, "ragged": [1, 1, 3, 1, 1, 2, 1, 1], "alternating": [1, 2] * 4}
-
-
-def read_outcome(read, path):
-    """What ``read`` makes of ``path``: the index's every column and its metadata,
-    as bytes where they are arrays, or the IndexFormatError message."""
-    try:
-        index = read(path)
-    except IndexFormatError as exc:
-        return str(exc)
-    arrays = (index.offsets, index.chunks, index.sizes)
-    return (index.dim, index.ids, index.build_meta,
-            *((arr.dtype.str, arr.shape, arr.tobytes()) for arr in arrays))
-
-
 class TestIndexCorruption:
     @pytest.fixture
     def good_file(self, rng, tmp_path):
@@ -455,39 +435,41 @@ class TestIndexCorruption:
             assert (index.sizes >= 1).all()
         assert 0 < loaded < len(variants)
 
-    @pytest.mark.parametrize("buffer", [20, 48, 128])
-    @pytest.mark.parametrize("ks", list(READER_KS))
-    def test_buffered_reader_agrees_with_the_oracle(self, rng, tmp_path, monkeypatch, ks,
-                                                      buffer):
-        # A buffer of a few dozen bytes: records straddle refills, and the
-        # K = 2 and 3 records (at least 46 bytes) are longer than a 20-byte one.
+    @pytest.mark.parametrize("buffer", [20, 1 << 20])
+    @pytest.mark.parametrize("ks", [[1] * 6, [1, 1, 3, 1, 2, 1], [1, 2] * 3],
+                             ids=["equal", "ragged", "alternating"])
+    def test_every_truncation_names_its_field(self, rng, tmp_path, monkeypatch, ks, buffer):
+        # Ids of 1 to 4 UTF-8 bytes, multi-byte ones and one ending in NUL.
+        # Through a 20-byte buffer, records straddle refills and the K >= 2
+        # ones outgrow it. The file reads back whole, and a cut names the
+        # field it ends in; a cut in a record's sizes may name its vectors,
+        # whose row capacity the reader bounds first.
         monkeypatch.setattr(store, "_BUFFER_BYTES", buffer)
-        copied = []
-        records = store._Reader.records
-
-        def spy_records(self, *args):
-            run = records(self, *args)
-            copied.append(len(run))
-            return run
-
-        monkeypatch.setattr(store._Reader, "records", spy_records)
+        ids, dim = ["d0", "\u00e9", "a\x00", "\u20ac4", "\u20ac", "d77"], 4
+        rows = [(unit_rows(rng.normal(size=(k, dim))).astype(np.float32), rng.integers(1, 9, k))
+                for k in ks]
         path = tmp_path / "mixed.cchk"
-        rows = [(unit_rows(rng.normal(size=(k, 4))).astype(np.float32), rng.integers(1, 9, k))
-                for k in READER_KS[ks]]
-        write_records(path, 4, READER_IDS, make_meta(), rows)
-        blob = path.read_bytes()
-        assert read_outcome(read_index, path)[1] == tuple(READER_IDS)
-        if ks == "equal" and buffer == 128:
-            assert max(copied) >= 2  # the bulk step copied whole records at once
-        variants = [blob[:n] for n in range(len(blob))]
-        variants += [blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1 :] for i in range(len(blob))]
-        loaded = 0
-        for variant in variants:
-            path.write_bytes(variant)
-            want = read_outcome(reference_read_index, path)
-            assert read_outcome(read_index, path) == want
-            loaded += not isinstance(want, str)
-        assert 0 < loaded < len(variants)
+        write_records(path, dim, ids, make_meta(), rows)
+        index = read_index(path)
+        assert index.ids == tuple(ids)
+        assert index.offsets.tolist() == np.cumsum([0, *ks]).tolist()
+        assert index.chunks.tobytes() == b"".join(chunks.tobytes() for chunks, _ in rows)
+        assert index.sizes.tolist() == np.concatenate([sizes for _, sizes in rows]).tolist()
+        fields = [(store._HEADER.size, ["header"])]
+        for i, (doc_id, k) in enumerate(zip(ids, ks)):
+            vectors = f"doc '{doc_id}' chunk vectors"
+            fields += [(2, [f"doc {i} id length"]), (len(doc_id.encode()), [f"doc {i} id"]),
+                       (4, [f"doc '{doc_id}' k"]), (4 * k, [f"doc '{doc_id}' chunk sizes", vectors]),
+                       (4 * k * dim, [vectors])]
+        blob, cut = path.read_bytes(), 0
+        for width, names in fields:
+            for n in range(cut, cut + width):
+                path.write_bytes(blob[:n])
+                with pytest.raises(IndexFormatError) as refused:
+                    read_index(path)
+                assert str(refused.value) in [f"truncated file: ran out of bytes reading {name}"
+                                              for name in names]
+            cut += width
 
     def test_garbage_metadata(self, good_file):
         raw = bytearray(good_file.read_bytes())
