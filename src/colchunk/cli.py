@@ -1,7 +1,9 @@
 """Command-line interface: compress, query, eval, bench.
 
 ``compress`` reads, compresses and writes one page at a time, so it holds
-one page's vectors however long the dump.
+one page's vectors however long the dump. An output path that names an
+input, or lies in a directory that does not exist (``bench`` makes its
+``--workdir``), is refused before any work.
 
 Exit codes: 0 on success, 1 on data or runtime errors, 2 on usage errors
 (argparse's own convention). Every command runs on one thread: the work is
@@ -104,6 +106,17 @@ def _write_out(path, write) -> None:
         write(fh)
 
 
+def _refuse_missing_dir(what: str, out, workdir=None) -> None:
+    """ValueError, before any work, if the output path ``out`` lies in a directory
+    that does not exist and is not under ``workdir``, which the command makes."""
+    if not out:
+        return
+    parent = os.path.realpath(os.path.dirname(out) or ".")
+    made = os.path.realpath(workdir) if workdir else None
+    if not (os.path.isdir(parent) or made and os.path.commonpath([parent, made]) == made):
+        raise ValueError(f"{what} {out}: directory {os.path.dirname(out)} does not exist")
+
+
 def _refuse_overwrite(what: str, out, inputs) -> None:
     """ValueError, before any work, if the output path ``out`` names one of ``inputs``."""
     if out and os.path.realpath(out) in {os.path.realpath(path) for path in inputs}:
@@ -180,6 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_compress(args) -> int:
     cfg = ChunkerConfig(args.k, args.omega, args.method, args.seed)
+    _refuse_missing_dir("compress: INDEX", args.index)
     manifest = load_manifest(args.manifest)
     _refuse_overwrite("compress: INDEX", args.index, [args.manifest, *manifest.files()])
     if not manifest.entries:
@@ -208,6 +222,7 @@ def cmd_compress(args) -> int:
 def cmd_query(args) -> int:
     # Refused before any work, so no run file is left behind.
     check_id(args.run_tag, "query: --run-tag")
+    _refuse_missing_dir("query: --out", args.out)
     manifest = load_query_manifest(args.queries)
     _refuse_overwrite("query: --out", args.out, [args.index, args.queries, *manifest.files()])
     index = read_index(args.index)
@@ -247,6 +262,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _refuse_missing_dir("bench: --out", args.out, args.workdir)
     spec = SyntheticSpec(
         num_docs=args.num_docs,
         num_queries=args.num_queries,

@@ -664,6 +664,17 @@ CLI_ERROR_CASES = {
     "bench-out-names-the-qrels": (
         [*SMALL_BENCH[:-1], "{work}/qrels.txt", "--workdir", "{work}"],
         "error: bench: --out {work}/qrels.txt names an input"),
+    # an output into a directory that does not exist is refused before any
+    # work: bench once ran its whole ablation before it failed to open --out
+    "compress-index-in-missing-dir": (
+        ["compress", "{manifest}", "{out}/missing/x.cchk", "--k", "4"],
+        "error: compress: INDEX {out}/missing/x.cchk: directory {out}/missing does not exist\n"),
+    "query-out-in-missing-dir": (
+        ["query", "{index}", "{queries}", "--out", "{out}/missing/run.txt"],
+        "error: query: --out {out}/missing/run.txt: directory {out}/missing does not exist\n"),
+    "bench-out-in-missing-dir": (
+        [*SMALL_BENCH[:-1], "{out}/missing/b.csv", "--workdir", "{work}"],
+        "error: bench: --out {out}/missing/b.csv: directory {out}/missing does not exist\n"),
     "eval-missing-run": (["eval", "{missing}", "{qrels}"], "missing"),
     "eval-empty-run": (["eval", "{empty_run}", "{qrels}"], "run file is empty"),
     "eval-repeated-run-pair": (["eval", "{repeated_run}", "{qrels}"], "run line 2"),
@@ -797,6 +808,9 @@ class TestErrorPaths:
             assert retrieved == []
         if "-names-" in case:
             assert compressed == [] and retrieved == []
+        if case.endswith("-in-missing-dir"):
+            # no page compressed, no query retrieved and no dataset generated
+            assert compressed == [] and retrieved == [] and not work.exists()
         if case.startswith("bench-out-names-"):
             # the dataset bench generated is whole: every file it lists loads
             list(store.ingest_dump(work / "manifest.json"))

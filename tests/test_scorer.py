@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -241,6 +242,9 @@ K_CORPORA.update((name, K_CORPORA["equal-and-ragged"]) for name in CORPUS_DTYPES
 # doc-longer-than-block's long one, and every K of interleaved-k. The others
 # are scored from slices alone.
 GATHERED = {"equal-and-ragged", "doc-longer-than-block", "interleaved-k", *CORPUS_DTYPES}
+# SLOT_MAJOR_DOCS_PER_TOKEN forced to each side of its rule: 0 scores every
+# contiguous run of one K slot-major, 2**62 scores every block by the reshape.
+SLOT_MAJOR_SIDES = (0, 2**62)
 
 
 def split_k_groups(ks):
@@ -264,10 +268,42 @@ class TestCandidatePass:
         queries = [QueryEmbeddingSet(query_id=f"q{t}", dim=8, vectors=rng.normal(size=(t, 8)))
                    for t in tokens]
         q32 = np.concatenate([types.unit_rows(q.vectors) for q in queries], dtype=np.float32)
-        approx = scorer._approx_scores(q32, np.cumsum([0, *tokens]), index.chunks, index.offsets)
         exact = np.array([[maxsim(q, d) for d in docs] for q in queries])
         bound = tokens * (8 + tokens + 2) * 2.0**-24
-        assert (np.abs(approx - exact) <= bound[:, None]).all()
+        for docs_per_token in SLOT_MAJOR_SIDES:
+            monkeypatch.setattr(scorer, "SLOT_MAJOR_DOCS_PER_TOKEN", docs_per_token)
+            approx = scorer._approx_scores(q32, np.cumsum([0, *tokens]), index.chunks,
+                                           index.offsets)
+            assert (np.abs(approx - exact) <= bound[:, None]).all(), docs_per_token
+
+    @pytest.mark.parametrize("ks, tokens, folds", [
+        ([3] * 64, 4, [64, 64]),
+        ([3] * 63, 4, []),
+        ([3] * 64, 5, []),
+        # each K's documents interleaved: gathered blocks, however many
+        ([3, 2] * 100, 4, []),
+        # a document of another K, then a run of one K long enough
+        ([2] + [3] * 64, 4, [64, 64]),
+    ])
+    def test_block_kind_follows_from_the_run_shape(self, rng, monkeypatch, ks, tokens, folds):
+        # One K's documents are scored slot-major when they form one
+        # contiguous run of at least SLOT_MAJOR_DOCS_PER_TOKEN per pass token.
+        # Only the slot-major kind folds its products with np.maximum: K - 1
+        # folds of a (docs, tokens) plane per block.
+        assert scorer.SLOT_MAJOR_DOCS_PER_TOKEN == 16
+        offsets = np.concatenate([[0], np.cumsum(ks)])
+        chunks = types.unit_rows(rng.normal(size=(offsets[-1], 8))).astype(np.float32)
+        q32 = types.unit_rows(rng.normal(size=(tokens, 8))).astype(np.float32)
+        seen = []
+        maximum = np.maximum
+
+        def spy(*args, **kwargs):
+            seen.append(len(args[0]))
+            return maximum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "maximum", spy)
+        scorer._approx_scores(q32, np.array([0, tokens]), chunks, offsets)
+        assert seen == folds
 
     def test_pass_holds_one_gather_copy_not_the_corpus(self, rng):
         # A float32 corpus of five Ks in shuffled order, so its blocks are row
@@ -287,6 +323,33 @@ class TestCandidatePass:
         limit = buffer + gather + scores.nbytes + 2**18
         assert chunks.nbytes > 4 * limit
         assert peak < limit, (peak, limit)
+
+    def test_slot_major_pass_holds_two_planes_not_the_corpus(self, rng):
+        # A float32 corpus of one K, long enough for 64 tokens to be scored
+        # slot-major in several blocks: BLAS reads each chunk slot in place,
+        # so the pass holds its two (docs, tokens) float32 planes and the
+        # float64 cast the token sum makes of one block's maxima, but no copy
+        # of the corpus or of a chunk slot, and no reshape product buffer.
+        docs, k, tokens, dim = 1100, 16, 64, 256
+        assert docs >= scorer.SLOT_MAJOR_DOCS_PER_TOKEN * tokens
+        chunks = rng.random((docs * k, dim), dtype=np.float32)
+        q32 = types.unit_rows(rng.normal(size=(tokens, dim))).astype(np.float32)
+        tracemalloc.start()
+        try:
+            scores = scorer._approx_scores(q32, np.array([0, tokens]), chunks,
+                                           np.arange(docs + 1) * k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = min(docs, scorer.SLOT_MAJOR_BLOCK_DOCS)
+        planes = 2 * block * tokens * 4
+        cast = block * tokens * 8
+        buffer = scorer.BLOCK_ROWS * tokens * 4
+        limit = planes + cast + scores.nbytes + 2**18
+        # a copy of one block's slot, or the reshape's buffer, breaks the limit
+        assert planes + block * dim * 4 > limit and planes + cast + buffer > limit
+        assert chunks.nbytes > 4 * limit
+        assert planes + cast <= peak < limit, (peak, limit)
 
 
 class TestRetrieveEquivalence:
@@ -331,10 +394,13 @@ class TestRetrieveEquivalence:
         for index, reference in ((memory, docs), (disk, disk.docs)):
             full = [[(d, s.hex(), r) for d, s, r in naive_retrieve(q, reference, n)]
                     for q in queries]
-            for top_k in (1, 2, 5, n - 1, n, n + 1):
+            for docs_per_token, top_k in itertools.product(SLOT_MAJOR_SIDES,
+                                                           (1, 2, 5, n - 1, n, n + 1)):
+                monkeypatch.setattr(scorer, "SLOT_MAJOR_DOCS_PER_TOKEN", docs_per_token)
                 got = [[(h.doc_id, h.score.hex(), h.rank) for h in retrieve(q, index, top_k)]
                        for q in queries]
-                assert got == [ranking[:top_k] for ranking in full], (type(index).__name__, top_k)
+                assert got == [ranking[:top_k] for ranking in full], (
+                    type(index).__name__, docs_per_token, top_k)
                 assert retrieve_many(queries, index, top_k) == [retrieve(q, index, top_k)
                                                                 for q in queries]
 
@@ -375,11 +441,14 @@ class TestRetrieveEquivalence:
         for index, reference in ((memory, docs), (disk, disk.docs)):
             full = [[(d, s.hex(), r) for d, s, r in naive_retrieve(q, reference, n)]
                     for q in queries]
-            for top_k in (*range(1, 13), n // 2, n - 1, n, n + 1, n + 5):
+            for docs_per_token, top_k in itertools.product(
+                    SLOT_MAJOR_SIDES, (*range(1, 13), n // 2, n - 1, n, n + 1, n + 5)):
+                monkeypatch.setattr(scorer, "SLOT_MAJOR_DOCS_PER_TOKEN", docs_per_token)
                 passes.clear()
                 got = [[(h.doc_id, h.score.hex(), h.rank) for h in hits]
                        for hits in retrieve_many(queries, index, top_k)]
-                assert got == [ranking[:top_k] for ranking in full], (type(index).__name__, top_k)
+                assert got == [ranking[:top_k] for ranking in full], (
+                    type(index).__name__, docs_per_token, top_k)
                 if top_k < n and max_pass_tokens == 40:
                     # 1+2+3+7+16 tokens fit under 40; 32 does not join them, 64 exceeds it
                     assert passes == [[1, 2, 3, 7, 16], [32], [64]]
