@@ -53,9 +53,10 @@ METHODS = ("hac_ward", "kmeans")
 TIE_EPS = 1e-12
 
 # Largest page ``cluster_hac`` accepts. Ward keeps one dense n x n float64
-# distance matrix, 512 MiB at this bound, built in place. The first shrink to
-# the live clusters briefly holds a quarter more, a peak of about 640 MiB. A
-# larger page raises ValueError.
+# distance matrix, built in place, whose rows are padded to an odd number of
+# cache lines: 512.5 MiB at this bound. Each shrink to the live clusters copies
+# them out and back into the same buffer, so the first briefly holds a quarter
+# more, a peak of about 640 MiB. A larger page raises ValueError.
 MAX_HAC_PATCHES = 8192
 
 # Edge, in rows, of the square tiles in which ``_pairwise_sq`` turns the Gram
@@ -102,14 +103,23 @@ def fuse(pset: PatchEmbeddingSet, cfg: ChunkerConfig) -> FusedFeatureSet:
 def _pairwise_sq(x: np.ndarray) -> np.ndarray:
     """Dense squared Euclidean distances with +inf on the diagonal.
 
-    Overwrites the Gram matrix ``g`` in place, one pair of ``_TILE``-row
-    tiles ``(I, J)`` and ``(J, I)`` at a time, so one n x n matrix is live.
-    Each entry is ``(sq_i + sq_j) - (g_ij + g_ji)`` with ``sq_i = g_ii``,
-    rounded step by step in that order, so it is exactly symmetric. No tile
-    reads an entry that another tile has already overwritten.
+    The n x n result is a view of an n-row buffer whose rows are an odd
+    number of 64-byte cache lines apart, one line more than ``n`` floats
+    need when their count of lines is even. Then the n entries of a column
+    fall in many cache sets, not in the few that rows of 4, 6 or 8 KiB map
+    them to, so the two column writes of each Ward merge stay cheap.
+
+    BLAS writes the Gram matrix ``g`` straight into that view. It is then
+    overwritten in place, one pair of ``_TILE``-row tiles ``(I, J)`` and
+    ``(J, I)`` at a time, so one n x n matrix is live. Each entry is
+    ``(sq_i + sq_j) - (g_ij + g_ji)`` with ``sq_i = g_ii``, rounded step by
+    step in that order, so it is exactly symmetric. No tile reads an entry
+    that another tile has already overwritten.
     """
-    g = x @ x.T
-    n = g.shape[0]
+    n = x.shape[0]
+    lines = -(-n // 8)
+    g = np.empty((n, 8 * (lines + 1 - lines % 2)))[:, :n]
+    np.matmul(x, x.T, out=g)
     sq = g.diagonal().copy()
     for i in range(0, n, _TILE):
         rows = slice(i, i + _TILE)
@@ -144,8 +154,9 @@ def cluster_hac(feats: FusedFeatureSet, k: int) -> tuple[ChunkAssignment, np.nda
 
     Each merge updates whole rows: a dead slot has size 0 and a +inf
     column, so the recurrence needs no index gathers and keeps dead entries
-    at +inf. Once fewer than half the slots are live, the matrix shrinks to
-    the live ones, in order, so argmin ties resolve as before. Labels come
+    at +inf. Once fewer than half the slots are live, the matrix shrinks in
+    place to the live ones, in order, so argmin ties resolve as before and
+    the rows keep ``_pairwise_sq``'s odd cache-line stride. Labels come
     from cutting ``Z`` with ``cut_linkage``. A page of more than
     ``MAX_HAC_PATCHES`` patches raises ValueError before the matrix is
     allocated.
@@ -175,7 +186,8 @@ def cluster_hac(feats: FusedFeatureSet, k: int) -> tuple[ChunkAssignment, np.nda
     size = np.ones(n)
     dendro_id = np.arange(n)
     row_val = d2.min(axis=1)
-    row_idx = d2.argmin(axis=1)
+    # argmin copies a padded matrix whole, so it takes one tile of rows at a time.
+    row_idx = np.concatenate([d2[i : i + _TILE].argmin(axis=1) for i in range(0, n, _TILE)])
     merges: list[tuple] = []
 
     for step in range(n - k):
@@ -232,7 +244,7 @@ def cluster_hac(feats: FusedFeatureSet, k: int) -> tuple[ChunkAssignment, np.nda
         live = n - 1 - step
         if 2 * live < d2.shape[0]:
             keep = size.nonzero()[0]
-            d2 = d2[np.ix_(keep, keep)]
+            d2 = _shrink(d2, keep)
             slot = np.full(size.shape[0], -1)
             slot[keep] = np.arange(live)
             size = size[keep]
@@ -244,6 +256,14 @@ def cluster_hac(feats: FusedFeatureSet, k: int) -> tuple[ChunkAssignment, np.nda
     linkage[:, :2].sort(axis=1)
     np.sqrt(linkage[:, 2], out=linkage[:, 2])
     return cut_linkage(linkage, n, k), linkage
+
+
+def _shrink(d2: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The rows and columns ``keep`` of ``d2``, in order, moved in place to its
+    top-left corner: the result is a view that keeps ``d2``'s row stride."""
+    live = len(keep)
+    d2[:live, :live] = d2[np.ix_(keep, keep)]
+    return d2[:live, :live]
 
 
 def cut_linkage(z: np.ndarray, n: int, k: int) -> ChunkAssignment:

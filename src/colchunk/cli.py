@@ -107,10 +107,13 @@ def _write_out(path, write) -> None:
 
 
 def _refuse_missing_dir(what: str, out, workdir=None) -> None:
-    """ValueError, before any work, if the output path ``out`` lies in a directory
-    that does not exist and is not under ``workdir``, which the command makes."""
+    """ValueError, before any work, if the output path ``out`` is a directory, or
+    lies in a directory that does not exist and is not under ``workdir``, which
+    the command makes."""
     if not out:
         return
+    if os.path.isdir(out):
+        raise ValueError(f"{what} {out} is a directory")
     parent = os.path.realpath(os.path.dirname(out) or ".")
     made = os.path.realpath(workdir) if workdir else None
     if not (os.path.isdir(parent) or made and os.path.commonpath([parent, made]) == made):

@@ -26,7 +26,8 @@ and returns, for each query, exactly what scoring every document with
      rows (or one longer document): a slice of the chunk matrix when its
      documents are contiguous, else a gather of their rows. Its one rows x T
      product is reshaped to ``(docs, K, T)`` and maxed over K, as ColBERT
-     max-pools a stack of documents.
+     max-pools a stack of documents. At K = 1 the product already is the
+     maxima, and is taken as it is, with no copy.
 
    A long run suits slot-major: the reshape-max of few tokens runs numpy
    inner loops only T floats long, while slot-major pays K products per
@@ -189,7 +190,8 @@ def _approx_scores(
                         else (offsets[docs, None] + np.arange(k)).ravel())
                 out = buf[: rows * tokens].reshape(rows, -1)
                 sims = np.matmul(chunks[take].astype(np.float32, copy=False), q32.T, out=out)
-                best = sims.reshape(len(docs), k, -1).max(axis=1)
+                # With one chunk per document the product is its maxima.
+                best = sims if k == 1 else sims.reshape(len(docs), k, -1).max(axis=1)
             scores[:, docs] = np.add.reduceat(best.T, token_offsets[:-1], axis=0,
                                               dtype=np.float64)
     return scores

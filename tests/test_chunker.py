@@ -320,6 +320,14 @@ class TestClusterHacReference:
         for pts in large_ward_inputs(np.random.default_rng(24)):
             self.check_bitwise(pts)
 
+    def test_bitwise_equal_to_reference_on_4_and_8_kib_rows(self):
+        # 512 and 1,024 patches fill rows of 4 and 8 KiB, the power-of-two
+        # strides that the padding to an odd number of cache lines replaces.
+        rng = np.random.default_rng(31)
+        for rows, cols in ((16, 32), (32, 32)):
+            pset = make_pset(rng, rows=rows, cols=cols, dim=16)
+            self.check_bitwise(fuse(pset, ChunkerConfig()).vectors)
+
     def test_cut_of_full_dendrogram_matches_each_k(self):
         rng = np.random.default_rng(25)
         cases = [c for family in ("gaussian", "grid", "duplicates")
@@ -372,6 +380,32 @@ class TestPairwiseSq:
         base = rng.normal(size=(5, 16))
         pts = base[rng.integers(0, len(base), size=2 * chunker._TILE + 44)]
         assert chunker._pairwise_sq(pts).tobytes() == _reference_pairwise_sq(pts).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 255, 512, 768, 1024])
+    def test_rows_are_an_odd_number_of_cache_lines_apart(self, n):
+        d2 = chunker._pairwise_sq(np.random.default_rng(n).normal(size=(n, 4)))
+        assert d2.shape == (n, n)
+        assert d2.strides[0] % 64 == 0 and d2.strides[0] // 64 % 2 == 1, d2.strides
+
+    def test_compaction_keeps_the_row_stride(self, monkeypatch):
+        # 768 patches down to 40 clusters shrink the matrix several times;
+        # each shrink moves the live rows in place and keeps their stride.
+        feats = fuse(make_pset(np.random.default_rng(32), rows=32, cols=24, dim=16),
+                     ChunkerConfig())
+        stride = chunker._pairwise_sq(feats.vectors).strides[0]
+        shapes = []
+        shrink = chunker._shrink
+
+        def spy_shrink(d2, keep):
+            out = shrink(d2, keep)
+            assert out.strides[0] == d2.strides[0] == stride
+            assert np.shares_memory(out, d2)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(chunker, "_shrink", spy_shrink)
+        cluster_hac(feats, 40)
+        assert shapes[0] == (383, 383) and len(shapes) > 1
 
     def test_holds_one_matrix(self):
         n = 1024

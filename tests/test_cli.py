@@ -675,6 +675,18 @@ CLI_ERROR_CASES = {
     "bench-out-in-missing-dir": (
         [*SMALL_BENCH[:-1], "{out}/missing/b.csv", "--workdir", "{work}"],
         "error: bench: --out {out}/missing/b.csv: directory {out}/missing does not exist\n"),
+    # an output that is an existing directory is refused before any work too:
+    # compress once wrote every page before its rename onto the directory
+    # failed, naming only the temporary file
+    "compress-index-is-a-dir": (
+        ["compress", "{manifest}", "{out}", "--k", "4"],
+        "error: compress: INDEX {out} is a directory\n"),
+    "query-out-is-a-dir": (
+        ["query", "{index}", "{queries}", "--out", "{out}"],
+        "error: query: --out {out} is a directory\n"),
+    "bench-out-is-a-dir": (
+        [*SMALL_BENCH[:-1], "{out}", "--workdir", "{work}"],
+        "error: bench: --out {out} is a directory\n"),
     "eval-missing-run": (["eval", "{missing}", "{qrels}"], "missing"),
     "eval-empty-run": (["eval", "{empty_run}", "{qrels}"], "run file is empty"),
     "eval-repeated-run-pair": (["eval", "{repeated_run}", "{qrels}"], "run line 2"),
@@ -808,7 +820,7 @@ class TestErrorPaths:
             assert retrieved == []
         if "-names-" in case:
             assert compressed == [] and retrieved == []
-        if case.endswith("-in-missing-dir"):
+        if case.endswith(("-in-missing-dir", "-is-a-dir")):
             # no page compressed, no query retrieved and no dataset generated
             assert compressed == [] and retrieved == [] and not work.exists()
         if case.startswith("bench-out-names-"):

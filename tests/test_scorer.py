@@ -351,6 +351,24 @@ class TestCandidatePass:
         assert chunks.nbytes > 4 * limit
         assert planes + cast <= peak < limit, (peak, limit)
 
+    def test_one_chunk_pass_takes_the_product_as_its_maxima(self, rng):
+        # K = 1 documents, too few per token for slot-major: the reshape-max
+        # block's product is its maxima as it stands. The pass holds that
+        # product and the float64 cast the token sum makes of it, 3 products
+        # in all, and no copy of it (a max over the reshape made a fourth).
+        docs, tokens, dim = scorer.BLOCK_ROWS, 1024, 64
+        assert docs < scorer.SLOT_MAJOR_DOCS_PER_TOKEN * tokens
+        chunks = types.unit_rows(rng.normal(size=(docs, dim))).astype(np.float32)
+        q32 = types.unit_rows(rng.normal(size=(tokens, dim))).astype(np.float32)
+        tracemalloc.start()
+        try:
+            scorer._approx_scores(q32, np.array([0, tokens]), chunks, np.arange(docs + 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        product = docs * tokens * 4
+        assert peak <= 3.1 * product, peak / product
+
 
 class TestRetrieveEquivalence:
     """``retrieve`` and ``retrieve_many`` return the ids, score bits and ranks of the
