@@ -3,7 +3,8 @@
 ``compress`` reads, compresses and writes one page at a time, so it holds
 one page's vectors however long the dump. An output path that names an
 input, or lies in a directory that does not exist (``bench`` makes its
-``--workdir``), is refused before any work.
+``--workdir``), is refused before any work. Every output goes through
+``store.replacing``, entered before the work and replaced only on success.
 
 Exit codes: 0 on success, 1 on data or runtime errors, 2 on usage errors
 (argparse's own convention). Every command runs on one thread: the work is
@@ -47,6 +48,7 @@ from .store import (
     load_manifest,
     load_query_manifest,
     read_index,
+    replacing,
     write_records,
 )
 from .types import PatchGrid, check_decimal, check_id, check_omega
@@ -100,10 +102,9 @@ def _comma_list(parse):
     return lambda text: tuple(parse(part) for part in text.split(",") if part.strip())
 
 
-def _write_out(path, write) -> None:
-    """``write(fh)`` to the UTF-8 file at ``path``, or to stdout when ``path`` is empty."""
-    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
-        write(fh)
+def _output(path):
+    """``--out``'s UTF-8 handle through ``replacing``, or stdout when ``path`` is empty."""
+    return replacing(path) if path else nullcontext(sys.stdout)
 
 
 def _refuse_missing_dir(what: str, out, workdir=None) -> None:
@@ -228,13 +229,13 @@ def cmd_query(args) -> int:
     _refuse_missing_dir("query: --out", args.out)
     manifest = load_query_manifest(args.queries)
     _refuse_overwrite("query: --out", args.out, [args.index, args.queries, *manifest.files()])
-    index = read_index(args.index)
-    queries = list(ingest_queries(manifest))
-    if not queries:
-        raise ManifestError("the query manifest lists no queries")
-    all_hits = retrieve_many(queries, index, top_k=args.top_k)
-    hits_by_query = {q.query_id: hits for q, hits in zip(queries, all_hits)}
-    _write_out(args.out, lambda fh: write_run(hits_by_query, fh, run_tag=args.run_tag))
+    with _output(args.out) as fh:
+        index = read_index(args.index)
+        queries = list(ingest_queries(manifest))
+        if not queries:
+            raise ManifestError("the query manifest lists no queries")
+        hits = retrieve_many(queries, index, top_k=args.top_k)
+        write_run({q.query_id: h for q, h in zip(queries, hits)}, fh, run_tag=args.run_tag)
     return 0
 
 
@@ -292,11 +293,11 @@ def cmd_bench(args) -> int:
         inputs = [dataset.doc_manifest, dataset.query_manifest, dataset.qrels_path,
                   *doc_manifest.files(), *query_manifest.files()]
         _refuse_overwrite("bench: --out", args.out, inputs)
-        docs = list(ingest_dump(doc_manifest))
-        queries = list(ingest_queries(query_manifest))
-        qrels = Qrels.from_file(dataset.qrels_path)
-        rows = run_ablation(docs, queries, qrels, sweep)
-    _write_out(args.out, lambda fh: rows_to_csv(rows, fh))
+        with _output(args.out) as fh:
+            docs = list(ingest_dump(doc_manifest))
+            queries = list(ingest_queries(query_manifest))
+            qrels = Qrels.from_file(dataset.qrels_path)
+            rows_to_csv(run_ablation(docs, queries, qrels, sweep), fh)
     return 0
 
 

@@ -20,7 +20,8 @@ import numpy as np
 from . import chunker
 from .chunker import ChunkerConfig, compress_ks
 from .scorer import retrieve_many
-from .store import BuildMeta, read_index, write_embedding_dump, write_query_dump, write_records
+from .store import BuildMeta, read_index, replacing, write_embedding_dump, write_query_dump
+from .store import write_records
 from .types import PatchEmbeddingSet, PatchGrid, QueryEmbeddingSet
 from .types import check_count, check_decimal, check_id, check_natural, check_real, unit_rows
 
@@ -120,12 +121,10 @@ class Qrels:
         return qrels
 
     def to_file(self, path) -> None:
-        """Write TREC qrels lines, every one formatted before the file is opened, so a
-        grade ``str`` refuses (past Python's 4,300-digit limit) leaves no file."""
-        lines = [f"{qid} 0 {did} {self._grades[qid][did]}\n"
-                 for qid in self.queries() for did in sorted(self._grades[qid])]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
+        """Write TREC qrels lines through ``store.replacing``."""
+        with replacing(path) as fh:
+            fh.writelines(f"{qid} 0 {did} {self._grades[qid][did]}\n"
+                          for qid in self.queries() for did in sorted(self._grades[qid]))
 
 
 def dcg(grades: Sequence[float], k: int) -> float:

@@ -26,10 +26,11 @@ the file through one 1 MiB buffer in one walk over the records. Every record
 obeys ``types.check_compressed``. Writing what was read reproduces the file
 byte for byte, since the reader takes the trailer's values unconverted. They
 must be a build ``ChunkerConfig`` accepts, so ``store`` imports ``chunker``
-(never the reverse). ``write_records`` is the one writer: it streams
+(never the reverse). ``write_records`` is the one index writer: it streams
 records, so ``compress`` holds one page at a time, and the ablation writes
 each configuration's file through it too. ``write_index`` feeds it an
-in-memory ``CorpusIndex``, for library callers that built one.
+in-memory ``CorpusIndex``, for library callers that built one. Every file
+the package writes, index or not, is written through ``replacing``.
 
 Embedding dumps are the ingestion side: a JSON manifest describing per-page
 raw vector files (flat float32 little-endian, row-major). Query dumps use
@@ -53,9 +54,11 @@ the first byte. ``EmbeddingDumpManifest.files()`` names each raw file.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -84,6 +87,7 @@ __all__ = [
     "CorpusIndex",
     "DumpEntry",
     "EmbeddingDumpManifest",
+    "replacing",
     "write_index",
     "write_records",
     "read_index",
@@ -225,6 +229,31 @@ class CorpusIndex:
         )
 
 
+# Numbers one process's temporary files, so no two helpers open at once share one.
+_TEMP_SERIAL = itertools.count()
+
+
+@contextmanager
+def replacing(path: str | Path, binary: bool = False):
+    """Yield a UTF-8 text or binary handle whose bytes replace ``path`` once the body completes.
+
+    The bytes go to ``.colchunk.{pid}.{serial}.tmp`` beside ``os.path.realpath(path)``,
+    so a symlink stays a link whose target gets them, and any name that fits there
+    fits. On success ``os.replace`` moves it into place; any exception, interrupts
+    included, removes it and propagates.
+    """
+    target = os.path.realpath(path)
+    tmp = Path(os.path.dirname(target), f".colchunk.{os.getpid()}.{next(_TEMP_SERIAL)}.tmp")
+    fh = open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_index(index: CorpusIndex, path: str | Path) -> None:
     """Serialize an index through ``write_records``, one record per document."""
     bounds = index.offsets.tolist()
@@ -238,10 +267,8 @@ def write_records(path: str | Path, dim: int, ids, build_meta: BuildMeta, rows) 
     Every id is checked before the file is opened, and each record, of K
     chunk rows, by ``check_compressed`` after rounding to the stored float32,
     just before its bytes: a file the reader would reject raises ValueError
-    instead, as does a record count that disagrees with ``ids``.
-    The bytes go to a sibling temporary file that replaces ``path`` only once
-    complete, so a failed write leaves any previous index intact. Returns the
-    chunk rows written.
+    instead, as does a record count that disagrees with ``ids``. The bytes go
+    through ``replacing``. Returns the chunk rows written.
     """
     ids = list(ids)
     encoded = _encoded_ids(ids)
@@ -250,35 +277,28 @@ def write_records(path: str | Path, dim: int, ids, build_meta: BuildMeta, rows) 
         header = _HEADER.pack(MAGIC, FORMAT_VERSION, dim, len(ids))
     except struct.error:  # the one header field a count can overflow
         raise ValueError(f"dim {dim!r:.40} exceeds the u32 dim field") from None
-    out = Path(path)
-    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
     total = 0
-    try:
-        with tmp.open("wb") as fh:
-            fh.write(header)
-            records = iter(rows)
-            for n, (doc_id, id_bytes) in enumerate(zip(ids, encoded)):
-                record = next(records, None)
-                if record is None:
-                    raise ValueError(f"cannot write {out}: {len(ids)} ids but {n} records")
-                chunks, sizes = record
-                chunks, sizes = np.ascontiguousarray(chunks, "<f4"), np.asarray(sizes)
-                k = len(chunks)
-                check_compressed((doc_id,), dim, (0, k), chunks, sizes)
-                fh.write(_ID_LEN.pack(len(id_bytes)) + id_bytes + _K.pack(k))
-                fh.write(sizes.astype("<u4"))
-                fh.write(chunks)
-                total += k
-            if next(records, None) is not None:
-                raise ValueError(f"cannot write {out}: more records than the {len(ids)} ids")
-            trailer = json.dumps(
-                asdict(build_meta), sort_keys=True, separators=(",", ":")
-            ).encode("utf-8")
-            fh.write(trailer + _TRAILER_LEN.pack(len(trailer)))
-        os.replace(tmp, out)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with replacing(path, binary=True) as fh:
+        fh.write(header)
+        records = iter(rows)
+        for n, (doc_id, id_bytes) in enumerate(zip(ids, encoded)):
+            record = next(records, None)
+            if record is None:
+                raise ValueError(f"cannot write {path}: {len(ids)} ids but {n} records")
+            chunks, sizes = record
+            chunks, sizes = np.ascontiguousarray(chunks, "<f4"), np.asarray(sizes)
+            k = len(chunks)
+            check_compressed((doc_id,), dim, (0, k), chunks, sizes)
+            fh.write(_ID_LEN.pack(len(id_bytes)) + id_bytes + _K.pack(k))
+            fh.write(sizes.astype("<u4"))
+            fh.write(chunks)
+            total += k
+        if next(records, None) is not None:
+            raise ValueError(f"cannot write {path}: more records than the {len(ids)} ids")
+        trailer = json.dumps(
+            asdict(build_meta), sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+        fh.write(trailer + _TRAILER_LEN.pack(len(trailer)))
     return total
 
 
@@ -573,12 +593,14 @@ def _write_dump(items, out_dir, subdir: str, id_key: str, manifest_name: str, he
     manifest = EmbeddingDumpManifest(dim, tuple(entries), root=Path(out_dir))
     (manifest.root / subdir).mkdir(parents=True, exist_ok=True)
     for (*_, vectors), path in zip(items, manifest.files()):
-        vectors.astype("<f4").tofile(path)
+        with replacing(path, binary=True) as fh:
+            fh.write(np.ascontiguousarray(vectors, "<f4"))
     body = [{id_key: e.id, "n_vectors": e.n_vectors, "path": e.path,
              **(asdict(e.grid) if e.grid else {})} for e in entries]
     manifest_path = manifest.root / manifest_name
     text = json.dumps({"dim": dim, **header, "entries": body}, indent=2, sort_keys=True)
-    manifest_path.write_text(text + "\n", "utf-8")
+    with replacing(manifest_path) as fh:
+        fh.write(text + "\n")
     return manifest_path
 
 

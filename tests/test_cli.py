@@ -6,7 +6,9 @@ The error-path table runs `cli.main` in-process, one bad input per case.
 """
 
 import dataclasses
+import errno
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -687,6 +689,14 @@ CLI_ERROR_CASES = {
     "bench-out-is-a-dir": (
         [*SMALL_BENCH[:-1], "{out}", "--workdir", "{work}"],
         "error: bench: --out {out} is a directory\n"),
+    # an output its helper cannot create fails before any work: query once read
+    # the index and retrieved, and bench ran its whole ablation, before it opened
+    # --out (the helper is patched to refuse: a read-only directory does not stop root)
+    "query-out-cannot-be-created": (
+        ["query", "{index}", "{queries}", "--out", "{out}/run.txt"],
+        "error: [Errno 13] Permission denied: '{out}/run.txt'\n"),
+    "bench-out-cannot-be-created": (
+        SMALL_BENCH, "error: [Errno 13] Permission denied: '{out}/b.csv'\n"),
     "eval-missing-run": (["eval", "{missing}", "{qrels}"], "missing"),
     "eval-empty-run": (["eval", "{empty_run}", "{qrels}"], "run file is empty"),
     "eval-repeated-run-pair": (["eval", "{repeated_run}", "{qrels}"], "run line 2"),
@@ -793,6 +803,19 @@ class TestErrorPaths:
             return retrieve(queries, index, top_k=top_k)
 
         monkeypatch.setattr(cli, "retrieve_many", spy_retrieve)
+        ablated = []
+        ablation = cli.run_ablation
+
+        def spy_ablation(docs, queries, qrels, sweep):
+            ablated.append(len(docs))
+            return ablation(docs, queries, qrels, sweep)
+
+        monkeypatch.setattr(cli, "run_ablation", spy_ablation)
+        if case.endswith("-cannot-be-created"):
+            def cannot_create(path, binary=False):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+            monkeypatch.setattr(cli, "replacing", cannot_create)
         out = tmp_path / "out"
         out.mkdir()
         work = tmp_path / "work"
@@ -820,6 +843,8 @@ class TestErrorPaths:
             assert retrieved == []
         if "-names-" in case:
             assert compressed == [] and retrieved == []
+        if case.endswith("-cannot-be-created"):
+            assert retrieved == [] and ablated == []
         if case.endswith(("-in-missing-dir", "-is-a-dir")):
             # no page compressed, no query retrieved and no dataset generated
             assert compressed == [] and retrieved == [] and not work.exists()
