@@ -1,9 +1,9 @@
 """Command-line interface: compress, query, eval, bench.
 
 ``compress`` reads, compresses and writes one page at a time, so it holds
-one page's vectors however long the dump. An output path that names an
-input, or lies in a directory that does not exist (``bench`` makes its
-``--workdir``), is refused before any work. Every output goes through
+one page's vectors however long the dump. Each command refuses a bad output
+path by ``store.check_output`` before any work (``bench`` makes its ``--workdir``,
+so an output under it is checked once that exists). Every output goes through
 ``store.replacing``, entered before the work and replaced only on success.
 
 Exit codes: 0 on success, 1 on data or runtime errors, 2 on usage errors
@@ -43,6 +43,7 @@ from .store import (
     BuildMeta,
     IndexFormatError,
     ManifestError,
+    check_output,
     ingest_dump,
     ingest_queries,
     load_manifest,
@@ -102,29 +103,9 @@ def _comma_list(parse):
     return lambda text: tuple(parse(part) for part in text.split(",") if part.strip())
 
 
-def _output(path):
-    """``--out``'s UTF-8 handle through ``replacing``, or stdout when ``path`` is empty."""
-    return replacing(path) if path else nullcontext(sys.stdout)
-
-
-def _refuse_missing_dir(what: str, out, workdir=None) -> None:
-    """ValueError, before any work, if the output path ``out`` is a directory, or
-    lies in a directory that does not exist and is not under ``workdir``, which
-    the command makes."""
-    if not out:
-        return
-    if os.path.isdir(out):
-        raise ValueError(f"{what} {out} is a directory")
-    parent = os.path.realpath(os.path.dirname(out) or ".")
-    made = os.path.realpath(workdir) if workdir else None
-    if not (os.path.isdir(parent) or made and os.path.commonpath([parent, made]) == made):
-        raise ValueError(f"{what} {out}: directory {os.path.dirname(out)} does not exist")
-
-
-def _refuse_overwrite(what: str, out, inputs) -> None:
-    """ValueError, before any work, if the output path ``out`` names one of ``inputs``."""
-    if out and os.path.realpath(out) in {os.path.realpath(path) for path in inputs}:
-        raise ValueError(f"{what} {out} names an input, which it would overwrite")
+def _output(path, name: str, inputs):
+    """Stdout if ``path`` is empty, else its handle through ``replacing`` once checked."""
+    return replacing(check_output(path, name, inputs)) if path else nullcontext(sys.stdout)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,9 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_compress(args) -> int:
     cfg = ChunkerConfig(args.k, args.omega, args.method, args.seed)
-    _refuse_missing_dir("compress: INDEX", args.index)
     manifest = load_manifest(args.manifest)
-    _refuse_overwrite("compress: INDEX", args.index, [args.manifest, *manifest.files()])
+    check_output(args.index, "compress: INDEX", [args.manifest, *manifest.files()])
     if not manifest.entries:
         raise ManifestError("the dump manifest lists no documents")
     # One page in memory at a time: each page is read, compressed and
@@ -226,10 +206,8 @@ def cmd_compress(args) -> int:
 def cmd_query(args) -> int:
     # Refused before any work, so no run file is left behind.
     check_id(args.run_tag, "query: --run-tag")
-    _refuse_missing_dir("query: --out", args.out)
     manifest = load_query_manifest(args.queries)
-    _refuse_overwrite("query: --out", args.out, [args.index, args.queries, *manifest.files()])
-    with _output(args.out) as fh:
+    with _output(args.out, "query: --out", [args.index, args.queries, *manifest.files()]) as fh:
         index = read_index(args.index)
         queries = list(ingest_queries(manifest))
         if not queries:
@@ -266,7 +244,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    _refuse_missing_dir("bench: --out", args.out, args.workdir)
+    made = args.workdir and os.path.join(os.path.realpath(args.workdir), "")
+    if args.out and not (made and os.path.realpath(args.out).startswith(made)):
+        check_output(args.out, "bench: --out")
     spec = SyntheticSpec(
         num_docs=args.num_docs,
         num_queries=args.num_queries,
@@ -292,8 +272,7 @@ def cmd_bench(args) -> int:
         query_manifest = load_query_manifest(dataset.query_manifest)
         inputs = [dataset.doc_manifest, dataset.query_manifest, dataset.qrels_path,
                   *doc_manifest.files(), *query_manifest.files()]
-        _refuse_overwrite("bench: --out", args.out, inputs)
-        with _output(args.out) as fh:
+        with _output(args.out, "bench: --out", inputs) as fh:
             docs = list(ingest_dump(doc_manifest))
             queries = list(ingest_queries(query_manifest))
             qrels = Qrels.from_file(dataset.qrels_path)

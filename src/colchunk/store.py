@@ -30,7 +30,7 @@ must be a build ``ChunkerConfig`` accepts, so ``store`` imports ``chunker``
 records, so ``compress`` holds one page at a time, and the ablation writes
 each configuration's file through it too. ``write_index`` feeds it an
 in-memory ``CorpusIndex``, for library callers that built one. Every file
-the package writes, index or not, is written through ``replacing``.
+the package writes goes through ``replacing``, after ``check_output``.
 
 Embedding dumps are the ingestion side: a JSON manifest describing per-page
 raw vector files (flat float32 little-endian, row-major). Query dumps use
@@ -57,8 +57,9 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import stat
 import struct
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -87,6 +88,7 @@ __all__ = [
     "CorpusIndex",
     "DumpEntry",
     "EmbeddingDumpManifest",
+    "check_output",
     "replacing",
     "write_index",
     "write_records",
@@ -233,20 +235,45 @@ class CorpusIndex:
 _TEMP_SERIAL = itertools.count()
 
 
+def check_output(path: str | Path, name: str, inputs=()) -> str:
+    """Return ``os.path.realpath(path)``, the file ``replacing`` writes, if it may be written.
+
+    ValueError, naming ``name`` and ``path``, if that file is a directory, is one of
+    ``inputs`` resolved the same way, or lies in a directory that does not exist: the
+    one a symlink points into, or the one any other path spells, so ``nodir/`` too.
+    """
+    target = os.path.realpath(path)
+    if os.path.isdir(target):
+        raise ValueError(f"{name} {path} is a directory")
+    parent = os.path.dirname(target if os.path.islink(path) else path)
+    if not os.path.isdir(parent or "."):
+        raise ValueError(f"{name} {path}: directory {parent} does not exist")
+    if target in {os.path.realpath(source) for source in inputs}:
+        raise ValueError(f"{name} {path} names an input, which it would overwrite")
+    return target
+
+
 @contextmanager
 def replacing(path: str | Path, binary: bool = False):
     """Yield a UTF-8 text or binary handle whose bytes replace ``path`` once the body completes.
 
-    The bytes go to ``.colchunk.{pid}.{serial}.tmp`` beside ``os.path.realpath(path)``,
-    so a symlink stays a link whose target gets them, and any name that fits there
-    fits. On success ``os.replace`` moves it into place; any exception, interrupts
-    included, removes it and propagates.
+    Once ``check_output`` passes it, the bytes go to ``.colchunk.{pid}.{serial}.tmp``
+    beside ``os.path.realpath(path)``, so a symlink stays a link whose target gets them,
+    and any name that fits there fits. That file is created exclusively, skipping a
+    serial whose name is taken, and given an existing target's permission bits before
+    its first byte. On success ``os.replace`` moves it into place; any exception,
+    interrupts included, removes it and propagates.
     """
-    target = os.path.realpath(path)
-    tmp = Path(os.path.dirname(target), f".colchunk.{os.getpid()}.{next(_TEMP_SERIAL)}.tmp")
-    fh = open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")
+    target = check_output(path, "output")
+    for serial in _TEMP_SERIAL:
+        tmp = Path(os.path.dirname(target), f".colchunk.{os.getpid()}.{serial}.tmp")
+        with suppress(FileExistsError):  # never written through a link planted at the name
+            fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8")
+            break
     try:
         with fh:
+            with suppress(FileNotFoundError):
+                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
             yield fh
         os.replace(tmp, target)
     except BaseException:
@@ -574,8 +601,8 @@ def _write_dump(items, out_dir, subdir: str, id_key: str, manifest_name: str, he
     ``header`` holds the manifest's top-level fields besides ``dim`` and
     ``entries``. Before the first byte is written, every id is checked (the id
     rule, a safe file name, not repeated), every header value by the string
-    rule, and every item by ``_item`` at the first item's dim, over the float32
-    values its file stores: the rule ``_ingest`` applies when reading it back.
+    rule, every item by ``_item`` at the first item's dim, over the float32 values its
+    file stores (``_ingest``'s rule on reading), and every file by ``check_output``.
     """
     kind = id_key.removesuffix("_id")
     if not items:
@@ -592,12 +619,14 @@ def _write_dump(items, out_dir, subdir: str, id_key: str, manifest_name: str, he
         check_string(value, f"{kind} dump: {name}")
     manifest = EmbeddingDumpManifest(dim, tuple(entries), root=Path(out_dir))
     (manifest.root / subdir).mkdir(parents=True, exist_ok=True)
+    manifest_path = manifest.root / manifest_name
+    for path in [*manifest.files(), manifest_path]:
+        check_output(path, f"{kind} dump file")
     for (*_, vectors), path in zip(items, manifest.files()):
         with replacing(path, binary=True) as fh:
             fh.write(np.ascontiguousarray(vectors, "<f4"))
     body = [{id_key: e.id, "n_vectors": e.n_vectors, "path": e.path,
              **(asdict(e.grid) if e.grid else {})} for e in entries]
-    manifest_path = manifest.root / manifest_name
     text = json.dumps({"dim": dim, **header, "entries": body}, indent=2, sort_keys=True)
     with replacing(manifest_path) as fh:
         fh.write(text + "\n")

@@ -522,6 +522,9 @@ def bad_inputs(dataset, index_path, tmp_path_factory):
     page = PatchEmbeddingSet(doc_id="p", dim=6, grid=PatchGrid(rows=2, cols=2),
                              vectors=np.random.default_rng(6).normal(size=(4, 6)))
     paths["dim6"] = write_embedding_dump([page], root / "dim6")
+    # an output link into a directory that does not exist, which the error names
+    paths.update(dangling=root / "dangling", nodir=root.resolve() / "nodir")
+    paths["dangling"].symlink_to(Path("nodir") / "out")
     # inputs that a refused output path names, apart from the shared ones above
     own = root / "own"
     shutil.copytree(dataset.doc_manifest.parent, own)
@@ -677,6 +680,23 @@ CLI_ERROR_CASES = {
     "bench-out-in-missing-dir": (
         [*SMALL_BENCH[:-1], "{out}/missing/b.csv", "--workdir", "{work}"],
         "error: bench: --out {out}/missing/b.csv: directory {out}/missing does not exist\n"),
+    # bench makes its --workdir, so an --out under it is checked against the
+    # generated dataset: it once failed there naming its temporary file
+    "bench-out-in-missing-dir-under-workdir": (
+        [*SMALL_BENCH[:-1], "{work}/missing/b.csv", "--workdir", "{work}"],
+        "error: bench: --out {work}/missing/b.csv: directory {work}/missing does not exist\n"),
+    # an output that is a symlink into a directory that does not exist is refused
+    # by the directory it points into: compress and query once failed naming the
+    # temporary file they could not create there, bench after generating its data
+    "compress-index-is-a-dangling-link": (
+        ["compress", "{manifest}", "{dangling}", "--k", "4"],
+        "error: compress: INDEX {dangling}: directory {nodir} does not exist\n"),
+    "query-out-is-a-dangling-link": (
+        ["query", "{index}", "{queries}", "--out", "{dangling}"],
+        "error: query: --out {dangling}: directory {nodir} does not exist\n"),
+    "bench-out-is-a-dangling-link": (
+        [*SMALL_BENCH[:-1], "{dangling}", "--workdir", "{work}"],
+        "error: bench: --out {dangling}: directory {nodir} does not exist\n"),
     # an output that is an existing directory is refused before any work too:
     # compress once wrote every page before its rename onto the directory
     # failed, naming only the temporary file
@@ -688,6 +708,9 @@ CLI_ERROR_CASES = {
         "error: query: --out {out} is a directory\n"),
     "bench-out-is-a-dir": (
         [*SMALL_BENCH[:-1], "{out}", "--workdir", "{work}"],
+        "error: bench: --out {out} is a directory\n"),
+    "bench-out-is-its-workdir": (
+        [*SMALL_BENCH[:-1], "{out}", "--workdir", "{out}"],
         "error: bench: --out {out} is a directory\n"),
     # an output its helper cannot create fails before any work: query once read
     # the index and retrieved, and bench ran its whole ablation, before it opened
@@ -845,7 +868,7 @@ class TestErrorPaths:
             assert compressed == [] and retrieved == []
         if case.endswith("-cannot-be-created"):
             assert retrieved == [] and ablated == []
-        if case.endswith(("-in-missing-dir", "-is-a-dir")):
+        if case.endswith(("-in-missing-dir", "-is-a-dir", "-is-a-dangling-link")):
             # no page compressed, no query retrieved and no dataset generated
             assert compressed == [] and retrieved == [] and not work.exists()
         if case.startswith("bench-out-names-"):

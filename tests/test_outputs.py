@@ -1,13 +1,19 @@
 """The one output rule: every file colchunk writes goes through ``store.replacing``.
 
-A file is replaced only once its new bytes are complete. A failed write leaves
-the old file byte-identical and no temporary file beside it. A symlinked output
-stays a link whose target gets the bytes. Any name that fits the output's
-directory fits the temporary file too.
+``store.check_output`` refuses a bad output path, a directory, a file in a
+missing directory or an input, before any work. A file is replaced only once
+its new bytes are complete. A failed write leaves the old file byte-identical
+and no temporary file beside it. A symlinked output stays a link whose target
+gets the bytes, and a replaced file keeps its permission bits. Any name that
+fits the output's directory fits the temporary file too, and a file already at
+a temporary name is never written through.
 """
 
 import errno
+import itertools
 import os
+import re
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -187,7 +193,7 @@ def test_a_failure_mid_write_leaves_the_old_file(dataset, tmp_path, monkeypatch,
 
     def faulty_open(file, mode="r", **kwargs):
         fh = open(file, mode, **kwargs)
-        if "w" in mode and Path(file).parent == failing and not faulted:
+        if ("w" in mode or "x" in mode) and Path(file).parent == failing and not faulted:
             faulted.append(Path(file).name)
             return Faulty(fh, fault)
         return fh
@@ -205,3 +211,135 @@ def test_a_failure_mid_write_leaves_the_old_file(dataset, tmp_path, monkeypatch,
     monkeypatch.undo()
     write(dataset, dest, 1)  # the write the fault stopped changes the destination
     assert tree(dest) != before
+
+
+@pytest.mark.parametrize("case, mode", [("query-out", 0o600), ("compress", 0o640)],
+                         ids=["query-out-0600", "compress-0640"])
+def test_a_replaced_output_keeps_its_mode(dataset, tmp_path, capsys, case, mode):
+    # a replaced run file once came back 0644: the new inode took the umask's mode
+    write, out, fresh = FILE_WRITERS[case], tmp_path / "out.x", tmp_path / "fresh"
+    fresh.touch()
+    write(dataset, out, 0)
+    assert out.stat().st_mode == fresh.stat().st_mode  # a new file's mode is open()'s
+    out.chmod(mode)
+    before = out.read_bytes()
+    write(dataset, out, 1)
+    capsys.readouterr()
+    assert out.read_bytes() != before
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+    assert leftovers(tmp_path) == []
+
+
+def test_a_link_planted_at_the_temporary_name_is_not_written_through(tmp_path, monkeypatch):
+    # the temporary name is predictable, and was once opened through such a
+    # link: its target got the bytes, and out.txt became a link to it
+    victim, out = tmp_path / "victim.txt", tmp_path / "out.txt"
+    victim.write_text("victim\n")
+    monkeypatch.setattr(store, "_TEMP_SERIAL", itertools.count(7))
+    (tmp_path / f".colchunk.{os.getpid()}.7.tmp").symlink_to(victim)
+    with store.replacing(out) as fh:
+        fh.write("payload\n")
+    assert victim.read_text() == "victim\n"
+    assert not out.is_symlink() and out.read_text() == "payload\n"
+
+
+# name -> (the output path under a root that holds data/in.txt, the one input, a
+# link "alias" to it and a link "dangling" into nodir/, which does not exist; the
+# error after the label), ``{real}`` standing for the root's real path.
+CHECK_OUTPUT_CASES = {
+    "a-directory": (lambda root: root / "data", "{path} is a directory"),
+    "a-missing-directory": (lambda root: root / "nodir" / "x.txt",
+                            "{path}: directory {root}/nodir does not exist"),
+    "a-trailing-separator": (lambda root: f"{root}/nodir/",
+                             "{path}: directory {root}/nodir does not exist"),
+    "a-dangling-symlink": (lambda root: root / "dangling",
+                           "{path}: directory {real}/nodir does not exist"),
+    "an-input-by-another-spelling": (lambda root: root / "data" / ".." / "data" / "in.txt",
+                                     "{path} names an input, which it would overwrite"),
+    "a-symlink-to-an-input": (lambda root: root / "alias",
+                              "{path} names an input, which it would overwrite"),
+}
+
+
+@pytest.mark.parametrize("case", list(CHECK_OUTPUT_CASES))
+def test_check_output_refuses_a_bad_output(tmp_path, case):
+    spell, error = CHECK_OUTPUT_CASES[case]
+    source = tmp_path / "data" / "in.txt"
+    source.parent.mkdir()
+    source.write_text("input\n")
+    (tmp_path / "alias").symlink_to(source)
+    (tmp_path / "dangling").symlink_to(Path("nodir") / "x.txt")
+    path = spell(tmp_path)
+    with pytest.raises(ValueError) as raised:
+        store.check_output(path, "out:", [source])
+    assert str(raised.value) == "out: " + error.format(path=path, root=tmp_path,
+                                                       real=tmp_path.resolve())
+
+
+def test_check_output_returns_the_file_replacing_writes(tmp_path):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    link.symlink_to(target.name)
+    assert store.check_output(tmp_path / "new.txt", "out") == str(tmp_path.resolve() / "new.txt")
+    assert store.check_output(link, "out", [tmp_path / "other"]) == str(target.resolve())
+
+
+def spied_rows(drawn: list):
+    """``corpus(0)``'s records, each noted in ``drawn`` as it is taken."""
+    index = corpus(0)
+    bounds = index.offsets.tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        drawn.append(lo)
+        yield index.chunks[lo:hi], index.sizes[lo:hi]
+
+
+# name -> (write(destination directory, output name, records drawn), its
+# output name): each library writer, whose first output is that file.
+LIBRARY_WRITERS = {
+    "write_records": (lambda dest, name, drawn: write_records(
+        dest / name, 8, corpus(0).ids, META, spied_rows(drawn)), "out.x"),
+    "write_index": (lambda dest, name, drawn: write_index(corpus(0), dest / name), "out.x"),
+    "qrels-to-file": (lambda dest, name, drawn: Qrels({"q": {"d": 1}}).to_file(dest / name),
+                      "out.x"),
+    "embedding-dump": (lambda dest, name, drawn: write_embedding_dump(pages(0), dest),
+                       "manifest.json"),
+    "query-dump": (lambda dest, name, drawn: write_query_dump(queries(0), dest), "queries.json"),
+}
+
+
+# name -> (make the bad output at ``out``, the error after its path)
+BAD_OUTPUTS = {
+    "directory": (lambda out: out.mkdir(), " is a directory"),
+    "dangling-link": (lambda out: out.symlink_to(Path("nodir") / "x"),
+                      ": directory {nodir} does not exist"),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_OUTPUTS))
+@pytest.mark.parametrize("case", list(LIBRARY_WRITERS))
+def test_a_library_writer_refuses_a_bad_output_before_any_work(tmp_path, case, bad):
+    # write_records once drew every record before its rename onto a directory
+    # failed, and a missing directory failed naming its temporary file; a dump
+    # once wrote its raw files before its manifest failed
+    write, name = LIBRARY_WRITERS[case]
+    make, error = BAD_OUTPUTS[bad]
+    dest = tmp_path / "dest"
+    dest.mkdir()
+    make(dest / name)
+    drawn = []
+    error = f"{dest / name}{error.format(nodir=dest.resolve() / 'nodir')}"
+    with pytest.raises(ValueError, match=re.escape(error)):
+        write(dest, name, drawn)
+    assert drawn == []
+    assert [path for path in dest.rglob("*") if path.is_file()] == []
+    assert leftovers(tmp_path) == []
+
+
+@pytest.mark.parametrize("case", ["write_records", "write_index", "qrels-to-file"])
+def test_a_library_writer_refuses_a_missing_directory_before_any_work(tmp_path, case):
+    write, _ = LIBRARY_WRITERS[case]
+    drawn = []
+    error = f"output {tmp_path / 'nodir' / 'out.x'}: directory {tmp_path / 'nodir'} does not exist"
+    with pytest.raises(ValueError, match=re.escape(error)):
+        write(tmp_path, Path("nodir") / "out.x", drawn)
+    assert drawn == []
+    assert list(tmp_path.iterdir()) == []
