@@ -161,6 +161,11 @@ def cluster_hac(feats: FusedFeatureSet, k: int) -> tuple[ChunkAssignment, np.nda
     ``MAX_HAC_PATCHES`` patches raises ValueError before the matrix is
     allocated.
 
+    Across BLAS thread counts the merge order ``Z[:, :2]``, and so the
+    labels, hold; the last bits of the distances ``Z[:, 2]`` may not, since
+    they come from the Gram product ``x @ x.T``, whose rounding depends on
+    how BLAS splits it. This module never sets the BLAS thread count.
+
     Returns:
         The canonical assignment and the linkage array ``Z``, a float64
         ``(n - k, 4)`` array in scipy's convention: row ``t`` merges nodes

@@ -618,9 +618,11 @@ def _write_dump(items, out_dir, subdir: str, id_key: str, manifest_name: str, he
     for name, value in header.items():
         check_string(value, f"{kind} dump: {name}")
     manifest = EmbeddingDumpManifest(dim, tuple(entries), root=Path(out_dir))
-    (manifest.root / subdir).mkdir(parents=True, exist_ok=True)
+    manifest.root.mkdir(parents=True, exist_ok=True)
     manifest_path = manifest.root / manifest_name
-    for path in [*manifest.files(), manifest_path]:
+    check_output(manifest_path, f"{kind} dump file")
+    (manifest.root / subdir).mkdir(exist_ok=True)
+    for path in manifest.files():
         check_output(path, f"{kind} dump file")
     for (*_, vectors), path in zip(items, manifest.files()):
         with replacing(path, binary=True) as fh:

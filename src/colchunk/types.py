@@ -89,10 +89,10 @@ def check_real(value, name: str) -> int | float:
     return value
 
 
-def check_omega(value, name: str = "omega") -> int | float:
+def check_omega(value) -> int | float:
     """The fusion weight rule: ``check_real``'s, then the interval [0, 1]."""
-    if not 0.0 <= (value := check_real(value, name)) <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r:.40}")
+    if not 0.0 <= (value := check_real(value, "omega")) <= 1.0:
+        raise ValueError(f"omega must lie in [0, 1], got {value!r:.40}")
     return value
 
 

@@ -250,6 +250,69 @@ class TestQuery:
         assert "Traceback" not in proc.stderr
 
 
+def run_blas(threads, *argv):
+    """``python argv`` in a process whose BLAS runs ``threads`` threads (1 or 2, never more)."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+# Bench pages of 255 patches, where the Gram product ``x @ x.T`` changes its
+# last bits with the BLAS thread count, and of 900, at bench's dim of 128.
+BLAS_GRIDS = {"15x17": PatchGrid(rows=15, cols=17), "30x30": PatchGrid(rows=30, cols=30)}
+
+# Prints, for each page of each manifest given, at omega 0.2 and 1: the labels
+# at K = 40 and the merge order Z[:, :2] of its full Ward dendrogram.
+HAC_ORDER = """
+import json, sys
+from colchunk.chunker import ChunkerConfig, cluster_hac, cut_linkage, fuse
+from colchunk.store import ingest_dump
+for manifest in sys.argv[1:]:
+    for omega in (0.2, 1):
+        for page in ingest_dump(manifest):
+            _, z = cluster_hac(fuse(page, ChunkerConfig(k=40, omega=omega)), 1)
+            labels = cut_linkage(z, len(page.vectors), 40).labels
+            print(json.dumps([labels.tolist(), z[:, :2].tolist()]))
+"""
+
+
+@pytest.fixture(scope="module")
+def blas_pages(tmp_path_factory):
+    """Grid name -> a 4-page, 2-query bench dataset of that grid."""
+    root = tmp_path_factory.mktemp("blas-pages")
+    return {name: generate_synthetic(SyntheticSpec(num_docs=4, num_queries=2, grid=grid,
+                                                   dim=128, query_tokens=4), root / name)
+            for name, grid in BLAS_GRIDS.items()}
+
+
+class TestBlasThreads:
+    """What holds across BLAS thread counts: the `.cchk` bytes, the run files,
+    Ward's merge order and its labels. Z[:, 2]'s last bits need not."""
+
+    @pytest.mark.parametrize("omega", ["0.2", "1"])
+    @pytest.mark.parametrize("grid", list(BLAS_GRIDS))
+    def test_compress_and_query_write_the_same_bytes(self, blas_pages, tmp_path, grid, omega):
+        data = blas_pages[grid]
+        outputs = []
+        for threads in (1, 2):
+            index, run = tmp_path / f"{threads}.cchk", tmp_path / f"{threads}.txt"
+            for argv in (["compress", data.doc_manifest, index, "--k", "40", "--omega", omega],
+                         ["query", index, data.query_manifest, "--out", run]):
+                proc = run_blas(threads, "-m", "colchunk.cli", *map(str, argv))
+                assert proc.returncode == 0, proc.stderr
+            outputs.append((index.read_bytes(), run.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_ward_merge_order_and_labels_are_the_same(self, blas_pages):
+        manifests = [str(data.doc_manifest) for data in blas_pages.values()]
+        printed = []
+        for threads in (1, 2):
+            proc = run_blas(threads, "-c", HAC_ORDER, *manifests)
+            assert proc.returncode == 0, proc.stderr
+            printed.append(proc.stdout.splitlines())
+        assert len(printed[0]) == 2 * 2 * 4
+        assert printed[0] == printed[1]
+
+
 class TestEval:
     def test_ndcg_csv(self, tmp_path):
         run = tmp_path / "run.txt"
@@ -485,6 +548,7 @@ def bad_inputs(dataset, index_path, tmp_path_factory):
     manifest_with("long_doc_id.json", "manifest", "doc_id", "x" * 70_000, entry=-1)
     manifest_with("long_negative_n_vectors.json", "manifest", "n_vectors", -NINES)
     manifest_with("long_n_vectors_queries.json", "queries", "n_vectors", NINES)
+    manifest_with("bool_rows.json", "manifest", "rows", True)
     paths["dim_2_32"] = data / "dim_2_32.json"
     paths["dim_2_32"].write_text(json.dumps(dict(json.loads(paths["manifest"].read_text()),
                                                  dim=2**32)))
@@ -495,6 +559,8 @@ def bad_inputs(dataset, index_path, tmp_path_factory):
     manifest_with("nan_last_page.json", "manifest", "path", "vectors/nan.f32", entry=-1)
     blob = index_path.read_bytes()
     write("truncated.cchk", blob[: len(blob) // 2])
+    # cut where the first record's K starts, after the header, id length and id
+    write("cut_at_first_k.cchk", blob[: 22 + int.from_bytes(blob[20:22], "little")])
     write("corrupt.cchk", b"JUNK" + blob[4:])
     write("nested_trailer.cchk", with_trailer(blob, b"[" * 100_000))
     meta = json.loads(blob[-8 - int.from_bytes(blob[-8:], "little") : -8])
@@ -560,6 +626,9 @@ CLI_ERROR_CASES = {
     "compress-space-in-doc-id": (["compress", "{space_doc_id}", "{out}/x.cchk"],
                                  "doc manifest entry 0: doc_id 'a b'"),
     "compress-empty-manifest": (["compress", "{empty}", "{out}/x.cchk"], "lists no documents"),
+    # a bool is not a count, though Python takes True for 1
+    "compress-bool-rows": (["compress", "{bool_rows}", "{out}/x.cchk", "--k", "4"],
+                           "error: doc manifest entry 0: rows must be an integer, got True\n"),
     # the positional encoder takes the page's dim, which must be a multiple of 4
     "compress-dim-6": (["compress", "{dim6}", "{out}/x.cchk"], "multiple of 4, got 6"),
     # MAX_HAC_PATCHES is lowered below the dataset's 16 patches a page
@@ -590,6 +659,10 @@ CLI_ERROR_CASES = {
                             "missing"),
     "query-truncated-index": (["query", "{truncated}", "{queries}", "--out", "{out}/run.txt"],
                               "truncated file"),
+    # a cut names the field it ends in, and the run file --out names keeps its bytes
+    "query-index-cut-at-the-first-k": (
+        ["query", "{cut_at_first_k}", "{queries}", "--out", "{old_run}"],
+        "error: truncated file: ran out of bytes reading doc 'doc0000' k\n"),
     "query-corrupt-index": (["query", "{corrupt}", "{queries}", "--out", "{out}/run.txt"],
                             "bad magic"),
     "query-nested-trailer": (["query", "{nested_trailer}", "{queries}", "--out",
@@ -855,6 +928,7 @@ class TestErrorPaths:
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert list(out.iterdir()) == []
+        assert {path.name for path in tmp_path.iterdir()} <= {"out", "work"}
         assert {path: path.read_bytes() for path in inputs} == inputs
         assert {parent: sorted(parent.iterdir()) for parent in listings} == listings
         if case in ("compress-oversized-doc-id", "compress-kmeans-negative-seed",
@@ -888,7 +962,7 @@ class TestErrorPaths:
             cli.main([arg.format_map({"out": out, **bad_inputs}) for arg in argv])
         captured = capsys.readouterr()
         assert exc.value.code == 2
-        assert captured.err.splitlines()[-1].endswith(f": error: argument {error}")
+        assert captured.err.splitlines()[-1] == f"colchunk {argv[0]}: error: argument {error}"
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert list(out.iterdir()) == []

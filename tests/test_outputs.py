@@ -330,7 +330,7 @@ def test_a_library_writer_refuses_a_bad_output_before_any_work(tmp_path, case, b
     with pytest.raises(ValueError, match=re.escape(error)):
         write(dest, name, drawn)
     assert drawn == []
-    assert [path for path in dest.rglob("*") if path.is_file()] == []
+    assert list(dest.rglob("*")) == [dest / name]  # no vectors/ or queries/ made either
     assert leftovers(tmp_path) == []
 
 

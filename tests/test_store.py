@@ -93,13 +93,19 @@ class TestIndexRoundTrip:
             )
 
     def test_float32_documents_stack_to_the_columns_read_index_returns(self, rng, tmp_path):
+        # documents read back hold float32 chunks too, so an index rebuilt
+        # from them stacks the same columns and writes the bytes it was read from
         index = CorpusIndex(dim=8, docs=float32_docs(rng, 5), build_meta=make_meta())
         write_index(index, tmp_path / "t.cchk")
         back = read_index(tmp_path / "t.cchk")
-        assert index.chunks.dtype == back.chunks.dtype == np.float32
-        for column in ("offsets", "chunks", "sizes"):
-            built, read = getattr(index, column), getattr(back, column)
-            assert (built.dtype, built.tobytes()) == (read.dtype, read.tobytes()), column
+        rebuilt = CorpusIndex(dim=8, docs=back.docs, build_meta=back.build_meta)
+        write_index(rebuilt, tmp_path / "rebuilt.cchk")
+        assert (tmp_path / "rebuilt.cchk").read_bytes() == (tmp_path / "t.cchk").read_bytes()
+        for stacked in (index, rebuilt):
+            assert stacked.chunks.dtype == back.chunks.dtype == np.float32
+            for column in ("offsets", "chunks", "sizes"):
+                built, read = getattr(stacked, column), getattr(back, column)
+                assert (built.dtype, built.tobytes()) == (read.dtype, read.tobytes()), column
 
     def test_float32_documents_stack_in_one_float32_matrix(self, rng):
         # Peak memory of the stacking alone, the documents already built: one
