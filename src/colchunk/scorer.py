@@ -13,29 +13,15 @@ and returns, for each query, exactly what scoring every document with
    query tokens (whole queries only; a longer query is a pass of its own)
    into one float32 matrix of T tokens. It visits documents grouped by K
    (``compress`` emits K = min(k, n), so a corpus of one grid is one
-   contiguous run of one K) and scores each K by one of two block kinds,
-   chosen from the shape alone:
-
-   - *Slot-major*, when the K's documents form one contiguous run of at
-     least ``SLOT_MAJOR_DOCS_PER_TOKEN`` x T documents. A block holds at most
-     ``SLOT_MAJOR_BLOCK_DOCS`` documents. For each chunk slot j, one float32
-     product of the block's j-th chunks (a strided view that BLAS reads in
-     place) with the tokens fills a (docs, T) plane, folded into a running
-     max by ``np.maximum``.
-   - *Reshape-max* otherwise. A block holds at most ``BLOCK_ROWS`` chunk
-     rows (or one longer document): a slice of the chunk matrix when its
-     documents are contiguous, else a gather of their rows. Its one rows x T
-     product is reshaped to ``(docs, K, T)`` and maxed over K, as ColBERT
-     max-pools a stack of documents. At K = 1 the product already is the
-     maxima, and is taken as it is, with no copy.
-
-   A long run suits slot-major: the reshape-max of few tokens runs numpy
-   inner loops only T floats long, while slot-major pays K products per
-   block, which a short run or a wide pass does not repay. Both maxima are
-   exact, so the kinds differ only in how the products round. A float64 sum
-   over each query's tokens (``np.add.reduceat`` over the token offsets)
-   follows. Each query keeps every document whose approximate score is at
-   least its own k-th best approximate score minus its own
+   contiguous run of one K), in blocks of at most ``BLOCK_DOCS`` documents
+   of one K. For each chunk slot j, one float32 product of the block's j-th
+   chunks with the tokens fills a (docs, T) plane, folded into a running
+   max by ``np.maximum``. The j-th chunks of a contiguous run are a strided
+   view that BLAS reads in place; those of a K whose documents are not
+   contiguous are gathered by row. A float64 sum over each query's tokens
+   (``np.add.reduceat`` over the token offsets) follows. Each query keeps
+   every document whose approximate score is at least its own k-th best
+   approximate score minus its own
 
        slack = 4 * T * (dim + T + 2) * eps32      (T query tokens)
 
@@ -51,18 +37,11 @@ and returns, for each query, exactly what scoring every document with
    one upcast widens float32 chunk rows, and the candidates are sorted by
    descending score, ties broken by ascending doc_id.
 
-Memory of a pass: each block kind's buffers are made when a block first
-needs them, and reused by every later block of that kind.
-
-- Reshape-max: one product buffer of at most ``MAX_PASS_TOKENS x
-  BLOCK_ROWS`` float32 (16 MiB; a longer query or document raises its
-  factor, so a 2,048-token query over 4,096 or more rows needs 32 MiB), and
-  one gather copy of at most ``BLOCK_ROWS`` rows.
-- Slot-major: two (docs, T) float32 planes of at most
-  ``SLOT_MAJOR_BLOCK_DOCS`` x T (128 KiB at 32 tokens). A float32 corpus is
-  read in place; a float64 one is cast one slot at a time, a copy of at most
-  ``SLOT_MAJOR_BLOCK_DOCS`` rows.
-
+Memory of a pass: two (docs, T) float32 planes of at most ``BLOCK_DOCS`` x T
+(128 KiB at 32 tokens), made once and reused by every block, and one chunk
+slot's rows at a time. A float32 run is read in place. A float64 run is cast
+one slot at a time, and a gathered slot is copied, each a copy of at most
+``BLOCK_DOCS`` rows (a gathered float64 slot is then cast as well).
 Each block's maxima are cast to float64 for the token sum, 8 bytes per
 (document, token) of the block. A pass also holds the approximate scores,
 one float64 per (query in the pass, document).
@@ -80,21 +59,15 @@ from .types import CompressedDocument, QueryEmbeddingSet, check_count, unit_rows
 
 __all__ = ["ScoredHit", "maxsim", "retrieve", "retrieve_many"]
 
-# Chunk rows per float32 block of the candidate pass (whole documents only;
-# a document longer than this is a block of its own).
-BLOCK_ROWS = 4096
 # Query tokens stacked into one candidate pass (whole queries only; a query
 # longer than this is a pass of its own).
 MAX_PASS_TOKENS = 1024
-# A K whose documents form one contiguous run of at least this many per pass
-# token is scored slot-major; shorter runs and gathered blocks by the reshape.
-SLOT_MAJOR_DOCS_PER_TOKEN = 16
-# Documents per slot-major block. Its two (docs, tokens) float32 planes, 128
+# Documents per candidate block. Its two (docs, tokens) float32 planes, 128
 # KiB each at 32 tokens, stay in L2 while the block's K products are folded
 # in. Blocks of 256 documents ran 128-token passes 25% slower; one block of
 # all 3,000 serve documents at 32 tokens ran no faster and raised the serve
 # benchmark's peak RSS by 0.6 MiB.
-SLOT_MAJOR_BLOCK_DOCS = 1024
+BLOCK_DOCS = 1024
 _EPS32 = float(np.finfo(np.float32).eps)
 
 
@@ -154,44 +127,24 @@ def _approx_scores(
     """
     scores = np.empty((len(token_offsets) - 1, len(offsets) - 1))
     ks = np.diff(offsets)
-    tokens = len(q32)
-    # Each block kind's buffers are made on first use and shared by its
-    # blocks (a fresh product per block made 8-query passes 17-30% slower).
-    buf = planes = None
+    # Made once and shared by every block (a fresh product per block made
+    # 8-query passes 17-30% slower).
+    planes = np.empty((2, min(BLOCK_DOCS, len(ks)), len(q32)), np.float32)
     order = np.argsort(ks, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(ks[order])) + 1):
         k = ks[group[0]]
-        slot_major = (group[-1] - group[0] == len(group) - 1
-                      and len(group) >= SLOT_MAJOR_DOCS_PER_TOKEN * tokens)
-        step = SLOT_MAJOR_BLOCK_DOCS if slot_major else max(BLOCK_ROWS // k, 1)
-        for at in range(0, len(group), step):
-            docs = group[at : at + step]
-            lo, rows = offsets[docs[0]], len(docs) * k
-            if slot_major:
-                # One product per chunk slot j, read by BLAS in place from a
-                # strided view, folded into a running max.
-                if planes is None:
-                    planes = np.empty((2, min(step, len(ks)), tokens), np.float32)
-                slots = chunks[lo : lo + rows].reshape(len(docs), k, -1)
-                best, plane = planes[:, : len(docs)]
-                np.matmul(slots[:, 0].astype(np.float32, copy=False), q32.T, out=best)
-                for j in range(1, k):
-                    np.matmul(slots[:, j].astype(np.float32, copy=False), q32.T, out=plane)
+        run = group[-1] - group[0] == len(group) - 1
+        for at in range(0, len(group), BLOCK_DOCS):
+            docs = group[at : at + BLOCK_DOCS]
+            starts = offsets[docs]
+            best, plane = planes[:, : len(docs)]
+            for j in range(k):
+                # Slot j of a contiguous run is a strided view, else a gather.
+                rows = slice(starts[0] + j, starts[-1] + k, k) if run else starts + j
+                np.matmul(chunks[rows].astype(np.float32, copy=False), q32.T,
+                          out=plane if j else best)
+                if j:
                     np.maximum(best, plane, out=best)
-            else:
-                # A slice when the block's documents are contiguous, and else
-                # a gather of at most BLOCK_ROWS rows, left unnamed so that it
-                # is freed before the next is made (gathering every block ran
-                # one K 1.25-1.7x slower).
-                if buf is None:
-                    buf = np.empty(max(min(BLOCK_ROWS, offsets[-1]), ks.max()) * tokens,
-                                   np.float32)
-                take = (slice(lo, lo + rows) if docs[-1] - docs[0] == len(docs) - 1
-                        else (offsets[docs, None] + np.arange(k)).ravel())
-                out = buf[: rows * tokens].reshape(rows, -1)
-                sims = np.matmul(chunks[take].astype(np.float32, copy=False), q32.T, out=out)
-                # With one chunk per document the product is its maxima.
-                best = sims if k == 1 else sims.reshape(len(docs), k, -1).max(axis=1)
             scores[:, docs] = np.add.reduceat(best.T, token_offsets[:-1], axis=0,
                                               dtype=np.float64)
     return scores

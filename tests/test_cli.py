@@ -223,16 +223,6 @@ class TestQuery:
         assert proc.returncode == 0
         assert len(proc.stdout.splitlines()) == 6
 
-    def test_deterministic_across_thread_counts(self, dataset, index_path, tmp_path):
-        outs = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"run{threads}.txt"
-            proc = run_cli("query", str(index_path), str(dataset.query_manifest),
-                           "--out", str(out), "--threads", threads)
-            assert proc.returncode == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
     def test_corrupt_index_is_data_error(self, dataset, tmp_path):
         bad = tmp_path / "bad.cchk"
         bad.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNK")
@@ -295,11 +285,15 @@ class TestBlasThreads:
         outputs = []
         for threads in (1, 2):
             index, run = tmp_path / f"{threads}.cchk", tmp_path / f"{threads}.txt"
+            top = tmp_path / f"{threads}-top1.txt"
+            # --top-k 1 of 4 pages runs the float32 candidate pass; the default
+            # 10 ranks every page exactly without it.
             for argv in (["compress", data.doc_manifest, index, "--k", "40", "--omega", omega],
-                         ["query", index, data.query_manifest, "--out", run]):
+                         ["query", index, data.query_manifest, "--out", run],
+                         ["query", index, data.query_manifest, "--top-k", "1", "--out", top]):
                 proc = run_blas(threads, "-m", "colchunk.cli", *map(str, argv))
                 assert proc.returncode == 0, proc.stderr
-            outputs.append((index.read_bytes(), run.read_bytes()))
+            outputs.append((index.read_bytes(), run.read_bytes(), top.read_bytes()))
         assert outputs[0] == outputs[1]
 
     def test_ward_merge_order_and_labels_are_the_same(self, blas_pages):
@@ -500,6 +494,15 @@ class TestTopLevel:
             cli.main([command, *positional[command], "--threads", "0"])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+    def test_threads_leave_the_run_as_it_is(self, dataset, index_path, tmp_path):
+        runs = []
+        for flag in ([], ["--threads", "4"]):
+            out = tmp_path / f"run{len(flag)}.txt"
+            assert cli.main(["query", str(index_path), str(dataset.query_manifest),
+                             "--top-k", "3", "--out", str(out), *flag]) == 0
+            runs.append(out.read_bytes())
+        assert runs[0] == runs[1]
 
     def test_oversized_page_is_data_error(self, dataset, tmp_path, monkeypatch, capsys):
         # the dataset's pages hold 16 patches each

@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -204,29 +203,32 @@ def k_corpus(rng, ks, dim=8, dtypes=(np.float64,)):
             for i, c in enumerate(chunks)]
 
 
-def equal_and_ragged(k, block_rows):
-    """Two blocks' worth of K=k docs, a few of small K, then two blocks' worth
-    of K=k+1 docs: long contiguous runs of one K, and K=1 docs far apart."""
-    return ([k] * (block_rows // k * 2) + [1, 3, 2, 5, 1, 4]
-            + [k + 1] * (block_rows // (k + 1) * 2) + [6, 1])
+def equal_and_ragged(k):
+    """Two and a half blocks of 7 of K=k docs, a few of small K, then as many of
+    K=k+1: long contiguous runs of one K, and K=1 docs far apart."""
+    return [k] * 17 + [1, 3, 2, 5, 1, 4] + [k + 1] * 16 + [6, 1]
 
 
-def interleaved(k, block_rows):
-    """Ks alternating k and k+1, two blocks' worth of each: no two docs of one K
-    are adjacent, so every block of more than one doc is a gather."""
-    return [k, k + 1] * (block_rows // k * 2)
+def interleaved(k):
+    """Ks alternating k and k+1, ten docs of each: no two docs of one K are
+    adjacent, so each K's slots are row gathers, over two blocks of 7."""
+    return [k, k + 1] * 10
 
 
-# Per-document K of each corpus, given the block size in chunk rows. The
-# candidate pass visits documents grouped by K: a block of one K is a slice
-# of the chunk matrix when its documents are contiguous and a row gather when
-# they are not.
+# Documents per candidate block in the tests that set it: 7 splits each K
+# group of the corpora below over several blocks, the last of them partial;
+# 4,096, like the default BLOCK_DOCS, holds each of their K groups in one.
+BLOCK_SIZES = (7, 4096)
+# Per-document K of each corpus, given the block size in documents. The
+# candidate pass visits documents grouped by K: a K's chunk slot is a strided
+# view of the chunk matrix when its documents are contiguous and a row gather
+# when they are not.
 K_CORPORA = {
-    "equal-k40": lambda block_rows: [40] * 12,
-    "uniform-k1": lambda block_rows: [1] * 30,
-    "equal-and-ragged": lambda block_rows: equal_and_ragged(block_rows // 64 + 2, block_rows),
-    "doc-longer-than-block": lambda block_rows: [4] * 5 + [block_rows + 3] + [4] * 5,
-    "interleaved-k": lambda block_rows: interleaved(block_rows // 64 + 2, block_rows),
+    "equal-k40": lambda block_docs: [40] * 17,
+    "uniform-k1": lambda block_docs: [1] * 30,
+    "equal-and-ragged": lambda block_docs: equal_and_ragged(9),
+    "doc-longer-than-block": lambda block_docs: [4] * 5 + [block_docs + 3] + [4] * 5,
+    "interleaved-k": lambda block_docs: interleaved(5),
 }
 # Chunk dtypes cycled over a corpus's documents, float64 where not listed: an
 # index of float32 documents stays float32, and one float64 document promotes
@@ -237,14 +239,10 @@ CORPUS_DTYPES = {
 }
 K_CORPORA.update((name, K_CORPORA["equal-and-ragged"]) for name in CORPUS_DTYPES)
 # Corpora where some K's documents are not contiguous, so the candidate pass
-# gathers their rows wherever a block holds more than one of them:
-# equal-and-ragged's K=1 documents, the K=4 documents on either side of
-# doc-longer-than-block's long one, and every K of interleaved-k. The others
-# are scored from slices alone.
+# gathers their slots by row: equal-and-ragged's K=1 documents, the K=4
+# documents on either side of doc-longer-than-block's long one, and every K
+# of interleaved-k. The others are read from strided views alone.
 GATHERED = {"equal-and-ragged", "doc-longer-than-block", "interleaved-k", *CORPUS_DTYPES}
-# SLOT_MAJOR_DOCS_PER_TOKEN forced to each side of its rule: 0 scores every
-# contiguous run of one K slot-major, 2**62 scores every block by the reshape.
-SLOT_MAJOR_SIDES = (0, 2**62)
 
 
 def split_k_groups(ks):
@@ -253,15 +251,25 @@ def split_k_groups(ks):
     return any(np.ptp(np.flatnonzero(ks == k)) >= np.count_nonzero(ks == k) for k in set(ks))
 
 
+# Name -> (per-document K, dim, query tokens, chunk dtype) of the corpora whose
+# candidate pass is held to the memory bound below.
+PASS_MEMORY = {
+    "contiguous-float32": (lambda rng: [16] * 1100, 256, 64, np.float32),
+    "shuffled-k": (lambda rng: rng.choice([40, 30, 20, 16, 12], size=2000), 64, 8, np.float32),
+    "contiguous-float64": (lambda rng: [8] * 1100, 128, 32, np.float64),
+    "k1": (lambda rng: [1] * 4096, 256, 64, np.float32),
+}
+
+
 class TestCandidatePass:
     """``_approx_scores`` puts each (query, doc) score in that doc's column, within
     the float32 error bound of ``maxsim``, holding one block at a time."""
 
-    @pytest.mark.parametrize("block_rows", [7, scorer.BLOCK_ROWS])
+    @pytest.mark.parametrize("block_docs", BLOCK_SIZES)
     @pytest.mark.parametrize("corpus", K_CORPORA)
-    def test_scores_within_the_error_bound_of_maxsim(self, rng, monkeypatch, block_rows, corpus):
-        monkeypatch.setattr(scorer, "BLOCK_ROWS", block_rows)
-        docs = k_corpus(rng, K_CORPORA[corpus](block_rows),
+    def test_scores_within_the_error_bound_of_maxsim(self, rng, monkeypatch, block_docs, corpus):
+        monkeypatch.setattr(scorer, "BLOCK_DOCS", block_docs)
+        docs = k_corpus(rng, K_CORPORA[corpus](block_docs),
                         dtypes=CORPUS_DTYPES.get(corpus, (np.float64,)))
         index = index_of(docs)
         tokens = np.array([1, 3, 8])
@@ -270,114 +278,44 @@ class TestCandidatePass:
         q32 = np.concatenate([types.unit_rows(q.vectors) for q in queries], dtype=np.float32)
         exact = np.array([[maxsim(q, d) for d in docs] for q in queries])
         bound = tokens * (8 + tokens + 2) * 2.0**-24
-        for docs_per_token in SLOT_MAJOR_SIDES:
-            monkeypatch.setattr(scorer, "SLOT_MAJOR_DOCS_PER_TOKEN", docs_per_token)
-            approx = scorer._approx_scores(q32, np.cumsum([0, *tokens]), index.chunks,
-                                           index.offsets)
-            assert (np.abs(approx - exact) <= bound[:, None]).all(), docs_per_token
-
-    @pytest.mark.parametrize("ks, tokens, folds", [
-        ([3] * 64, 4, [64, 64]),
-        ([3] * 63, 4, []),
-        ([3] * 64, 5, []),
-        # each K's documents interleaved: gathered blocks, however many
-        ([3, 2] * 100, 4, []),
-        # a document of another K, then a run of one K long enough
-        ([2] + [3] * 64, 4, [64, 64]),
-    ])
-    def test_block_kind_follows_from_the_run_shape(self, rng, monkeypatch, ks, tokens, folds):
-        # One K's documents are scored slot-major when they form one
-        # contiguous run of at least SLOT_MAJOR_DOCS_PER_TOKEN per pass token.
-        # Only the slot-major kind folds its products with np.maximum: K - 1
-        # folds of a (docs, tokens) plane per block.
-        assert scorer.SLOT_MAJOR_DOCS_PER_TOKEN == 16
-        offsets = np.concatenate([[0], np.cumsum(ks)])
-        chunks = types.unit_rows(rng.normal(size=(offsets[-1], 8))).astype(np.float32)
-        q32 = types.unit_rows(rng.normal(size=(tokens, 8))).astype(np.float32)
-        seen = []
-        maximum = np.maximum
-
-        def spy(*args, **kwargs):
-            seen.append(len(args[0]))
-            return maximum(*args, **kwargs)
-
-        monkeypatch.setattr(np, "maximum", spy)
-        scorer._approx_scores(q32, np.array([0, tokens]), chunks, offsets)
-        assert seen == folds
-
-    def test_pass_holds_one_gather_copy_not_the_corpus(self, rng):
-        # A float32 corpus of five Ks in shuffled order, so its blocks are row
-        # gathers: the pass holds one at a time and never copies the corpus.
-        ks = rng.choice([40, 30, 20, 16, 12], size=2000)
-        offsets = np.concatenate([[0], np.cumsum(ks)])
-        chunks = rng.random((offsets[-1], 64), dtype=np.float32)
-        q32 = types.unit_rows(rng.normal(size=(8, 64))).astype(np.float32)
-        tracemalloc.start()
-        try:
-            scores = scorer._approx_scores(q32, np.array([0, 8]), chunks, offsets)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        buffer = scorer.BLOCK_ROWS * len(q32) * 4
-        gather = scorer.BLOCK_ROWS * chunks.shape[1] * 4
-        limit = buffer + gather + scores.nbytes + 2**18
-        assert chunks.nbytes > 4 * limit
-        assert peak < limit, (peak, limit)
+        approx = scorer._approx_scores(q32, np.cumsum([0, *tokens]), index.chunks, index.offsets)
+        assert (np.abs(approx - exact) <= bound[:, None]).all()
 
     def test_slot_major_pass_holds_two_planes_not_the_corpus(self, rng):
-        # A float32 corpus of one K, long enough for 64 tokens to be scored
-        # slot-major in several blocks: BLAS reads each chunk slot in place,
-        # so the pass holds its two (docs, tokens) float32 planes and the
-        # float64 cast the token sum makes of one block's maxima, but no copy
-        # of the corpus or of a chunk slot, and no reshape product buffer.
-        docs, k, tokens, dim = 1100, 16, 64, 256
-        assert docs >= scorer.SLOT_MAJOR_DOCS_PER_TOKEN * tokens
-        chunks = rng.random((docs * k, dim), dtype=np.float32)
-        q32 = types.unit_rows(rng.normal(size=(tokens, dim))).astype(np.float32)
-        tracemalloc.start()
-        try:
-            scores = scorer._approx_scores(q32, np.array([0, tokens]), chunks,
-                                           np.arange(docs + 1) * k)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        block = min(docs, scorer.SLOT_MAJOR_BLOCK_DOCS)
-        planes = 2 * block * tokens * 4
-        cast = block * tokens * 8
-        buffer = scorer.BLOCK_ROWS * tokens * 4
-        limit = planes + cast + scores.nbytes + 2**18
-        # a copy of one block's slot, or the reshape's buffer, breaks the limit
-        assert planes + block * dim * 4 > limit and planes + cast + buffer > limit
-        assert chunks.nbytes > 4 * limit
-        assert planes + cast <= peak < limit, (peak, limit)
-
-    def test_one_chunk_pass_takes_the_product_as_its_maxima(self, rng):
-        # K = 1 documents, too few per token for slot-major: the reshape-max
-        # block's product is its maxima as it stands. The pass holds that
-        # product and the float64 cast the token sum makes of it, 3 products
-        # in all, and no copy of it (a max over the reshape made a fourth).
-        docs, tokens, dim = scorer.BLOCK_ROWS, 1024, 64
-        assert docs < scorer.SLOT_MAJOR_DOCS_PER_TOKEN * tokens
-        chunks = types.unit_rows(rng.normal(size=(docs, dim))).astype(np.float32)
-        q32 = types.unit_rows(rng.normal(size=(tokens, dim))).astype(np.float32)
-        tracemalloc.start()
-        try:
-            scorer._approx_scores(q32, np.array([0, tokens]), chunks, np.arange(docs + 1))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        product = docs * tokens * 4
-        assert peak <= 3.1 * product, peak / product
+        # BLAS reads a float32 run's chunk slots in place, and a float64 run
+        # or a gathered K is copied one slot at a time. So a pass holds its two
+        # (docs, tokens) float32 planes, one slot's rows where slots are
+        # copied, the float64 cast the token sum makes of one plane and the
+        # scores: never a copy of the corpus, nor of a whole block's chunks.
+        for name, (ks_of, dim, tokens, dtype) in PASS_MEMORY.items():
+            ks = np.asarray(ks_of(rng))
+            offsets = np.concatenate([[0], np.cumsum(ks)])
+            chunks = rng.random((offsets[-1], dim), dtype=dtype)
+            q32 = types.unit_rows(rng.normal(size=(tokens, dim))).astype(np.float32)
+            tracemalloc.start()
+            try:
+                scores = scorer._approx_scores(q32, np.array([0, tokens]), chunks, offsets)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            block = min(len(ks), scorer.BLOCK_DOCS)
+            planes = 2 * block * tokens * 4
+            cast = block * tokens * 8
+            copied = dtype != np.float32 or split_k_groups(ks)
+            slot = block * dim * chunks.itemsize if copied else 0
+            limit = planes + slot + cast + scores.nbytes + 2**18
+            assert chunks.nbytes > 2 * limit, name
+            assert planes + cast <= peak < limit, (name, peak, limit)
 
 
 class TestRetrieveEquivalence:
     """``retrieve`` and ``retrieve_many`` return the ids, score bits and ranks of the
     per-document loop."""
 
-    @pytest.mark.parametrize("block_rows", [7, scorer.BLOCK_ROWS])
+    @pytest.mark.parametrize("block_docs", BLOCK_SIZES)
     @pytest.mark.parametrize("tokens", [1, 2, 3, 7, 16, 32, 64])
-    def test_matches_per_document_loop(self, rng, tmp_path, monkeypatch, tokens, block_rows):
-        monkeypatch.setattr(scorer, "BLOCK_ROWS", block_rows)
+    def test_matches_per_document_loop(self, rng, tmp_path, monkeypatch, tokens, block_docs):
+        monkeypatch.setattr(scorer, "BLOCK_DOCS", block_docs)
         q, docs = tie_corpus(rng, tokens)
         by_id = {d.doc_id: d for d in docs}
         best, nudged = by_id["z-best"].chunks, by_id["a-next"].chunks
@@ -393,12 +331,12 @@ class TestRetrieveEquivalence:
                 want = [(d, s.hex(), r) for d, s, r in naive_retrieve(q, reference, top_k)]
                 assert got == want, (type(index).__name__, top_k)
 
-    @pytest.mark.parametrize("block_rows", [7, scorer.BLOCK_ROWS])
+    @pytest.mark.parametrize("block_docs", BLOCK_SIZES)
     @pytest.mark.parametrize("corpus", K_CORPORA)
     def test_equal_k_blocks_match_per_document_loop(self, rng, tmp_path, monkeypatch,
-                                                    block_rows, corpus):
-        monkeypatch.setattr(scorer, "BLOCK_ROWS", block_rows)
-        ks = K_CORPORA[corpus](block_rows)
+                                                    block_docs, corpus):
+        monkeypatch.setattr(scorer, "BLOCK_DOCS", block_docs)
+        ks = K_CORPORA[corpus](block_docs)
         assert split_k_groups(ks) == (corpus in GATHERED)
         dtypes = CORPUS_DTYPES.get(corpus, (np.float64,))
         docs = k_corpus(rng, ks, dtypes=dtypes)
@@ -412,13 +350,11 @@ class TestRetrieveEquivalence:
         for index, reference in ((memory, docs), (disk, disk.docs)):
             full = [[(d, s.hex(), r) for d, s, r in naive_retrieve(q, reference, n)]
                     for q in queries]
-            for docs_per_token, top_k in itertools.product(SLOT_MAJOR_SIDES,
-                                                           (1, 2, 5, n - 1, n, n + 1)):
-                monkeypatch.setattr(scorer, "SLOT_MAJOR_DOCS_PER_TOKEN", docs_per_token)
+            for top_k in (1, 2, 5, n - 1, n, n + 1):
                 got = [[(h.doc_id, h.score.hex(), h.rank) for h in retrieve(q, index, top_k)]
                        for q in queries]
                 assert got == [ranking[:top_k] for ranking in full], (
-                    type(index).__name__, docs_per_token, top_k)
+                    type(index).__name__, top_k)
                 assert retrieve_many(queries, index, top_k) == [retrieve(q, index, top_k)
                                                                 for q in queries]
 
@@ -438,10 +374,10 @@ class TestRetrieveEquivalence:
         assert got[0][0] == "z-best"
 
     @pytest.mark.parametrize("max_pass_tokens", [40, scorer.MAX_PASS_TOKENS])
-    @pytest.mark.parametrize("block_rows", [7, scorer.BLOCK_ROWS])
-    def test_batch_matches_per_document_loop(self, rng, tmp_path, monkeypatch, block_rows,
+    @pytest.mark.parametrize("block_docs", BLOCK_SIZES)
+    def test_batch_matches_per_document_loop(self, rng, tmp_path, monkeypatch, block_docs,
                                              max_pass_tokens):
-        monkeypatch.setattr(scorer, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(scorer, "BLOCK_DOCS", block_docs)
         monkeypatch.setattr(scorer, "MAX_PASS_TOKENS", max_pass_tokens)
         passes = []
         approx_scores = scorer._approx_scores
@@ -459,14 +395,12 @@ class TestRetrieveEquivalence:
         for index, reference in ((memory, docs), (disk, disk.docs)):
             full = [[(d, s.hex(), r) for d, s, r in naive_retrieve(q, reference, n)]
                     for q in queries]
-            for docs_per_token, top_k in itertools.product(
-                    SLOT_MAJOR_SIDES, (*range(1, 13), n // 2, n - 1, n, n + 1, n + 5)):
-                monkeypatch.setattr(scorer, "SLOT_MAJOR_DOCS_PER_TOKEN", docs_per_token)
+            for top_k in (*range(1, 13), n // 2, n - 1, n, n + 1, n + 5):
                 passes.clear()
                 got = [[(h.doc_id, h.score.hex(), h.rank) for h in hits]
                        for hits in retrieve_many(queries, index, top_k)]
                 assert got == [ranking[:top_k] for ranking in full], (
-                    type(index).__name__, docs_per_token, top_k)
+                    type(index).__name__, top_k)
                 if top_k < n and max_pass_tokens == 40:
                     # 1+2+3+7+16 tokens fit under 40; 32 does not join them, 64 exceeds it
                     assert passes == [[1, 2, 3, 7, 16], [32], [64]]
